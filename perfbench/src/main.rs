@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --slo-p99-us 10000 --workload serve-mixed --seed 1 --seconds 40 --trace 0
+//!     --slo-p99-us 10000 --workload serve-mixed --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! Workloads: `fused-fig9` (closed loop of warm kernel calls),
@@ -10,8 +10,9 @@
 //! (open-loop serving over more models than the plan cache holds). With
 //! `--trace 0` the last stdout line carries the end-to-end metrics; with
 //! `--trace 1` a separate traced run carries the per-layer ones. Outputs
-//! are checked against the shuffle oracle in the same run; a mismatch
-//! exits 1. See `README.md` for the metric definitions.
+//! are checked against the shuffle oracle in the same run; a mismatch, or
+//! a serving run whose runtime counts show it did not exercise what its
+//! workload is for, exits 1. See `README.md` for the metric definitions.
 
 mod fused;
 mod gen;
@@ -43,6 +44,9 @@ pub struct Outcome {
     pub failed: u64,
     /// Of those, the ones that returned a wrong output.
     pub wrong: u64,
+    /// Why the run did not exercise what its workload is for, if it did
+    /// not; such a run is invalid, like one with a wrong output.
+    pub invalid: Option<String>,
     pub metrics: Metrics,
 }
 
@@ -129,7 +133,10 @@ fn main() {
         _ => serve::run(&args, serve::Kind::Churn),
     };
     report::print_table(&out.metrics);
-    let correct = out.wrong == 0;
+    if let Some(why) = &out.invalid {
+        eprintln!("perfbench: invalid run: {why}");
+    }
+    let correct = out.wrong == 0 && out.invalid.is_none();
     println!(
         "{}",
         report::result_json(
