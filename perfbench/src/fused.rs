@@ -20,8 +20,11 @@ const M: usize = 16;
 /// `(P, N)`: the Figure 9 subset, one shape per P.
 const SHAPES: [(usize, usize); 5] = [(8, 5), (16, 4), (32, 3), (64, 2), (128, 2)];
 
-/// Program set-ups per run; `setup_s` is their median. One set-up takes
-/// about 15 ms, so many of them keep the median steady.
+/// Program set-ups per untraced run; `setup_s` is their median. One
+/// set-up takes about 15 ms. The first gives the workspaces the run
+/// measures; the others are spread over the timed loop, since on a shared
+/// host a stretch of interference slowed every one of several
+/// back-to-back set-ups alike.
 const SETUPS: usize = 15;
 
 struct Case {
@@ -129,29 +132,25 @@ fn setup(seed: u64) -> (Vec<Case>, f64) {
     (cases, t0.elapsed().as_secs_f64())
 }
 
-fn setup_median(seed: u64) -> (Vec<Case>, f64) {
-    let mut times = Vec::with_capacity(SETUPS);
-    let mut last = None;
-    for _ in 0..SETUPS {
-        let (cases, s) = setup(seed);
-        times.push(s);
-        last = Some(cases);
-    }
-    (last.expect("at least one set-up"), stats::median(&times))
-}
-
 pub fn run(args: &Args) -> Outcome {
     if args.trace {
         return run_traced(args);
     }
-    let (mut cases, setup_s) = setup_median(args.seed);
+    let (mut cases, setup_s) = setup(args.seed);
+    let mut setups = vec![setup_s];
     let peak_rss = host::peak_rss_mb();
     let mut failed = cases.iter().filter(|c| !c.correct()).count() as u64;
 
     // times[case]: call durations in seconds.
     let mut times = vec![Vec::new(); cases.len()];
+    let seconds = args.seconds as f64;
+    let extra = (SETUPS - 1) as f64;
     let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < args.seconds as f64 {
+    while t0.elapsed().as_secs_f64() < seconds {
+        let done = (setups.len() - 1) as f64;
+        if done < extra && t0.elapsed().as_secs_f64() >= seconds * done / extra {
+            setups.push(setup(args.seed).1);
+        }
         for (c, t) in cases.iter_mut().zip(&mut times) {
             let s = Instant::now();
             if !c.execute() {
@@ -161,10 +160,14 @@ pub fn run(args: &Args) -> Outcome {
         }
     }
     failed += cases.iter().filter(|c| !c.correct()).count() as u64;
+    while setups.len() < SETUPS {
+        setups.push(setup(args.seed).1);
+    }
+    println!("set-up seconds: {setups:.4?}");
 
     let calls: usize = times.iter().map(Vec::len).sum();
     let mut m = Metrics::default();
-    m.set("setup_s", setup_s);
+    m.set("setup_s", stats::median(&setups));
     m.set("peak_rss_mb", peak_rss);
     // Each shape's best call of the run. On a shared host the kernel's
     // speed drifts by a third over seconds as neighbours come and go;
@@ -184,21 +187,7 @@ pub fn run(args: &Args) -> Outcome {
     // sat_rps: calls per second of a closed-loop round (one call of each
     // shape) at the best call times. Unlike kron_gflops it weights each
     // shape by its time, not equally.
-    let sat = cases.len() as f64 / best.iter().sum::<f64>();
-    m.set("sat_rps", sat);
-    // slo_rps: with one call outstanding, a call's latency is its own time,
-    // a few milliseconds at most, so the highest rate that meets the limit
-    // is the closed loop's own rate. This workload reports sat_rps for it
-    // and prints the call p99 the claim rests on.
-    m.set("slo_rps", sat);
-    let p99_us = percentile(
-        &sorted(times.iter().flatten().map(|t| t * 1e6).collect()),
-        0.99,
-    );
-    println!(
-        "call p99 {p99_us:.1} us against the {:.0} us limit; slo_rps is sat_rps here",
-        args.slo_p99_us
-    );
+    m.set("sat_rps", cases.len() as f64 / best.iter().sum::<f64>());
     for ((c, t), g) in cases.iter().zip(&times).zip(&gflops) {
         println!(
             "shape {:>6}: best {g:>8.2} GFLOP/s, median {:>8.2} GFLOP/s over {} calls",

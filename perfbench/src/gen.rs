@@ -36,6 +36,21 @@ impl Popularity {
             Popularity::Zipf(z) => z.sample(rng),
         }
     }
+
+    fn models(&self) -> usize {
+        match self {
+            Popularity::Uniform(n) => *n,
+            Popularity::Zipf(z) => z.ranks(),
+        }
+    }
+
+    /// Share of requests that target models `0..i`.
+    fn cdf(&self, i: usize) -> f64 {
+        match self {
+            Popularity::Uniform(n) => i as f64 / *n as f64,
+            Popularity::Zipf(z) => z.cdf(i),
+        }
+    }
 }
 
 /// Fills `out` with a Poisson stream at `rate_rps` covering `window_ns`,
@@ -81,6 +96,40 @@ pub fn closed_stream(
             variant: rng.below(VARIANTS),
         })
         .collect()
+}
+
+/// `n` requests with no schedule and a fixed mix: each model receives its
+/// share of them (rounded so the shares sum to `n`), and each model's
+/// requests cycle through the row counts. Only their order and inputs come
+/// from `rng`, so streams of different seeds do the same work up to order,
+/// which `closed_stream`'s independent draws do not.
+pub fn fixed_mix_stream(
+    rng: &mut Rng,
+    n: usize,
+    popularity: &Popularity,
+    first_id: u64,
+) -> Vec<Request> {
+    let upto = |i| (popularity.cdf(i) * n as f64).round() as usize;
+    let mut reqs: Vec<Request> = (0..popularity.models())
+        .flat_map(|model| {
+            (0..upto(model + 1) - upto(model)).map(move |j| Request {
+                id: 0,
+                due_ns: 0,
+                model,
+                m: ROW_COUNTS[j % ROW_COUNTS.len()],
+                variant: 0,
+            })
+        })
+        .collect();
+    // Fisher-Yates.
+    for i in (1..reqs.len()).rev() {
+        reqs.swap(i, rng.below(i + 1));
+    }
+    for (i, r) in reqs.iter_mut().enumerate() {
+        r.id = first_id + i as u64;
+        r.variant = rng.below(VARIANTS);
+    }
+    reqs
 }
 
 /// Nanoseconds since the benchmark's epoch.
@@ -151,6 +200,27 @@ mod tests {
         let d = closed_stream(&mut Rng::new(42), 100, &pop, 7);
         assert_eq!(d, closed_stream(&mut Rng::new(42), 100, &pop, 7));
         assert_eq!(d[0].id, 7);
+    }
+
+    #[test]
+    fn fixed_mix_streams_differ_only_in_order_and_inputs() {
+        let pop = Popularity::Zipf(Zipf::new(40, 1.1));
+        let mix = |seed| {
+            let s = fixed_mix_stream(&mut Rng::new(seed), 1000, &pop, 5);
+            assert_eq!(s.len(), 1000);
+            assert!(s.iter().enumerate().all(|(i, r)| r.id == 5 + i as u64));
+            let mut m: Vec<(usize, usize)> = s.iter().map(|r| (r.model, r.m)).collect();
+            m.sort_unstable();
+            (s, m)
+        };
+        let (a, mix_a) = mix(1);
+        let (b, mix_b) = mix(2);
+        assert_eq!(a, mix(1).0);
+        assert_ne!(a, b);
+        assert_eq!(mix_a, mix_b);
+        // Zipf(1.1) over 40 models gives the first about a fifth.
+        let first = mix_a.iter().filter(|(model, _)| *model == 0).count();
+        assert!((150..=300).contains(&first), "{first}");
     }
 
     #[test]

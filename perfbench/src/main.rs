@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --slo-p99-us 10000 --workload serve-mixed --seed 1 --seconds 30 --trace 0
+//!     --slo-p99-us 10000 --workload serve-mixed --seed 1 --seconds 36 --trace 0
 //! ```
 //!
 //! Workloads: `fused-fig9` (closed loop of warm kernel calls),

@@ -70,6 +70,19 @@ impl Zipf {
         Zipf { cdf }
     }
 
+    /// Probability of the first `i` ranks together (`0..=1`).
+    pub fn cdf(&self, i: usize) -> f64 {
+        if i == 0 {
+            0.0
+        } else {
+            self.cdf[i - 1]
+        }
+    }
+
+    pub fn ranks(&self) -> usize {
+        self.cdf.len()
+    }
+
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.unit();
         self.cdf

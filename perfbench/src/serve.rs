@@ -33,9 +33,10 @@ pub enum Kind {
 }
 
 /// Offered rates, requests per second, named `lo` and `hi`. serve-mixed's
-/// hi is about 70% of its saturation throughput on the two-core host it
-/// was tuned on; serve-churn's stay well below its own saturation, which
-/// plan builds on cache misses set.
+/// hi is under half of its `sat_rps` on the two-core host it was tuned on,
+/// and already built a backlog there in stretches when neighbours loaded
+/// the host; serve-churn's stay well below its own saturation, which plan
+/// builds on cache misses set.
 const RATE_NAMES: [&str; 2] = ["lo", "hi"];
 const MIXED_RATES: [f64; 2] = [5_000.0, 48_000.0];
 const CHURN_RATES: [f64; 2] = [1_500.0, 5_000.0];
@@ -45,7 +46,10 @@ const CHURN_MODELS: usize = 40;
 const CHURN_CACHE_ENTRIES: usize = 32;
 const CHURN_ZIPF_S: f64 = 1.1;
 
-/// Program set-ups per run; `setup_s` is their median.
+/// Program set-ups per untraced run; `setup_s` is their median. The first
+/// gives the runtime the run measures; the others are spread over the
+/// saturation replays, since on a shared host a stretch of interference
+/// slowed every one of several back-to-back set-ups alike.
 const SETUPS: usize = 9;
 /// Every this many requests, the reply is compared with the oracle.
 const CHECK_EVERY: u64 = 8;
@@ -425,24 +429,6 @@ fn setup(profile: &Profile, set: &Set) -> (Runtime, Vec<Handle>, f64) {
     (rt, handles, t0.elapsed().as_secs_f64())
 }
 
-/// Several set-ups, each runtime shut down before the next starts; the
-/// last one is kept.
-fn setup_median(profile: &Profile, set: &Set) -> (Runtime, Vec<Handle>, f64) {
-    let mut times = Vec::with_capacity(SETUPS);
-    let mut kept: Option<(Runtime, Vec<Handle>)> = None;
-    for _ in 0..SETUPS {
-        if let Some((old, _)) = kept.take() {
-            old.shutdown();
-        }
-        let (rt, handles, s) = setup(profile, set);
-        times.push(s);
-        kept = Some((rt, handles));
-    }
-    let (rt, handles) = kept.expect("at least one set-up");
-    println!("set-up seconds: {times:.4?}");
-    (rt, handles, stats::median(&times))
-}
-
 /// One reply as the client saw it, in ns since the epoch.
 #[derive(Debug, Clone, Copy)]
 struct Done {
@@ -543,13 +529,14 @@ struct Chunk {
     call_us: Vec<f64>,
 }
 
-/// Saturation: one thread keeps `SAT_WINDOW` tickets outstanding for
-/// `dur_ns`, waiting on the oldest before submitting the next.
-fn closed_chunk(
+/// Saturation: one thread keeps `SAT_WINDOW` tickets outstanding, waiting
+/// on the oldest before submitting the next, until `reqs` ends or `dur_ns`
+/// has passed.
+fn closed_chunk<'r>(
     rt: &Runtime,
     set: &Set,
     handles: &[Handle],
-    reqs: &[Request],
+    reqs: impl Iterator<Item = &'r Request>,
     dur_ns: u64,
 ) -> Chunk {
     let mut c = Chunk::default();
@@ -567,7 +554,7 @@ fn closed_chunk(
         }
         Err(_) => c.failed += 1,
     };
-    for r in reqs.iter().cycle() {
+    for r in reqs {
         if t0.elapsed().as_nanos() as u64 >= dur_ns {
             break;
         }
@@ -632,6 +619,8 @@ struct Run<'a> {
     set: Set,
     rt: Runtime,
     handles: Vec<Handle>,
+    /// Times of the set-up `rt` came from and of the extra set-ups since.
+    setup_s: Vec<f64>,
     rng: Rng,
     epoch: Instant,
     next_id: u64,
@@ -735,51 +724,148 @@ impl Run<'_> {
         }
     }
 
-    /// One saturation chunk of `SAT_SHARE` of the run.
-    fn sat(&mut self) -> Chunk {
-        let reqs = self.closed_stream();
-        let c = closed_chunk(
-            &self.rt,
-            &self.set,
-            &self.handles,
-            &reqs,
-            self.window_ns(SAT_SHARE),
-        );
-        self.count_chunk(&c);
-        c
+    /// Saturation: one block of `SAT_BLOCK` requests, cut into parts of
+    /// `SAT_PART`, replayed part by part, back to back, for `SAT_SHARE` of
+    /// the run. Every replay of a part does the same work, the cache
+    /// misses of a bounded cache included, since it starts from the cache
+    /// state the previous part left. Returns the block's requests and
+    /// Kronecker flops, and each part's best time and every replay's
+    /// times.
+    fn sat_replays(&mut self) -> Replays {
+        let mut rng = self.rng.fork(self.next_id);
+        let block =
+            gen::fixed_mix_stream(&mut rng, SAT_BLOCK, &self.profile.popularity, self.next_id);
+        self.next_id += block.len() as u64 + 1;
+        let budget = Duration::from_nanos(self.window_ns(SAT_SHARE));
+        let parts: Vec<&[Request]> = block.chunks(SAT_PART).collect();
+        let mut r = Replays {
+            requests: block.len() as f64,
+            flops: block.iter().map(|q| self.set.flops(q)).sum(),
+            best_s: vec![f64::INFINITY; parts.len()],
+            times_s: vec![Vec::new(); parts.len()],
+        };
+        let t0 = Instant::now();
+        // Every part is replayed at least once; after that the budget may
+        // end a replay of the block between two parts. The extra set-ups
+        // fall between parts, evenly over the budget.
+        let extra = (SETUPS - 1) as f64;
+        'replays: loop {
+            for (k, part) in parts.iter().enumerate() {
+                if !r.times_s[k].is_empty() && t0.elapsed() >= budget {
+                    break 'replays;
+                }
+                let done = (self.setup_s.len() - 1) as f64;
+                if done < extra && t0.elapsed() >= budget.mul_f64(done / extra) {
+                    self.extra_setup();
+                }
+                let c = closed_chunk(&self.rt, &self.set, &self.handles, part.iter(), u64::MAX);
+                self.count_chunk(&c);
+                r.best_s[k] = r.best_s[k].min(c.seconds);
+                r.times_s[k].push(c.seconds);
+            }
+        }
+        while self.setup_s.len() < SETUPS {
+            self.extra_setup();
+        }
+        r
+    }
+
+    /// One more set-up of the program, timed and shut down at once; the
+    /// run goes on with its own runtime.
+    fn extra_setup(&mut self) {
+        let (rt, _, s) = setup(&self.profile, &self.set);
+        rt.shutdown();
+        self.setup_s.push(s);
+    }
+
+    /// `slo_rps`: bisects between `good`, which met the limit, and `bad`,
+    /// which should not, spending `SLO_SHARE` of the run evenly over at
+    /// most `SLO_PROBES` probes whatever their rate.
+    fn slo_search(&mut self, mut good: f64, mut bad: f64) -> f64 {
+        let limit = self.args.slo_p99_us;
+        let slice_ns = self.window_ns(SLO_SHARE) / (SLO_PROBES * SLO_WINDOWS * SLICES) as u64;
+        for _ in 0..SLO_PROBES {
+            if bad / good <= SLO_RESOLUTION {
+                break;
+            }
+            let probe = (good * bad).sqrt();
+            let mut w = RateWindows::default();
+            for _ in 0..SLO_WINDOWS {
+                let (done, _) = self.open(probe, slice_ns, false);
+                w.add(&done, 0, slice_ns);
+                self.recycle(done);
+            }
+            let ok = w.meets_slo(limit);
+            println!(
+                "slo probe {probe:>8.0}/s: median slice p99 {:.1} us -> {}; slice p99s in ms {:?}",
+                stats::median(&w.p99),
+                if ok { "met" } else { "missed" },
+                w.p99
+                    .iter()
+                    .map(|p| (p / 1e3).round() as u64)
+                    .collect::<Vec<_>>()
+            );
+            if ok {
+                good = probe;
+            } else {
+                bad = probe;
+            }
+        }
+        good
     }
 }
 
 /// Latency is summarised per slice of an open window. A slice lasts this
-/// share of `--seconds` (0.1 s at 30 s), or long enough for `MIN_REPLIES`
+/// share of `--seconds` (0.12 s at 36 s), or long enough for `MIN_REPLIES`
 /// replies, so that its p99 has ten samples beyond it, unless its phase
 /// has no time left for that. A window is `SLICES` slices; its first
 /// slice, where the queues are still filling, is not counted.
 const MIN_SLICE_SHARE: f64 = 1.0 / 300.0;
 const MIN_REPLIES: f64 = 1_000.0;
 const SLICES: usize = 6;
-/// Shares of `--seconds` each phase may spend: warm-up, the fixed-rate
-/// windows of the untraced and the traced run, the `slo_rps` search, and
-/// each of the `SAT_CHUNKS` saturation chunks. No phase outlasts its
-/// share, so a run takes about `--seconds` plus set-up however slow the
-/// program under test is.
+/// Shares of `--seconds` each phase may spend: warm-up; in the untraced
+/// run, the fixed-rate windows and the saturation replays; in the traced
+/// run, the fixed-rate windows, each of the `TRACED_CHUNKS` saturation and
+/// warm-direct chunks, and the `slo_rps` search. No phase outlasts its
+/// share by more than one replay, so a run takes about `--seconds` plus
+/// set-up however slow the program under test is.
 const WARM_SHARE: f64 = 0.04;
 const RATES_SHARE: f64 = 0.2;
-const TRACED_RATES_SHARE: f64 = 0.45;
-const SLO_SHARE: f64 = 0.55;
-const SAT_SHARE: f64 = 1.0 / 160.0;
-const SAT_CHUNKS: usize = 16;
+const SAT_SHARE: f64 = 0.7;
+const TRACED_RATES_SHARE: f64 = 0.35;
+const TRACED_CHUNK_SHARE: f64 = 1.0 / 160.0;
+const TRACED_CHUNKS: usize = 16;
+const SLO_SHARE: f64 = 0.35;
 /// Windows per `slo_rps` probe.
 const SLO_WINDOWS: usize = 3;
+/// Requests in the replayed saturation block, whose mix of models and row
+/// counts is the same for every seed. On `serve-churn` the block's cache
+/// misses set its cost, and they depend on the order too; at this size
+/// their share of lookups varies by a few percent from seed to seed,
+/// against a fifth at 1024 requests.
+const SAT_BLOCK: usize = 1 << 14;
+/// Requests in one timed part of the block: a few to a few tens of
+/// milliseconds of work. `sat_rps` rests on each part's best replay.
+/// Interference from other tenants of a shared host only ever slows a
+/// replay down, and it came and went from one stretch of seconds to the
+/// next on the host this was tuned on; a short part often runs clear of
+/// it, so its best time follows the program and not the neighbours.
+const SAT_PART: usize = 1024;
+
+/// The saturation replays of an untraced run.
+struct Replays {
+    requests: f64,
+    flops: f64,
+    /// Each part's best time, in seconds.
+    best_s: Vec<f64>,
+    /// Each part's times, one per replay.
+    times_s: Vec<Vec<f64>>,
+}
 
 pub fn run(args: &Args, kind: Kind) -> Outcome {
     let profile = profile(kind);
     let set = Set::new(args.seed, &profile.specs);
-    let (rt, handles, setup_s) = if args.trace {
-        setup(&profile, &set)
-    } else {
-        setup_median(&profile, &set)
-    };
+    let (rt, handles, setup_s) = setup(&profile, &set);
     let base = rt.stats();
     let mut run = Run {
         args,
@@ -787,6 +873,7 @@ pub fn run(args: &Args, kind: Kind) -> Outcome {
         set,
         rt,
         handles,
+        setup_s: vec![setup_s],
         rng: Rng::new(args.seed).fork(0x57EA),
         epoch: Instant::now(),
         next_id: 0,
@@ -799,7 +886,7 @@ pub fn run(args: &Args, kind: Kind) -> Outcome {
     let (metrics, bypass) = if args.trace {
         traced(&mut run)
     } else {
-        untraced(&mut run, setup_s)
+        untraced(&mut run)
     };
     let d = delta(&run.rt.stats(), &base);
     println!(
@@ -891,9 +978,9 @@ impl RateWindows {
 
     /// The limit holds when nothing failed and the median slice's p99 is
     /// within it. A growing backlog fails this too, since it raises each
-    /// window's later slices: in the probe windows of a 30 s run, a backlog
-    /// growing by 2% of the offered rate adds about 10 ms by the median
-    /// slice. One slice spoiled by a stall on the host does not fail it.
+    /// window's later slices: in the probe windows of a 36 s traced run, a
+    /// backlog growing by 2% of the offered rate adds about 8 ms by the
+    /// median slice. One slice spoiled by a stall on the host does not fail it.
     fn meets_slo(&self, limit_us: f64) -> bool {
         self.failed == 0 && stats::median(&self.p99) <= limit_us
     }
@@ -904,16 +991,13 @@ fn chunk_rps(c: &Chunk) -> f64 {
     ratio(c.completed as f64, c.seconds)
 }
 
-fn untraced(run: &mut Run, setup_s: f64) -> (Metrics, [f64; 2]) {
+fn untraced(run: &mut Run) -> (Metrics, [f64; 2]) {
     let mut m = Metrics::default();
-    m.set("setup_s", setup_s);
     m.set("peak_rss_mb", host::peak_rss_mb());
     run.warm_up();
 
-    // Saturation chunks are spread over the whole run, one after each
-    // fixed-rate window and one before each slo probe, the rest at the
-    // end, so that they sample all of it rather than one stretch.
-    let mut chunks: Vec<Chunk> = Vec::with_capacity(SAT_CHUNKS);
+    // Fixed-rate windows, lo and hi alternating: the bypassed shares the
+    // workload check needs, with latency printed for the log.
     let mut rates: [RateWindows; 2] = Default::default();
     let slices = run.rate_slices(RATES_SHARE, 2);
     let round_ns = (slices[0] + slices[1]) * SLICES as u64;
@@ -923,13 +1007,33 @@ fn untraced(run: &mut Run, setup_s: f64) -> (Metrics, [f64; 2]) {
         let bypassed = delta(&run.rt.stats(), &before).bypassed_requests;
         rates[i].add(&done, bypassed, slices[i]);
         run.recycle(done);
-        if chunks.len() < SAT_CHUNKS {
-            chunks.push(run.sat());
-        }
     }
-    let limit = run.args.slo_p99_us;
+    print_rates(run, &rates);
+
+    // sat_rps and kron_gflops: the whole block at each part's best time.
+    let r = run.sat_replays();
+    let best_s: f64 = r.best_s.iter().sum();
+    let median_s: f64 = r.times_s.iter().map(|t| stats::median(t)).sum();
+    println!(
+        "{} replays of {} parts of {SAT_PART} requests: {:.0} req/s at each part's best time, \
+         {:.0} at its median",
+        r.times_s[0].len(),
+        r.best_s.len(),
+        r.requests / best_s,
+        r.requests / median_s
+    );
+    m.set("sat_rps", r.requests / best_s);
+    m.set("kron_gflops", r.flops / best_s / 1e9);
+    println!("set-up seconds: {:.4?}", run.setup_s);
+    m.set("setup_s", stats::median(&run.setup_s));
+    let bypass = [0, 1].map(|i| ratio(rates[i].bypassed as f64, rates[i].replies as f64));
+    (m, bypass)
+}
+
+/// Prints each fixed rate's replies, median slice latency, bypassed share
+/// and verdict against the latency limit.
+fn print_rates(run: &Run, rates: &[RateWindows; 2]) {
     for (i, w) in rates.iter().enumerate() {
-        let (p50, p99) = (stats::median(&w.p50), stats::median(&w.p99));
         println!(
             "rate {:>3} {:>8.0}/s: {} replies in {} slices, median slice p50 {:.1} us, p99 {:.1} us, \
              bypassed {:.3}, slo {}",
@@ -937,73 +1041,16 @@ fn untraced(run: &mut Run, setup_s: f64) -> (Metrics, [f64; 2]) {
             run.profile.rates[i],
             w.replies,
             w.p50.len(),
-            p50,
-            p99,
-            ratio(w.bypassed as f64, w.replies as f64),
-            if w.meets_slo(limit) { "met" } else { "missed" }
-        );
-    }
-
-    // slo_rps: bisect between lo, which should meet the limit, and a tenth
-    // above the fastest saturation chunk so far, which should not; if lo
-    // misses, search below it instead. Every probe gets the same share of
-    // the run, whatever its rate.
-    let lo = run.profile.rates[0];
-    let fastest = chunks.iter().map(chunk_rps).fold(0.0, f64::max);
-    let (mut good, mut bad) = if rates[0].meets_slo(limit) {
-        (lo, (fastest * 1.1).max(lo * 1.5))
-    } else {
-        (lo / 8.0, lo)
-    };
-    let slice_ns = run.window_ns(SLO_SHARE) / (SLO_PROBES * SLO_WINDOWS * SLICES) as u64;
-    for _ in 0..SLO_PROBES {
-        if bad / good <= SLO_RESOLUTION {
-            break;
-        }
-        if chunks.len() < SAT_CHUNKS {
-            chunks.push(run.sat());
-        }
-        let probe = (good * bad).sqrt();
-        let mut w = RateWindows::default();
-        for _ in 0..SLO_WINDOWS {
-            let (done, _) = run.open(probe, slice_ns, false);
-            w.add(&done, 0, slice_ns);
-            run.recycle(done);
-        }
-        let ok = w.meets_slo(limit);
-        println!(
-            "slo probe {probe:>8.0}/s: median slice p99 {:.1} us -> {}; slice p99s in ms {:?}",
+            stats::median(&w.p50),
             stats::median(&w.p99),
-            if ok { "met" } else { "missed" },
-            w.p99
-                .iter()
-                .map(|p| (p / 1e3).round() as u64)
-                .collect::<Vec<_>>()
+            ratio(w.bypassed as f64, w.replies as f64),
+            if w.meets_slo(run.args.slo_p99_us) {
+                "met"
+            } else {
+                "missed"
+            }
         );
-        if ok {
-            good = probe;
-        } else {
-            bad = probe;
-        }
     }
-    m.set("slo_rps", good);
-    while chunks.len() < SAT_CHUNKS {
-        chunks.push(run.sat());
-    }
-    // sat_rps and kron_gflops: the median chunk.
-    let rps = sorted(chunks.iter().map(chunk_rps).collect());
-    println!(
-        "saturation chunks, req/s ascending: {:?}",
-        rps.iter().map(|r| r.round() as u64).collect::<Vec<_>>()
-    );
-    let gflops: Vec<f64> = chunks
-        .iter()
-        .map(|c| ratio(c.flops, c.seconds) / 1e9)
-        .collect();
-    m.set("sat_rps", stats::median(&rps));
-    m.set("kron_gflops", stats::median(&gflops));
-    let bypass = [0, 1].map(|i| ratio(rates[i].bypassed as f64, rates[i].replies as f64));
-    (m, bypass)
 }
 
 /// Request spans of one reply: the client's view (due → reply) and the
@@ -1178,19 +1225,20 @@ fn traced(run: &mut Run) -> (Metrics, [f64; 2]) {
     // Saturation and the warm-direct twin over the same streams, their
     // order alternating chunk by chunk.
     let (mut served, mut direct) = (Chunk::default(), Chunk::default());
-    for k in 0..SAT_CHUNKS {
+    let mut fastest: f64 = 0.0;
+    for k in 0..TRACED_CHUNKS {
         let reqs = run.closed_stream();
-        let dur = run.window_ns(SAT_SHARE);
+        let dur = run.window_ns(TRACED_CHUNK_SHARE);
+        let serve =
+            |run: &Run| closed_chunk(&run.rt, &run.set, &run.handles, reqs.iter().cycle(), dur);
         let (s, dc) = if k % 2 == 0 {
-            let s = closed_chunk(&run.rt, &run.set, &run.handles, &reqs, dur);
+            let s = serve(run);
             (s, direct_chunk(&mut run.set, &reqs, dur))
         } else {
             let dc = direct_chunk(&mut run.set, &reqs, dur);
-            (
-                closed_chunk(&run.rt, &run.set, &run.handles, &reqs, dur),
-                dc,
-            )
+            (serve(run), dc)
         };
+        fastest = fastest.max(chunk_rps(&s));
         run.count_chunk(&s);
         run.count_chunk(&dc);
         served.completed += s.completed;
@@ -1206,6 +1254,17 @@ fn traced(run: &mut Run) -> (Metrics, [f64; 2]) {
         "serve.vs_direct",
         ratio(ratio(served.completed as f64, served.seconds), direct_rps),
     );
+
+    // slo_rps: bisect between lo, which should meet the limit, and a tenth
+    // above the fastest saturation chunk, which should not; if lo misses,
+    // search below it instead.
+    let lo = run.profile.rates[0];
+    let (good, bad) = if client[0].meets_slo(run.args.slo_p99_us) {
+        (lo, (fastest * 1.1).max(lo * 1.5))
+    } else {
+        (lo / 8.0, lo)
+    };
+    m.set("slo_rps", run.slo_search(good, bad));
 
     let selfs = trace::self_times(&spans);
     let residue: Vec<f64> = spans
