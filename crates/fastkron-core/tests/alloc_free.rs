@@ -3,26 +3,38 @@
 //! caller-provided output performs **zero heap allocations** — no per-step
 //! intermediates, no transpose scratch, nothing.
 //!
-//! The test binary installs a global allocator that counts allocations, so
-//! everything here runs below the parallel-dispatch FLOP threshold: row
-//! tiles would otherwise spawn scoped threads, which allocate once per
-//! execute (never per factor step) and would make the count host-dependent.
+//! The test binary installs a global allocator that counts each thread's
+//! allocations, and everything here runs below the parallel-dispatch FLOP
+//! threshold, so an execute runs wholly on the calling thread and its
+//! count is exact. Counting per thread keeps allocations made elsewhere in
+//! the process out of every measured window: sibling tests, the test
+//! harness spawning and reaping their threads, and pool workers starting
+//! up after the first execute all allocate at unpredictable moments.
 
 use fastkron_core::exec::Workspace;
 use kron_core::{FactorShape, KronProblem, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so reading it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread tearing down its locals may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: a pure pass-through to `System` — every layout/pointer
-// contract is forwarded unchanged; the only addition is a relaxed
+// contract is forwarded unchanged; the only addition is a thread-local
 // counter bump, which touches no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -32,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: pass-through to `System::realloc`, contracts forwarded.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,11 +52,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations performed while running `f`.
+/// Allocations the calling thread performed while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 fn seq_matrix(rows: usize, cols: usize, start: usize) -> Matrix<f64> {

@@ -76,7 +76,7 @@ use crate::runtime::sealed::ErasedDtype;
 use crate::runtime::{Backend, ModelInner, StatsInner};
 use crate::trace::{EvictReason, ServeEventKind};
 use crossbeam::sync::atomic::{AtomicUsize, Ordering};
-use fastkron_core::{FastKron, KronPlan, Workspace};
+use fastkron_core::Workspace;
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::ExecSummary;
 use kron_core::{DType, Element, KronError, KronProblem, Matrix, PlanKey, Result};
@@ -140,16 +140,8 @@ impl Default for CachePolicy {
 
 /// The execution state behind one cache entry.
 pub(crate) enum Compute<T: Element> {
-    /// Single-device fused path: the autotuned plan (kept for launch
-    /// counts / simulated pricing) and its reusable workspace.
-    Local {
-        /// The autotuned plan the workspace was derived from (boxed to
-        /// keep the variant lean; it is introspection-only).
-        #[allow(dead_code)]
-        plan: Box<KronPlan<T>>,
-        /// Reusable ping-pong execution workspace.
-        workspace: Workspace<T>,
-    },
+    /// Single-device fused path: its reusable ping-pong workspace.
+    Local(Workspace<T>),
     /// Sharded across the simulated GPU grid (boxed: the engine carries
     /// its device spec, grid state, and lazy report, dwarfing a
     /// workspace; it prices its own simulation internally).
@@ -191,7 +183,7 @@ impl<T: Element> CachedPlan<T> {
     pub(crate) fn arm_fault(&mut self, gpu: usize) -> bool {
         match &mut self.compute {
             Compute::Sharded(engine) => engine.inject_fault(gpu).is_ok(),
-            Compute::Local { .. } => false,
+            Compute::Local(_) => false,
         }
     }
 
@@ -202,7 +194,7 @@ impl<T: Element> CachedPlan<T> {
     pub(crate) fn arm_stall(&mut self, gpu: usize, stall_us: u64) -> bool {
         match &mut self.compute {
             Compute::Sharded(engine) => engine.inject_stall(gpu, stall_us).is_ok(),
-            Compute::Local { .. } => false,
+            Compute::Local(_) => false,
         }
     }
 
@@ -211,7 +203,7 @@ impl<T: Element> CachedPlan<T> {
     pub(crate) fn grid(&self) -> Option<GpuGrid> {
         match &self.compute {
             Compute::Sharded(engine) => Some(engine.grid()),
-            Compute::Local { .. } => None,
+            Compute::Local(_) => None,
         }
     }
 
@@ -221,7 +213,7 @@ impl<T: Element> CachedPlan<T> {
     pub(crate) fn run_batch(&mut self, factors: &[&Matrix<T>], rows: usize) -> Result<()> {
         let (bx, by) = self.batch.as_mut().expect("gather before run");
         match &mut self.compute {
-            Compute::Local { workspace, .. } => workspace.execute_rows(bx, factors, by, rows),
+            Compute::Local(workspace) => workspace.execute_rows(bx, factors, by, rows),
             Compute::Sharded(engine) => {
                 let gm = engine.grid().gm;
                 let padded = rows.div_ceil(gm) * gm;
@@ -250,7 +242,7 @@ impl<T: Element> CachedPlan<T> {
         rows: usize,
     ) -> Result<()> {
         match &mut self.compute {
-            Compute::Local { workspace, .. } => workspace.execute_rows(x, factors, y, rows),
+            Compute::Local(workspace) => workspace.execute_rows(x, factors, y, rows),
             Compute::Sharded(_) => unreachable!("sharded solos use the staged batch path"),
         }
     }
@@ -264,7 +256,7 @@ impl<T: Element> CachedPlan<T> {
             Compute::Sharded(engine) => engine
                 .summary()
                 .map(|s| s.prorated(rows, engine.capacity())),
-            Compute::Local { .. } => None,
+            Compute::Local(_) => None,
         }
     }
 }
@@ -400,9 +392,10 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Creates an empty cache building entries for `backend` plans tuned
-    /// against `device`, bounded by `policy`, with idle ages measured on
-    /// `clock`. An invalid distributed configuration (e.g. a
+    /// Creates an empty cache building entries for `backend`, bounded by
+    /// `policy`, with idle ages measured on `clock`. `device` models the
+    /// simulated GPUs of sharded entries and names every [`PlanKey`]'s
+    /// device. An invalid distributed configuration (e.g. a
     /// non-power-of-two GPU count) is captured here and surfaces as the
     /// documented [`KronError::InvalidGrid`] on every subsequent request.
     pub fn new(
@@ -581,9 +574,10 @@ impl PlanCache {
         }
     }
 
-    /// Looks up (or plans, tunes, and allocates) the execution state for
-    /// `model`'s shape chain at `capacity` rows, counting the hit or miss
-    /// (and the local fallback when the grid cannot shard the model).
+    /// Looks up (or builds) the execution state for `model`'s shape chain
+    /// at `capacity` rows — a workspace, or a sharded engine — counting
+    /// the hit or miss (and the local fallback when the grid cannot shard
+    /// the model).
     /// `limit` caps how many simulated devices the entry may span (the
     /// breaker's quarantine and the retry ladder's degradation both pass
     /// fewer than the configured grid; pass `usize::MAX` for "whatever
@@ -824,30 +818,26 @@ impl PlanCache {
                         // rectangular factors, indivisible K): serve it
                         // locally rather than failing.
                         stats.local_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        Self::local_entry(device, model, capacity)
+                        self.local_entry(model, capacity)
                     }
                     Err(other) => Err(other),
                 }
             }
-            None => Self::local_entry(device, model, capacity),
+            None => self.local_entry(model, capacity),
         }
     }
 
+    /// A single-device entry: one workspace sized from the problem shape
+    /// (the CPU fused path reads no tile plan, so no tile search runs).
     fn local_entry<T: ErasedDtype>(
-        device: &DeviceSpec,
+        &self,
         model: &ModelInner<T>,
         capacity: usize,
     ) -> Result<CachedPlan<T>> {
         let problem = KronProblem::new(capacity, model.shapes.clone())?;
-        let plan = FastKron::plan::<T>(&problem, device)?;
-        let workspace = plan.workspace();
-        let key = PlanKey::new(problem, T::DTYPE, device.name);
         Ok(CachedPlan {
-            key,
-            compute: Compute::Local {
-                plan: Box::new(plan),
-                workspace,
-            },
+            compute: Compute::Local(Workspace::new(&problem)),
+            key: PlanKey::new(problem, T::DTYPE, self.device.name),
             batch: None,
         })
     }

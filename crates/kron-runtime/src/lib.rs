@@ -37,8 +37,8 @@
 //!  ───────────────                ──────────────────────────      ───────────────
 //!  submit(x: f32)──► [gate] ──► channel of ErasedRequest ─┬─► one PlanCache
 //!  submit(x: f64)──►   │        {F32(..) | F64(..)}       │   (DType, shapes,
-//!  Ticket / Session    │              │                   │    capacity) → plan
-//!    ▲                 │       typed lanes: f32 | f64     │    + workspace
+//!  Ticket / Session    │              │                   │    capacity) →
+//!    ▲                 │       typed lanes: f32 | f64     │    workspace
 //!    │                 │       shed expired deadlines     │    + batch buffers
 //!    │                 │       group per model, order by  │    (byte-accounted)
 //!    │                 │       aged prio → deadline →     ▼
@@ -56,8 +56,8 @@
 //! * **Plan + workspace cache** — keyed by dtype, factor-shape chain, and
 //!   row capacity (introspectable as [`kron_core::PlanKey`]s): after the
 //!   first request of a shape, serving does **zero planning and zero
-//!   allocation** per request — plans, ping-pong workspaces, batch
-//!   buffers, and sharded engines are all reused (proved by
+//!   allocation** per request — ping-pong workspaces, batch buffers,
+//!   and sharded engines with their plans are all reused (proved by
 //!   counting-allocator tests), including across *different models that
 //!   share a shape* (execution state depends on shapes only; factor
 //!   values arrive with each execute).

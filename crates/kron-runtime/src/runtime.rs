@@ -161,8 +161,10 @@ pub struct RuntimeConfig {
     /// [`Clock::manual`] makes scheduler timing decisions deterministic
     /// in tests.
     pub clock: Clock,
-    /// Device model plans are tuned against (used for plan caching and
-    /// simulated pricing; CPU execution is unaffected numerically).
+    /// Simulated GPU model: it shapes the `Distributed` backend's engines,
+    /// comm model and pricing, and names every [`PlanKey`]'s device.
+    /// Single-device entries never read it, so a single-node runtime
+    /// serves on any device, even one no GPU-sim tile configuration fits.
     pub device: DeviceSpec,
     /// Execution backend batches run on.
     pub backend: Backend,
@@ -291,7 +293,7 @@ pub struct RuntimeStats {
     pub error_replies: u64,
     /// Requests whose plan/workspace came from the cache.
     pub plan_hits: u64,
-    /// Cache misses (a plan was built and tuned).
+    /// Cache misses (an entry was built: a workspace or a sharded engine).
     pub plan_misses: u64,
     /// Executes that sharded across the simulated GPU grid.
     pub sharded_batches: u64,

@@ -592,13 +592,17 @@ fn expired_deadline_sheds_identically_on_both_lanes() {
         let y = warm.wait().unwrap();
         assert_matrices_close(&y, &expected, "warming request");
 
-        // Virtual now = 1_000_000; the deadline (500_000) already passed.
-        time.set_us(1_000_000);
+        // Pumping the warm-up moved virtual time an unknown amount, so
+        // the expired deadline is relative to where it stopped: now moves
+        // 1_000_000 on, and the deadline (500_000 on) already passed.
+        let warmed = time.now_us();
+        time.advance_us(1_000_000);
+        let deadline = warmed + 500_000;
         let t = runtime
             .submit_with(
                 &model,
                 seq_matrix(2, model.input_cols(), 7),
-                SubmitOptions::default().with_deadline_us(500_000),
+                SubmitOptions::default().with_deadline_us(deadline),
             )
             .unwrap();
         if inline_bypass {
@@ -612,8 +616,8 @@ fn expired_deadline_sheds_identically_on_both_lanes() {
                 deadline_us,
                 now_us,
             }) => {
-                assert_eq!(deadline_us, 500_000);
-                assert!(now_us >= 1_000_000, "shed at virtual {now_us}");
+                assert_eq!(deadline_us, deadline);
+                assert!(now_us >= warmed + 1_000_000, "shed at virtual {now_us}");
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }

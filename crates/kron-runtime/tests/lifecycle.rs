@@ -1,22 +1,29 @@
 //! Plan-cache lifecycle contract, made deterministic by the manual
 //! clock: LRU eviction order under a bounded cache, idle-timeout
 //! eviction, engine-thread teardown on eviction (counted through
-//! `kron_dist::live_sim_worker_threads`), pinned-entry survival, and
-//! re-warm after eviction — with every served result still checked
-//! against the shuffle oracle, so a rebuilt engine is proven correct,
-//! not just present.
+//! `kron_dist::live_sim_worker_threads`), pinned-entry survival,
+//! re-warm after eviction, and single-device entries that build on any
+//! device model — with every served result still checked against the
+//! shuffle oracle, so a rebuilt engine is proven correct, not just
+//! present.
 
+use gpu_sim::device::V100;
+use kron_core::naive::kron_matmul_naive;
 use kron_core::shuffle::kron_matmul_shuffle;
-use kron_core::{assert_matrices_close, Matrix};
-use kron_runtime::{Backend, CachePolicy, Clock, Model, Runtime, RuntimeConfig};
+use kron_core::{assert_matrices_close, Element, Matrix};
+use kron_runtime::{
+    Backend, CachePolicy, Clock, ManualClock, Model, Runtime, RuntimeConfig, ServeElement,
+};
+use std::sync::Arc;
 
 /// `live_sim_worker_threads` is process-global, so tests that assert on
 /// it must not overlap with other engine-creating tests in this binary.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn seq_matrix(rows: usize, cols: usize, start: usize) -> Matrix<f64> {
+/// An integer-valued matrix of either dtype, so every path is exact.
+fn seq_matrix<T: Element>(rows: usize, cols: usize, start: usize) -> Matrix<T> {
     Matrix::from_fn(rows, cols, |r, c| {
-        ((start + 7 * r * cols + 3 * c) % 19) as f64 - 9.0
+        T::from_f64(((start + 7 * r * cols + 3 * c) % 19) as f64 - 9.0)
     })
 }
 
@@ -492,4 +499,101 @@ fn cache_keys_reflect_residency() {
     // K = 4.
     assert_eq!(keys[0].problem.m, 16);
     assert_eq!(keys[0].problem.input_cols(), 4);
+}
+
+/// Pumps virtual time forward until the runtime has served `target`
+/// requests (the fixed linger window closes only as time passes).
+fn pump_until_served(runtime: &Runtime, time: &Arc<ManualClock>, target: u64) {
+    while runtime.stats().served < target {
+        time.advance_us(50_000);
+        std::thread::yield_now();
+    }
+}
+
+/// Serves `T` traffic on a single-node runtime whose device model has one
+/// byte of shared memory, so no GPU-sim tile configuration fits it.
+fn serve_on_a_device_no_tile_fits<T: ServeElement>() {
+    let mut device = V100.clone();
+    device.shared_mem_per_block = 1;
+    device.shared_mem_per_sm = 1;
+    let clock = Clock::manual();
+    let time = clock.manual_handle().unwrap();
+    let runtime = Runtime::new(RuntimeConfig {
+        device,
+        // A fixed linger holds the first window open until the test
+        // advances the manual clock, so the requests below share it.
+        batch_linger_us: 10_000,
+        adaptive_linger: false,
+        clock,
+        ..RuntimeConfig::default()
+    });
+    let fa: Vec<Matrix<T>> = (0..2).map(|i| seq_matrix(4, 4, 5 * i + 1)).collect();
+    let fb: Vec<Matrix<T>> = (0..3).map(|i| seq_matrix(2, 2, 5 * i + 2)).collect();
+    let a = runtime.load_model(fa.clone()).unwrap();
+    let b = runtime.load_model(fb.clone()).unwrap();
+    let naive = |x: &Matrix<T>, factors: &[Matrix<T>]| {
+        let refs: Vec<&Matrix<T>> = factors.iter().collect();
+        kron_matmul_naive(x, &refs).unwrap()
+    };
+    let tag = format!("{:?}", T::DTYPE);
+
+    // Scheduler lane: A's entry is cold, so every request crosses the
+    // scheduler — three small ones batch, one larger than `batch_max_m`
+    // serves solo from its own power-of-two capacity entry.
+    time.set_us(1_000);
+    let xs: Vec<Matrix<T>> = [2, 2, 2, 40]
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| seq_matrix(m, a.input_cols(), 10 + i))
+        .collect();
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| runtime.submit(&a, x.clone()).unwrap())
+        .collect();
+    pump_until_served(&runtime, &time, 4);
+    for (i, (ticket, x)) in tickets.into_iter().zip(&xs).enumerate() {
+        let y = ticket.wait().unwrap();
+        assert_eq!(y, naive(x, &fa), "{tag} scheduler request {i}");
+    }
+    let stats = runtime.stats();
+    assert_eq!(stats.batched_requests, 3, "{tag} stats: {stats:?}");
+    assert_eq!(stats.solo_requests, 1, "{tag} stats: {stats:?}");
+
+    // Bypass lane: the runtime is idle and A's entry warm, so the request
+    // serves inline at submit.
+    let x = seq_matrix(2, a.input_cols(), 30);
+    let ticket = runtime.submit(&a, x.clone()).unwrap();
+    pump_until_served(&runtime, &time, 5);
+    assert_eq!(
+        ticket.wait().unwrap(),
+        naive(&x, &fa),
+        "{tag} bypassed request"
+    );
+    assert_eq!(runtime.stats().bypassed_requests, 1, "{tag} served inline");
+
+    // `pin_model` builds B's cold entry; B then serves from it with no
+    // further miss.
+    let pin = runtime.pin_model(&b).unwrap();
+    let misses = runtime.stats().plan_misses;
+    let x = seq_matrix(3, b.input_cols(), 40);
+    let ticket = runtime.submit(&b, x.clone()).unwrap();
+    pump_until_served(&runtime, &time, 6);
+    assert_eq!(ticket.wait().unwrap(), naive(&x, &fb), "{tag} pinned model");
+    let stats = runtime.stats();
+    assert_eq!(stats.plan_misses, misses, "{tag} stats: {stats:?}");
+    assert_eq!(stats.error_replies, 0, "{tag} stats: {stats:?}");
+    drop(pin);
+    runtime.shutdown();
+}
+
+/// A device model no GPU-sim tile configuration fits (the one
+/// `AutoTuner` rejects) still serves on the single-node backend: a local
+/// entry is a workspace sized from the problem shape, and the device
+/// never enters its build. Covers both dtypes, the batched and solo
+/// scheduler paths, the inline bypass lane and `pin_model`, each exact
+/// against the naive oracle.
+#[test]
+fn single_node_serves_on_a_device_no_tile_config_fits() {
+    serve_on_a_device_no_tile_fits::<f32>();
+    serve_on_a_device_no_tile_fits::<f64>();
 }

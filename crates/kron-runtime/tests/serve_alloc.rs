@@ -41,10 +41,33 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the whole process performed while running `f`, counted
+/// once the process has gone quiet (see [`settle`]).
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    settle();
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let result = f();
     (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
+}
+
+/// Waits until no thread has allocated for 20 ms (at most 2 s), so
+/// one-time work outside serving cannot land in a measured window: the
+/// test harness starting the next test, or a thread the runtime or the
+/// worker pool just spawned copying its name at start-up. Warm serving
+/// and idle lanes allocate nothing, so the process does go quiet; if
+/// something kept allocating, the window that follows counts it.
+fn settle() {
+    use std::time::{Duration, Instant};
+    let give_up = Instant::now() + Duration::from_secs(2);
+    let mut seen = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut quiet_since = Instant::now();
+    while quiet_since.elapsed() < Duration::from_millis(20) && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+        let now = ALLOCATIONS.load(Ordering::SeqCst);
+        if now != seen {
+            (seen, quiet_since) = (now, Instant::now());
+        }
+    }
 }
 
 /// The counter is process-global, so the two tests in this binary must
@@ -76,8 +99,8 @@ fn steady_state_serving_is_allocation_free() {
     let mut y = Matrix::zeros(4, model.output_cols());
 
     // Warmup: grows the channel queue, scheduler scratch, plan cache
-    // entry (tuned plan + workspace), and the session slot to their
-    // steady-state capacities.
+    // entry (its workspace), and the session slot to their steady-state
+    // capacities.
     for _ in 0..16 {
         (x, y) = session.call(&model, x, y).unwrap();
     }

@@ -399,7 +399,7 @@ fn linked_batch_serves_and_validates() {
 fn same_shape_models_share_one_plan() {
     // Two models with identical factor-shape chains but different values:
     // the plan cache is shape-keyed, so the second model rides the first
-    // model's tuned plan and workspace — and still gets its own numbers.
+    // model's cache entry and workspace — and still gets its own numbers.
     let runtime = Runtime::with_defaults();
     let fa = model_factors(&[(4, 4), (4, 4)], 1);
     let fb = model_factors(&[(4, 4), (4, 4)], 99);
