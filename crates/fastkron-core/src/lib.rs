@@ -11,12 +11,13 @@
 //!   with zero intermediate allocations and no transpose pass. A
 //!   [`exec::Workspace`] holds two ping-pong buffers sized once from
 //!   [`kron_core::KronProblem::max_intermediate_elems`]; each factor step
-//!   runs a register-blocked microkernel (packed slice panels, `RK×RQ`
-//!   `mul_add` accumulator tile) whose epilogue scatters results directly
-//!   to output column `q·K/P + slice` ([`exec::fused_output_col`]) — the
-//!   memory shuffle the shuffle algorithm pays for never happens. Row
-//!   tiles run in parallel, each threading its *entire* factor chain
-//!   through its own disjoint slice of the workspace.
+//!   runs a register-blocked microkernel (an `RK × W` `mul_add`
+//!   accumulator tile of slices read in place and up to 16 factor
+//!   columns) whose epilogue scatters results directly to output column
+//!   `q·K/P + slice` ([`exec::fused_output_col`]) — the memory shuffle
+//!   the shuffle algorithm pays for never happens. Row tiles run in
+//!   parallel, each threading its *entire* factor chain through its own
+//!   disjoint slice of the workspace.
 //! * [`algorithm`] — the straightforward per-step functional reference for
 //!   a single sliced multiply ([`algorithm::sliced_multiply`]); the full
 //!   chain ([`algorithm::kron_matmul_fastkron`]) now runs on the fused

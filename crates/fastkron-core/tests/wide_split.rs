@@ -110,8 +110,9 @@ fn wide_split_single_factor_streams_to_y() {
 }
 
 #[test]
-fn wide_split_tall_factor_fallback() {
-    // P > PANEL_MAX_P takes the strided fallback inside a split range.
+fn wide_split_tall_factor() {
+    // P = 200: long FMA chains inside a split range, with Q = 3 below
+    // every tile width but 2 and 1.
     let problem = KronProblem::new(2, vec![FactorShape::new(200, 3)]).unwrap();
     check_partition(&problem, 2, 5, 13);
 }

@@ -36,7 +36,8 @@
 //!   fabric stays balanced.
 //!
 //! The local multiply steps run [`fastkron_core::sliced_multiply_rows_into`]
-//! — the exact microkernel of the single-device fused path — so sharded
+//! — the exact microkernel of the single-device fused path, which reads
+//! each block in place and needs no per-worker buffer — so sharded
 //! results agree **bit-for-bit** with every single-device engine on
 //! integer-valued data (and to the usual FMA rounding elsewhere).
 
@@ -177,7 +178,6 @@ struct Worker<T: Element> {
     next: Vec<T>,
     /// Freelist of exchange part buffers (refilled from `recycle_rx`).
     free: Vec<Vec<T>>,
-    panel: PackPanel<T>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -254,7 +254,6 @@ impl<T: Element> Worker<T> {
             if failure.is_none() {
                 let local = &mut self.local;
                 let next = &mut self.next;
-                let panel = &mut self.panel;
                 let res = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
                     for j in 0..nl {
                         sliced_multiply_rows_into(
@@ -265,7 +264,7 @@ impl<T: Element> Worker<T> {
                             tgk,
                             next,
                             tgk,
-                            panel,
+                            &mut PackPanel::new(),
                         )?;
                         std::mem::swap(local, next);
                     }
@@ -493,7 +492,6 @@ impl<T: Element> ShardedEngine<T> {
                     free: (0..4 * gk.saturating_sub(1))
                         .map(|_| Vec::with_capacity(shape.tgm * (shape.tgk / gk.max(1))))
                         .collect(),
-                    panel: PackPanel::new(),
                 };
                 let handle = std::thread::Builder::new()
                     .name(format!("kron-sim-gpu-{me}"))
