@@ -17,19 +17,30 @@
 //!    straight from `X` — nothing is staged or packed first.
 //! 3. **Register-tile multiply**: an [`RK`]` × W` accumulator tile covers
 //!    `RK` slices and `W` consecutive factor columns. For each factor row
-//!    `p` it reads one contiguous `W`-wide segment of `F` and each slice's
-//!    `x[s·P + p]`, and updates the tile with `mul_add`. `W` is the widest
-//!    of 16, 8, 4, 2 and 1 columns that still fits `Q` and a 64-byte
-//!    accumulator row, one monomorphic loop per width, so the compiler
-//!    sees fixed tile edges and vectorizes each width along the edge it
-//!    prefers (on an AVX-512 host, 16-column `f32` tiles along their
-//!    columns and most others along their slices, gathering from `X`).
-//!    Every output's FMA chain runs over `p = 0..P` from zero whatever the
-//!    width.
+//!    `p` it loads one contiguous `W`-wide segment of `F` and broadcasts
+//!    each slice's `x[s·P + p]` against it. `W` is the widest of 16, 8, 4,
+//!    2 and 1 columns that still fits `Q` and a 64-byte accumulator row,
+//!    one monomorphic loop per width. Two tiles share this shape:
+//!    - the **SIMD tile**, explicit 256-bit AVX2 code compiled on x86_64
+//!      when AVX2 and FMA are enabled (`.cargo/config.toml` builds for the
+//!      host CPU), runs every full `RK`-slice block of 16 or 8 `f32`
+//!      columns (8 or 4 `f64`);
+//!    - the **plain tile**, scalar `mul_add` code the compiler vectorizes
+//!      as it sees fit (mostly along the slices, gathering from `X`), runs
+//!      the slice tail, the column remainder below 8 `f32` / 4 `f64`
+//!      columns, and every block of a build without AVX2 and FMA.
+//!
+//!    Both run every output's FMA chain over `p = 0..P` from zero, so they
+//!    agree bit for bit. `tests/exact_order.rs` checks that with `==`
+//!    against a scalar reference: run it on a native build for the SIMD
+//!    tile, and with `RUSTFLAGS="-C target-cpu=x86-64"` for the plain
+//!    tile alone.
 //! 4. **Epilogue scatter** ([`fused_output_col`]): accumulated results go
 //!    directly to output column `q·S + s` (`S` = slice count), exactly step
 //!    4 of the emulated kernel — a tile's `RK` results for one factor
-//!    column are consecutive output elements.
+//!    column are consecutive output elements. The SIMD tile transposes its
+//!    block in registers, so each column's `RK` results go out as one
+//!    contiguous store.
 //!
 //! Rows of the problem are independent, so the whole factor chain is
 //! parallelized by partitioning rows into tiles and running each tile's
@@ -53,13 +64,16 @@ use rayon::ThreadPool;
 use std::marker::PhantomData;
 
 /// Slice-block edge of the register tile: the microkernel computes [`RK`]
-/// consecutive slices per accumulator tile, and the wide mode aligns its
-/// slice-range splits to multiples of it so interior tiles stay full.
+/// consecutive slices per accumulator tile (one 256-bit `f32` vector, or
+/// two `f64` ones, per factor column once the SIMD tile transposes its
+/// block), and the wide mode aligns its slice-range splits to multiples of
+/// it so interior tiles stay full and take the SIMD tile.
 pub const RK: usize = 8;
 
 /// Widest accumulator row of the register tile, in bytes: 16 `f32` or 8
-/// `f64` factor columns. Sixteen `f64` columns ran 0.76× as fast as eight
-/// at `P = 16` (the served `f64` shapes are small) and 1.1× at `P ≥ 64`.
+/// `f64` factor columns, two 256-bit vectors per slice in the SIMD tile.
+/// In the plain tile, sixteen `f64` columns ran 0.76× as fast as eight at
+/// `P = 16` (the served `f64` shapes are small) and 1.1× at `P ≥ 64`.
 const ACC_ROW_BYTES: usize = 64;
 
 /// Problems below this FLOP count run single-threaded; tiny chains are
@@ -465,9 +479,10 @@ impl<T> Default for PackPanel<T> {
 /// (see [`PackPanel`]).
 ///
 /// Numerically identical to the fused path's serial row loop: it runs the
-/// same microkernel ([`RK`]` × W` register tiles with the
-/// [`fused_output_col`] epilogue), so engines layered on it agree
-/// bit-for-bit with every single-device path.
+/// same microkernel ([`RK`]` × W` register tiles, the SIMD tile on full
+/// blocks where the build has one, with the [`fused_output_col`]
+/// epilogue), so engines layered on it agree bit-for-bit with every
+/// single-device path.
 ///
 /// # Errors
 /// [`KronError::ShapeMismatch`] when `k_in` is not a multiple of the
@@ -759,7 +774,9 @@ fn sliced_multiply_row<T: Element>(
 /// The factor's columns go in blocks of the widest tile that fits, 16, 8,
 /// 4, 2 and then 1 columns wide. Each width is its own call that runs the
 /// whole slice loop, so the width is fixed outside it: choosing the width
-/// per slice block instead ran 3.5× slower at `P = 8`.
+/// per slice block instead ran 3.5× slower at `P = 8`. Within a width,
+/// full `RK`-slice blocks take the SIMD tile where the build has one for
+/// that width, and everything else the plain [`tile`].
 ///
 /// # Safety
 /// `out` must be valid for `slices·q` element writes, `x` must hold at
@@ -816,6 +833,14 @@ unsafe fn column_blocks<T: Element, const W: usize>(
     let mut s0 = s_lo;
     while s0 + RK <= s_hi {
         for qb in (q0..q_end).step_by(W) {
+            #[cfg(all(
+                target_arch = "x86_64",
+                target_feature = "avx2",
+                target_feature = "fma"
+            ))]
+            if simd::tile::<T, W>(x, f, p, q, qb, s0, slices, out) {
+                continue;
+            }
             tile::<T, W, RK>(x, f, p, q, qb, s0, slices, out);
         }
         s0 += RK;
@@ -828,9 +853,9 @@ unsafe fn column_blocks<T: Element, const W: usize>(
     q_end
 }
 
-/// One `R × W` register tile: slices `[s0, s0 + R)` against factor columns
-/// `[q0, q0 + W)`, each output an FMA chain over `p = 0..P` from zero. The
-/// hot loop of the whole engine.
+/// The plain `R × W` register tile: slices `[s0, s0 + R)` against factor
+/// columns `[q0, q0 + W)`, each output an FMA chain over `p = 0..P` from
+/// zero. Runs the blocks the SIMD tile does not.
 ///
 /// # Safety
 /// `x` must hold `(s0 + R)·p` elements, `f` must hold `p·q` with
@@ -862,6 +887,198 @@ unsafe fn tile<T: Element, const W: usize, const R: usize>(
         let base = fused_output_col(q0 + j, slices, s0);
         for i in 0..R {
             *out.add(base + i) = acc[i][j];
+        }
+    }
+}
+
+/// The 256-bit register tile: [`RK`] slices × 16 or 8 `f32` columns, or
+/// 8 or 4 `f64` columns, in AVX2 registers.
+///
+/// For each factor row `p` it loads the tile's `F` row segment as whole
+/// vectors and broadcasts each slice's `x[s·P + p]` against them, so `X`
+/// is read one scalar at a time and never gathered. Each lane runs one
+/// output's FMA chain over `p = 0..P` from zero, the order of the plain
+/// tile, so the two agree bit for bit. Each finished block of `RK` slices
+/// by one vector of columns (`8 × 8` for `f32`, two `4 × 4` for `f64`) is
+/// transposed in registers, so each factor column's `RK` results,
+/// consecutive in the output, go out as one contiguous store at
+/// [`fused_output_col`].
+///
+/// LLVM vectorizes the plain tile along whichever edge it prefers, which
+/// for most widths is the slices, with a stride-`P` gather of `X` per
+/// factor row; plain-Rust re-orientations of the tile compiled back to
+/// gathers or scalar code, which is why this one is written with
+/// `std::arch`.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+mod simd {
+    use super::{fused_output_col, RK};
+    use kron_core::Element;
+    use std::any::TypeId;
+    use std::arch::x86_64::*;
+
+    /// Runs the tile for slices `[s0, s0 + RK)` and factor columns
+    /// `[q0, q0 + W)` if there is one for `T` and `W`, and returns whether
+    /// it did. The checks fold to a constant in each monomorphic copy.
+    ///
+    /// # Safety
+    /// The contract of the plain [`super::tile`] with `R = RK`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) unsafe fn tile<T: Element, const W: usize>(
+        x: &[T],
+        f: &[T],
+        p: usize,
+        q: usize,
+        q0: usize,
+        s0: usize,
+        slices: usize,
+        out: *mut T,
+    ) -> bool {
+        let is_f32 = TypeId::of::<T>() == TypeId::of::<f32>();
+        let is_f64 = TypeId::of::<T>() == TypeId::of::<f64>();
+        let (x, f) = (x.as_ptr(), f.as_ptr());
+        // SAFETY: the `TypeId` checks make each cast an identity cast, and
+        // the caller's contract covers every read and write of the tile.
+        match W {
+            16 if is_f32 => tile_f32::<2>(x.cast(), f.cast(), p, q, q0, s0, slices, out.cast()),
+            8 if is_f32 => tile_f32::<1>(x.cast(), f.cast(), p, q, q0, s0, slices, out.cast()),
+            8 if is_f64 => tile_f64::<2>(x.cast(), f.cast(), p, q, q0, s0, slices, out.cast()),
+            4 if is_f64 => tile_f64::<1>(x.cast(), f.cast(), p, q, q0, s0, slices, out.cast()),
+            _ => return false,
+        }
+        true
+    }
+
+    /// [`RK`] slices × `8·V` `f32` columns.
+    ///
+    /// # Safety
+    /// As [`tile`], with `W = 8·V`.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[inline(always)]
+    unsafe fn tile_f32<const V: usize>(
+        x: *const f32,
+        f: *const f32,
+        p: usize,
+        q: usize,
+        q0: usize,
+        s0: usize,
+        slices: usize,
+        out: *mut f32,
+    ) {
+        let (x, f) = (x.add(s0 * p), f.add(q0));
+        let mut acc = [[_mm256_setzero_ps(); V]; RK];
+        for pi in 0..p {
+            let fr = f.add(pi * q);
+            let fv: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(fr.add(8 * v)));
+            for (i, row) in acc.iter_mut().enumerate() {
+                let xv = _mm256_broadcast_ss(&*x.add(i * p + pi));
+                for (a, &fj) in row.iter_mut().zip(&fv) {
+                    *a = _mm256_fmadd_ps(xv, fj, *a);
+                }
+            }
+        }
+        for v in 0..V {
+            let cols = transpose_8x8(std::array::from_fn(|i| acc[i][v]));
+            for (j, col) in cols.into_iter().enumerate() {
+                _mm256_storeu_ps(out.add(fused_output_col(q0 + 8 * v + j, slices, s0)), col);
+            }
+        }
+    }
+
+    /// [`RK`] slices × `4·V` `f64` columns.
+    ///
+    /// # Safety
+    /// As [`tile`], with `W = 4·V`.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[inline(always)]
+    unsafe fn tile_f64<const V: usize>(
+        x: *const f64,
+        f: *const f64,
+        p: usize,
+        q: usize,
+        q0: usize,
+        s0: usize,
+        slices: usize,
+        out: *mut f64,
+    ) {
+        let (x, f) = (x.add(s0 * p), f.add(q0));
+        let mut acc = [[_mm256_setzero_pd(); V]; RK];
+        for pi in 0..p {
+            let fr = f.add(pi * q);
+            let fv: [__m256d; V] = std::array::from_fn(|v| _mm256_loadu_pd(fr.add(4 * v)));
+            for (i, row) in acc.iter_mut().enumerate() {
+                let xv = _mm256_broadcast_sd(&*x.add(i * p + pi));
+                for (a, &fj) in row.iter_mut().zip(&fv) {
+                    *a = _mm256_fmadd_pd(xv, fj, *a);
+                }
+            }
+        }
+        for v in 0..V {
+            for h in (0..RK).step_by(4) {
+                let cols = transpose_4x4(std::array::from_fn(|i| acc[h + i][v]));
+                for (j, col) in cols.into_iter().enumerate() {
+                    let base = fused_output_col(q0 + 4 * v + j, slices, s0 + h);
+                    _mm256_storeu_pd(out.add(base), col);
+                }
+            }
+        }
+    }
+
+    /// Transposes 8 rows of 8 `f32`: lane `i` of result `j` is lane `j` of
+    /// row `i`.
+    #[inline(always)]
+    fn transpose_8x8(r: [__m256; 8]) -> [__m256; 8] {
+        // SAFETY: register-only shuffles; AVX is enabled for this build.
+        unsafe {
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ]
+        }
+    }
+
+    /// Transposes 4 rows of 4 `f64`: lane `i` of result `j` is lane `j` of
+    /// row `i`.
+    #[inline(always)]
+    fn transpose_4x4(r: [__m256d; 4]) -> [__m256d; 4] {
+        // SAFETY: register-only shuffles; AVX is enabled for this build.
+        unsafe {
+            let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+            let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+            let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+            let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+            [
+                _mm256_permute2f128_pd::<0x20>(t0, t2),
+                _mm256_permute2f128_pd::<0x20>(t1, t3),
+                _mm256_permute2f128_pd::<0x31>(t0, t2),
+                _mm256_permute2f128_pd::<0x31>(t1, t3),
+            ]
         }
     }
 }

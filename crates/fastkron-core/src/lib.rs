@@ -11,11 +11,17 @@
 //!   with zero intermediate allocations and no transpose pass. A
 //!   [`exec::Workspace`] holds two ping-pong buffers sized once from
 //!   [`kron_core::KronProblem::max_intermediate_elems`]; each factor step
-//!   runs a register-blocked microkernel (an `RK × W` `mul_add`
-//!   accumulator tile of slices read in place and up to 16 factor
-//!   columns) whose epilogue scatters results directly to output column
-//!   `q·K/P + slice` ([`exec::fused_output_col`]) — the memory shuffle
-//!   the shuffle algorithm pays for never happens. Row tiles run in
+//!   runs a register-blocked microkernel (an `RK × W` FMA accumulator
+//!   tile of slices read in place and up to 16 factor columns) whose
+//!   epilogue scatters results directly to output column `q·K/P + slice`
+//!   ([`exec::fused_output_col`]) — the memory shuffle the shuffle
+//!   algorithm pays for never happens. On x86_64 builds with AVX2 and FMA
+//!   an explicit 256-bit tile broadcasts `X` against `F` row segments
+//!   and transposes its block in registers before one contiguous store
+//!   per column; tails, and builds without those features, run a plain
+//!   scalar tile with the same FMA order, so results are bit-identical
+//!   (`tests/exact_order.rs`, on a native and a
+//!   `RUSTFLAGS="-C target-cpu=x86-64"` build). Row tiles run in
 //!   parallel, each threading its *entire* factor chain through its own
 //!   disjoint slice of the workspace.
 //! * [`algorithm`] — the straightforward per-step functional reference for

@@ -7,7 +7,10 @@
 //! or a tile that writes the wrong column. Here the data is non-integer,
 //! so any other order or a stray write shows as a mismatch. The shapes
 //! cover every column-width tail of both dtypes (`Q` = 1..=33), every
-//! 8-slice tail (1..=17 slices), and factor heights from 1 to 200.
+//! 8-slice tail (1..=17 slices), factor heights from 1 to 200, and the
+//! seams between the SIMD tile and the plain one. Run it on a native
+//! build (SIMD tile on every full block) and on a portable one,
+//! `RUSTFLAGS="-C target-cpu=x86-64"`, where the plain tile does it all.
 
 use fastkron_core::{sliced_multiply_rows_into, PackPanel, Workspace};
 use kron_core::{Element, FactorShape, KronProblem, Matrix};
@@ -65,50 +68,70 @@ fn reference_chain<T: Element>(x: &Matrix<T>, factors: &[Matrix<T>]) -> Vec<T> {
     cur
 }
 
-/// One factor step through `sliced_multiply_rows_into` for every height,
-/// every `Q` up to 33 and every slice count up to 17, on strided buffers
-/// whose padding must stay untouched.
-fn check_rows_into<T: Element>() {
+/// One factor step through `sliced_multiply_rows_into` on two rows of
+/// `slices` slices each, on strided buffers whose padding must stay
+/// untouched.
+fn check_step<T: Element>(f: &Matrix<T>, slices: usize, seed: u64) {
+    let (p, q) = (f.rows(), f.cols());
     let rows = 2;
     let sentinel = T::from_f64(7.5);
+    let (k_in, k_out) = (slices * p, slices * q);
+    let (x_stride, out_stride) = (k_in + 3, k_out + 5);
+    let x: Vec<T> = data(rows * x_stride, seed);
+    let mut out = vec![sentinel; rows * out_stride];
+    sliced_multiply_rows_into(
+        &x,
+        x_stride,
+        f,
+        rows,
+        k_in,
+        &mut out,
+        out_stride,
+        &mut PackPanel::new(),
+    )
+    .expect("valid shapes");
+
+    let dense: Vec<T> = (0..rows)
+        .flat_map(|r| x[r * x_stride..r * x_stride + k_in].iter().copied())
+        .collect();
+    let want = reference_step(&dense, rows, k_in, f);
+    for r in 0..rows {
+        let got = &out[r * out_stride..(r + 1) * out_stride];
+        assert!(
+            got[..k_out] == want[r * k_out..(r + 1) * k_out],
+            "{} P={p} Q={q} slices={slices} row {r}: not the reference FMA order",
+            T::DTYPE,
+        );
+        assert!(
+            got[k_out..].iter().all(|&v| v == sentinel),
+            "{} P={p} Q={q} slices={slices} row {r}: wrote past the row",
+            T::DTYPE,
+        );
+    }
+}
+
+/// Every height, every `Q` up to 33 and every slice count up to 17; then
+/// the seams of the SIMD tile: Figure 9 factors (`P = Q` = 32, 64, 128)
+/// and wide factors (`Q` = 40, 45, 48, 64) at slice counts on both sides
+/// of the 8-slice block, so one call mixes SIMD blocks with the plain
+/// tile's slice tail and, at `Q` = 45, its column remainder.
+fn check_rows_into<T: Element>() {
     for (hi, &p) in HEIGHTS.iter().enumerate() {
         for q in 1..=33 {
             let f = matrix::<T>(p, q, (hi * 64 + q) as u64);
             for slices in 1..=17 {
-                let (k_in, k_out) = (slices * p, slices * q);
-                let (x_stride, out_stride) = (k_in + 3, k_out + 5);
-                let x: Vec<T> = data(rows * x_stride, (p * 1000 + q * 20 + slices) as u64);
-                let mut out = vec![sentinel; rows * out_stride];
-                sliced_multiply_rows_into(
-                    &x,
-                    x_stride,
-                    &f,
-                    rows,
-                    k_in,
-                    &mut out,
-                    out_stride,
-                    &mut PackPanel::new(),
-                )
-                .expect("valid shapes");
-
-                let dense: Vec<T> = (0..rows)
-                    .flat_map(|r| x[r * x_stride..r * x_stride + k_in].iter().copied())
-                    .collect();
-                let want = reference_step(&dense, rows, k_in, &f);
-                for r in 0..rows {
-                    let got = &out[r * out_stride..(r + 1) * out_stride];
-                    assert!(
-                        got[..k_out] == want[r * k_out..(r + 1) * k_out],
-                        "{} P={p} Q={q} slices={slices} row {r}: not the reference FMA order",
-                        T::DTYPE,
-                    );
-                    assert!(
-                        got[k_out..].iter().all(|&v| v == sentinel),
-                        "{} P={p} Q={q} slices={slices} row {r}: wrote past the row",
-                        T::DTYPE,
-                    );
-                }
+                check_step(&f, slices, (p * 1000 + q * 20 + slices) as u64);
             }
+        }
+    }
+    let fig9 = [32, 64, 128].map(|p| (p, p));
+    let wide = [2, 8, 16]
+        .into_iter()
+        .flat_map(|p| [40, 45, 48, 64].map(|q| (p, q)));
+    for (p, q) in fig9.into_iter().chain(wide) {
+        let f = matrix::<T>(p, q, (p * 256 + q) as u64);
+        for slices in [7, 8, 9, 16, 17, 24] {
+            check_step(&f, slices, (p * 1000 + q * 30 + slices) as u64);
         }
     }
 }
@@ -116,7 +139,7 @@ fn check_rows_into<T: Element>() {
 /// Two- and three-factor chains through a [`Workspace`] under serial,
 /// row-tile and wide partitions.
 fn check_chains<T: Element>() {
-    let chains: [&[(usize, usize)]; 8] = [
+    let chains: [&[(usize, usize)]; 10] = [
         &[(16, 16), (8, 8)],
         &[(9, 17), (17, 9)],
         &[(33, 5), (3, 31)],
@@ -125,6 +148,8 @@ fn check_chains<T: Element>() {
         &[(4, 4), (5, 6), (6, 5)],
         &[(2, 16), (17, 3), (3, 1)],
         &[(8, 9), (1, 7), (16, 16)],
+        &[(8, 8), (8, 8), (8, 8)],
+        &[(32, 32), (16, 45)],
     ];
     let partitions = [(1, 1), (2, 1), (3, 1), (2, 3), (1, 4), (3, 2)];
     let m = 3;

@@ -64,8 +64,9 @@ use std::time::Duration;
 static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of simulated-device worker threads currently alive in this
-/// process (see [`LIVE_WORKERS`]). Tests that assert on this should
-/// serialize against other engine-creating tests in the same binary.
+/// process: spawns minus joins, exact once an engine's `Drop` returns.
+/// Tests that assert on this should serialize against other
+/// engine-creating tests in the same binary.
 pub fn live_sim_worker_threads() -> usize {
     LIVE_WORKERS.load(Ordering::SeqCst)
 }

@@ -99,7 +99,7 @@ pub enum FailureKind {
     /// Every unfinished thread was blocked with no schedulable action —
     /// a deadlock or lost wakeup.
     Deadlock,
-    /// More virtual threads than [`MAX_THREADS`] were spawned.
+    /// More virtual threads than the explorer supports (8) were spawned.
     TooManyThreads,
 }
 

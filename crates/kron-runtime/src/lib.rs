@@ -316,7 +316,7 @@
 //!
 //! ## Correctness tooling
 //!
-//! The lock-free admission core (the [`LaneGate`][^gate] sender-count
+//! The lock-free admission core (the `LaneGate`[^gate] sender-count
 //! gate, the bypass lane's CAS claim, the flight recorder's seqlock, and
 //! the `crossbeam` shim's ring queue and sleeper handshake underneath)
 //! is guarded by two static layers on top of the runtime test suites:

@@ -23,7 +23,7 @@ const VAL_BOUND: i64 = 3;
 const EXACT_LIMIT: i64 = 1 << 24;
 
 /// Worst-case magnitude of any value an engine can form for `problem`
-/// with entries bounded by [`VAL_BOUND`]: `B · ∏ᵢ (Pᵢ · B)` — the
+/// with entries of magnitude at most `B` = 3: `B · ∏ᵢ (Pᵢ · B)` — the
 /// absolute-sum bound, valid for every summation order and any subset of
 /// processed factors (the bound grows monotonically along the chain).
 pub fn worst_case_magnitude(problem: &KronProblem) -> i64 {
