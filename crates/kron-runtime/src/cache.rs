@@ -149,7 +149,9 @@ pub(crate) enum Compute<T: Element> {
 }
 
 /// One cached execution state: the structural key, the compute state, and
-/// (for batch-capacity entries) the gather/scatter staging buffers.
+/// the gather/scatter staging pair. Every execute goes through
+/// [`Self::run`]: a lone request on a local entry runs in place from its
+/// own buffers, everything else over the staging pair.
 pub(crate) struct CachedPlan<T: Element> {
     /// Structural identity of this entry.
     pub(crate) key: PlanKey,
@@ -207,10 +209,22 @@ impl<T: Element> CachedPlan<T> {
         }
     }
 
-    /// Runs the compute state over the staged batch's first `rows` rows.
-    /// Sharded entries zero-pad up to the next `GM` multiple (the padding
-    /// always fits: the capacity is a `GM` multiple ≥ `rows`).
-    pub(crate) fn run_batch(&mut self, factors: &[&Matrix<T>], rows: usize) -> Result<()> {
+    /// Executes `rows` rows through the compute state. `in_place` carries
+    /// a lone request's own `x` and `y` on a local entry, which executes
+    /// straight from one into the other. Otherwise the rows run over the
+    /// staging pair, gathered through [`Self::batch_buffers`] and read
+    /// back from it; a sharded entry first zero-pads them up to the next
+    /// `GM` multiple (the padding always fits: the capacity is a `GM`
+    /// multiple ≥ `rows`), since it cannot execute in place.
+    pub(crate) fn run(
+        &mut self,
+        factors: &[&Matrix<T>],
+        rows: usize,
+        in_place: Option<(&Matrix<T>, &mut Matrix<T>)>,
+    ) -> Result<()> {
+        if let (Compute::Local(workspace), Some((x, y))) = (&mut self.compute, in_place) {
+            return workspace.execute_rows(x, factors, y, rows);
+        }
         let (bx, by) = self.batch.as_mut().expect("gather before run");
         match &mut self.compute {
             Compute::Local(workspace) => workspace.execute_rows(bx, factors, by, rows),
@@ -223,27 +237,6 @@ impl<T: Element> CachedPlan<T> {
                 }
                 engine.execute_rows(bx, factors, by, padded)
             }
-        }
-    }
-
-    /// Read access to the staged batch output (after [`Self::run_batch`]).
-    pub(crate) fn batch_y(&self) -> &Matrix<T> {
-        &self.batch.as_ref().expect("gather before scatter").1
-    }
-
-    /// Executes directly from/to the caller's buffers — the staging-free
-    /// solo path. Local entries only; sharded solos go through the staged
-    /// batch path (they may need row padding).
-    pub(crate) fn run_rows(
-        &mut self,
-        x: &Matrix<T>,
-        factors: &[&Matrix<T>],
-        y: &mut Matrix<T>,
-        rows: usize,
-    ) -> Result<()> {
-        match &mut self.compute {
-            Compute::Local(workspace) => workspace.execute_rows(x, factors, y, rows),
-            Compute::Sharded(_) => unreachable!("sharded solos use the staged batch path"),
         }
     }
 

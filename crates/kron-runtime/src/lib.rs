@@ -183,18 +183,22 @@
 //! keeps an **inline bypass lane** ([`RuntimeConfig::inline_bypass`], on
 //! by default): when nothing is in flight (the
 //! [`RuntimeStats::inflight_requests`] gauge is zero) and the model's
-//! plan is warm in the cache at full device width, [`Runtime::submit`]
-//! and [`Session::call`] execute the request *on the submitting thread*
-//! against the pinned cached plan — no channel, no wake, no linger. The
-//! moment load appears (a non-empty queue, a cold plan, a sharded or
-//! mid-retry distributed entry, a closed gate), submission falls back to
-//! the batching scheduler, so bursts still coalesce and the retry /
-//! breaker / watchdog ladder keeps ownership of every distributed
-//! execute.
+//! plan is warm and local in the cache at full device width,
+//! [`Runtime::submit`] and [`Session::call`] execute the request *on the
+//! submitting thread* against the pinned cached plan — no channel, no
+//! wake, no linger. The moment load appears (a non-empty queue, a cold
+//! plan, a sharded or mid-retry distributed entry, a closed gate),
+//! submission falls back to the batching scheduler, so bursts still
+//! coalesce and the retry / breaker / watchdog ladder keeps ownership of
+//! every distributed execute.
 //!
-//! The lane is a scheduling shortcut, not a semantic one: bypassed and
-//! scheduled serves run the same microkernel on the same cached
-//! workspace and agree bit-for-bit; deadlines shed identically (an
+//! The lane is a scheduling shortcut, not a semantic one. It keeps only
+//! its own hit-only plan lookup and admission; the serve itself is the
+//! scheduler's one execute-and-reply step, run on a chunk of one — the
+//! same step every batch and solo takes, so a bypassed request executes
+//! in place from its own buffers exactly as a scheduler solo does, and
+//! replies through the same exit. Bypassed and scheduled serves
+//! therefore agree bit-for-bit; deadlines shed identically (an
 //! already-expired [`SubmitOptions::deadline_us`] sheds inline with
 //! [`kron_core::KronError::DeadlineExceeded`] before any plan lookup);
 //! and the steady state stays allocation-free. Observability keeps the

@@ -365,12 +365,13 @@ impl RuntimeStats {
     }
 }
 
-/// Per-lane atomic counters behind [`LaneStats`].
+/// Per-lane atomic counters behind [`LaneStats`]. The four reply
+/// classes are the only per-reply counters: a lane's `served` and every
+/// global class total are sums of them, formed at snapshot time.
 #[derive(Default)]
 pub(crate) struct LaneStatsInner {
     pub(crate) depth: AtomicU64,
     pub(crate) inflight: AtomicU64,
-    pub(crate) served: AtomicU64,
     pub(crate) batched_requests: AtomicU64,
     pub(crate) solo_requests: AtomicU64,
     pub(crate) bypassed_requests: AtomicU64,
@@ -380,16 +381,20 @@ pub(crate) struct LaneStatsInner {
 
 impl LaneStatsInner {
     fn snapshot(&self) -> LaneStats {
+        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
+        let solo_requests = self.solo_requests.load(Ordering::Relaxed);
+        let bypassed_requests = self.bypassed_requests.load(Ordering::Relaxed);
+        let error_replies = self.error_replies.load(Ordering::Relaxed);
         LaneStats {
             depth: self.depth.load(Ordering::Relaxed),
             // relaxed: gauge snapshot for observability; admission
             // decisions go through the AcqRel CAS in `bypass_try_claim`.
             inflight: self.inflight.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            solo_requests: self.solo_requests.load(Ordering::Relaxed),
-            bypassed_requests: self.bypassed_requests.load(Ordering::Relaxed),
-            error_replies: self.error_replies.load(Ordering::Relaxed),
+            served: batched_requests + solo_requests + bypassed_requests + error_replies,
+            batched_requests,
+            solo_requests,
+            bypassed_requests,
+            error_replies,
             steals: self.steals.load(Ordering::Relaxed),
         }
     }
@@ -401,12 +406,10 @@ pub(crate) struct StatsInner {
     pub(crate) submitted: AtomicU64,
     pub(crate) requests_f32: AtomicU64,
     pub(crate) requests_f64: AtomicU64,
+    /// Replies sent so far: issues each reply's [`ServeReceipt::seq`].
+    /// The per-class split lives in the lane counters only.
     pub(crate) served: AtomicU64,
     pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-    pub(crate) solo_requests: AtomicU64,
-    pub(crate) bypassed_requests: AtomicU64,
-    pub(crate) error_replies: AtomicU64,
     pub(crate) plan_hits: AtomicU64,
     pub(crate) plan_misses: AtomicU64,
     pub(crate) sharded_batches: AtomicU64,
@@ -454,16 +457,20 @@ impl StatsInner {
     }
 
     fn snapshot(&self) -> RuntimeStats {
+        let lane_stats = std::array::from_fn(|i| self.lane_stats[i].snapshot());
+        let scheduler_lanes = self.lane_count.load(Ordering::Relaxed).max(1);
+        let live = &lane_stats[..scheduler_lanes as usize];
+        let sum = |class: fn(&LaneStats) -> u64| live.iter().map(class).sum();
         RuntimeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             requests_f32: self.requests_f32.load(Ordering::Relaxed),
             requests_f64: self.requests_f64.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            solo_requests: self.solo_requests.load(Ordering::Relaxed),
-            bypassed_requests: self.bypassed_requests.load(Ordering::Relaxed),
-            error_replies: self.error_replies.load(Ordering::Relaxed),
+            batched_requests: sum(|l| l.batched_requests),
+            solo_requests: sum(|l| l.solo_requests),
+            bypassed_requests: sum(|l| l.bypassed_requests),
+            error_replies: sum(|l| l.error_replies),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
             sharded_batches: self.sharded_batches.load(Ordering::Relaxed),
@@ -482,13 +489,9 @@ impl StatsInner {
             // relaxed: gauge snapshot; the release sides pair their own
             // orderings (see `Slot::take_blocking` and `Slot::drop`).
             inflight_requests: self.inflight_requests.load(Ordering::Relaxed),
-            scheduler_lanes: self.lane_count.load(Ordering::Relaxed).max(1),
-            lane_steals: self
-                .lane_stats
-                .iter()
-                .map(|l| l.steals.load(Ordering::Relaxed))
-                .sum(),
-            lane_stats: std::array::from_fn(|i| self.lane_stats[i].snapshot()),
+            scheduler_lanes,
+            lane_steals: sum(|l| l.steals),
+            lane_stats,
         }
     }
 }
@@ -1111,35 +1114,35 @@ impl Drop for GateEntry<'_> {
 
 /// State shared between the runtime handle, its [`Session`]s, and the
 /// per-lane scheduler threads. Dtype-erased: one set of lanes, one
-/// cache, one stats surface for all traffic.
+/// cache, one stats surface for all traffic. Every serve — a scheduler
+/// lane's or the inline bypass lane's — runs against a [`ServeCtx`]
+/// borrowed from here.
 pub(crate) struct Shared {
     /// The scheduler lanes. Requests hash to a lane by plan identity
     /// (`lane_of(dtype, shape_key)`), so one model's traffic — and any
     /// linked batch — always lands on one lane's ring.
-    lanes: Arc<[LaneHandle]>,
+    pub(crate) lanes: Box<[LaneHandle]>,
     /// `true` once any scheduler lane died to a panic: every gate is
     /// closed, the dead lane's pending tickets are failed with
     /// [`KronError::Shutdown`], and no new request is ever admitted.
-    poisoned: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
+    pub(crate) poisoned: AtomicBool,
+    pub(crate) stats: Arc<StatsInner>,
     /// The plan cache, shared so clients can pin models, sweep idle
     /// entries, and introspect residency without a scheduler round-trip.
     /// Lock order: the cache lock is never taken while holding an entry
     /// lock.
-    cache: Arc<Mutex<PlanCache>>,
-    clock: Clock,
+    pub(crate) cache: Mutex<PlanCache>,
+    pub(crate) clock: Clock,
     /// The observability plane (histograms, registries, flight
-    /// recorder), shared with the scheduler, cache, health ledger, and
-    /// fault plane.
-    hub: Arc<MetricsHub>,
-    /// The chaos plane, carried so the bypass lane can build a full
-    /// [`ServeCtx`] without a scheduler round-trip.
-    plane: Arc<FaultPlane>,
-    /// The device-health ledger, for the same reason.
-    health: Arc<DeviceHealth>,
-    /// The (clamped) runtime configuration: the bypass lane reads its
-    /// eligibility switch, linger policy, and batching geometry here.
-    cfg: RuntimeConfig,
+    /// recorder), shared with the cache, health ledger, and fault plane.
+    pub(crate) hub: Arc<MetricsHub>,
+    /// The chaos plane, consulted before every sharded execute.
+    pub(crate) plane: FaultPlane,
+    /// The device-health ledger: executes record outcomes, plan builds
+    /// respect its quarantine limit.
+    pub(crate) health: DeviceHealth,
+    /// The (clamped) runtime configuration.
+    pub(crate) cfg: RuntimeConfig,
 }
 
 impl Shared {
@@ -1187,20 +1190,8 @@ impl Shared {
             bypass_release_claim(lane_inflight);
             return Some(req);
         }
-        let ctx = ServeCtx {
-            cache: &self.cache,
-            stats: &self.stats,
-            plane: &self.plane,
-            health: &self.health,
-            clock: &self.clock,
-            hub: &self.hub,
-            retry: self.cfg.retry,
-            max_batch_rows: self.cfg.max_batch_rows,
-            configured_gpus: self.cfg.backend.gpus(),
-            window_close_us: self.clock.now_us(),
-            lane,
-        };
-        match crate::scheduler::try_bypass(&ctx, &self.cfg, req, refs_scratch) {
+        let ctx = ServeCtx::new(self, lane, self.clock.now_us());
+        match crate::scheduler::try_bypass(&ctx, req, refs_scratch) {
             None => None,
             Some(req) => {
                 // Not admitted inline (cold/sharded plan): release the
@@ -1502,9 +1493,6 @@ pub struct Runtime {
     shared: Arc<Shared>,
     schedulers: Vec<JoinHandle<()>>,
     next_model_id: AtomicU64,
-    plane: Arc<FaultPlane>,
-    health: Arc<DeviceHealth>,
-    cfg: RuntimeConfig,
 }
 
 impl Runtime {
@@ -1522,25 +1510,19 @@ impl Runtime {
             Backend::Distributed { .. } => cfg.backend.gpus(),
         };
         let hub = Arc::new(MetricsHub::new(health_gpus));
-        let plane = Arc::new(FaultPlane::new(Arc::clone(&hub)));
-        let health = Arc::new(DeviceHealth::new(
-            health_gpus,
-            cfg.breaker,
-            Arc::clone(&hub),
-        ));
-        let cache = Arc::new(Mutex::new(PlanCache::with_hub(
+        let cache = Mutex::new(PlanCache::with_hub(
             cfg.device.clone(),
             &cfg.backend,
             cfg.cache,
             cfg.clock.clone(),
             cfg.device_watchdog_us,
             Arc::clone(&hub),
-        )));
+        ));
         // Each lane's ring holds 2× the drain window, so producers only
         // feel backpressure (a spin in `send`) when a lane is more than
         // one full window behind — at which point siblings are stealing.
         let ring_capacity = cfg.max_queue.saturating_mul(2).max(64);
-        let lanes: Arc<[LaneHandle]> = (0..cfg.scheduler_lanes)
+        let lanes = (0..cfg.scheduler_lanes)
             .map(|_| {
                 let (tx, rx) = bounded(ring_capacity);
                 LaneHandle {
@@ -1550,20 +1532,20 @@ impl Runtime {
                 }
             })
             .collect();
-        let poisoned = Arc::new(AtomicBool::new(false));
-        let schedulers = (0..cfg.scheduler_lanes)
+        let shared = Arc::new(Shared {
+            lanes,
+            poisoned: AtomicBool::new(false),
+            stats,
+            cache,
+            clock: cfg.clock.clone(),
+            plane: FaultPlane::new(Arc::clone(&hub)),
+            health: DeviceHealth::new(health_gpus, cfg.breaker, Arc::clone(&hub)),
+            hub,
+            cfg,
+        });
+        let schedulers = (0..shared.cfg.scheduler_lanes)
             .map(|lane| {
-                let scheduler = Scheduler::new(
-                    lane,
-                    Arc::clone(&lanes),
-                    Arc::clone(&poisoned),
-                    cfg.clone(),
-                    Arc::clone(&cache),
-                    Arc::clone(&stats),
-                    Arc::clone(&plane),
-                    Arc::clone(&health),
-                    Arc::clone(&hub),
-                );
+                let scheduler = Scheduler::new(lane, Arc::clone(&shared));
                 std::thread::Builder::new()
                     .name(format!("kron-runtime-scheduler-{lane}"))
                     .spawn(move || scheduler.run())
@@ -1571,22 +1553,9 @@ impl Runtime {
             })
             .collect();
         Runtime {
-            shared: Arc::new(Shared {
-                lanes,
-                poisoned,
-                stats,
-                cache,
-                clock: cfg.clock.clone(),
-                hub,
-                plane: Arc::clone(&plane),
-                health: Arc::clone(&health),
-                cfg: cfg.clone(),
-            }),
+            shared,
             schedulers,
             next_model_id: AtomicU64::new(0),
-            plane,
-            health,
-            cfg,
         }
     }
 
@@ -1597,7 +1566,7 @@ impl Runtime {
 
     /// The configuration this runtime is running with (after clamping).
     pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
+        &self.shared.cfg
     }
 
     /// Registers a factor set to serve requests against. The model is
@@ -1783,16 +1752,16 @@ impl Runtime {
     /// grid — an out-of-range fault could otherwise never fire and would
     /// stay armed forever, silently defeating the drill.
     pub fn inject_device_fault(&self, gpu: usize) -> Result<()> {
-        if let Backend::Distributed { gpus, .. } = self.cfg.backend {
+        if let Backend::Distributed { gpus, .. } = self.shared.cfg.backend {
             if gpu >= gpus {
                 return Err(KronError::InvalidGrid {
                     reason: format!("device {gpu} outside a {gpus} GPU machine"),
                 });
             }
         }
-        self.plane.push(FaultEvent {
+        self.shared.plane.push(FaultEvent {
             gpu,
-            trigger: FaultTrigger::OnShardedBatch(self.plane.current_batch()),
+            trigger: FaultTrigger::OnShardedBatch(self.shared.plane.current_batch()),
             repeat: 1,
             kind: FaultKind::Panic,
         });
@@ -1821,7 +1790,7 @@ impl Runtime {
             if matches!(event.kind, FaultKind::SchedulerPanic) {
                 continue;
             }
-            if let Backend::Distributed { gpus, .. } = self.cfg.backend {
+            if let Backend::Distributed { gpus, .. } = self.shared.cfg.backend {
                 if event.gpu >= gpus {
                     return Err(KronError::InvalidGrid {
                         reason: format!(
@@ -1832,7 +1801,7 @@ impl Runtime {
                 }
             }
         }
-        self.plane.install(plan);
+        self.shared.plane.install(plan);
         Ok(())
     }
 
@@ -1840,7 +1809,7 @@ impl Runtime {
     /// plan has fully played out — how chaos drills assert the script
     /// actually ran.
     pub fn pending_fault_events(&self) -> usize {
-        self.plane.pending()
+        self.shared.plane.pending()
     }
 
     /// Per-device health snapshot: consecutive failures, circuit-breaker
@@ -1849,7 +1818,7 @@ impl Runtime {
     /// with [`Runtime::now_us`]; see the crate docs for breaker
     /// semantics.
     pub fn device_health(&self) -> Vec<DeviceHealthReport> {
-        self.health.report(self.shared.clock.now_us())
+        self.shared.health.report(self.shared.clock.now_us())
     }
 
     /// Current time in microseconds on this runtime's [`Clock`] — the
@@ -1882,12 +1851,13 @@ impl Runtime {
     /// [`KronError::DeviceTimeout`] when a device faults during the
     /// pre-warm execute.
     pub fn pin_model<T: ServeElement>(&self, model: &Model<T>) -> Result<ModelPin> {
-        let now = self.shared.clock.now_us();
-        let limit = self.health.allowed_gpus(now, self.cfg.backend.gpus());
-        let capacity = self.cfg.max_batch_rows;
+        let shared = &*self.shared;
+        let now = shared.clock.now_us();
+        let limit = shared.health.allowed_gpus(now, shared.cfg.backend.gpus());
+        let capacity = shared.cfg.max_batch_rows;
         let pinned = {
-            let mut cache = self.shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.get_or_create(&model.inner, capacity, limit, &self.shared.stats)?
+            let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
+            cache.get_or_create(&model.inner, capacity, limit, &shared.stats)?
         };
         // Pre-warm execute (sharded entries only: a local workspace has
         // no lazily-allocated staging or fabric to warm, and no device to
@@ -1897,10 +1867,10 @@ impl Runtime {
             match <T as sealed::ErasedDtype>::plan_mut(&mut guard) {
                 Some(entry) if entry.is_sharded() => {
                     entry.batch_buffers().0.as_mut_slice().fill(T::ZERO);
-                    arm_scripted_fault(entry, &self.plane, now);
+                    arm_scripted_fault(entry, &shared.plane, &shared.clock);
                     let refs: Vec<&Matrix<T>> = model.inner.factors().iter().collect();
                     let rows = entry.grid().map_or(1, |g| g.gm);
-                    entry.run_batch(&refs, rows)
+                    entry.run(&refs, rows, None)
                 }
                 _ => Ok(()),
             }
@@ -1908,33 +1878,13 @@ impl Runtime {
         if let Err(err) = warm_result {
             // Drop the pin first so the evicted entry tears down.
             drop(pinned);
-            if let KronError::DeviceFailure { gpu, .. } | KronError::DeviceTimeout { gpu, .. } =
-                &err
-            {
-                let fault_now = self.shared.clock.now_us();
-                let timeout = matches!(err, KronError::DeviceTimeout { .. });
-                self.shared.hub.record_device_fault(*gpu, timeout);
-                self.shared.hub.event(
-                    fault_now,
-                    ServeEventKind::Fault {
-                        gpu: *gpu as u32,
-                        timeout,
-                    },
-                );
-                if self.health.record_failure(*gpu, fault_now) {
-                    self.shared
-                        .stats
-                        .breaker_trips
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let mut cache = self.shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.evict_failed(
-                    T::DTYPE,
-                    model.inner.shape_key,
-                    capacity,
-                    &self.shared.stats,
-                );
-            }
+            let lane = shared.lane_of_key(T::DTYPE, model.inner.shape_key);
+            ServeCtx::new(shared, lane, now).device_fault(
+                &err,
+                T::DTYPE,
+                model.inner.shape_key,
+                capacity,
+            );
             return Err(err);
         }
         Ok(ModelPin { _pinned: pinned })

@@ -1,8 +1,24 @@
-//! The scheduler service threads: each lane drains its own lock-free
-//! request ring under an adaptive linger window, sheds requests whose
-//! deadline already passed, orders the remainder by aged priority and
-//! deadline **across both dtypes**, and executes batches/solos through
-//! the shared bounded plan cache.
+//! The scheduler service threads, and the one serve path every request
+//! takes: each lane drains its own lock-free request ring under an
+//! adaptive linger window, sheds requests whose deadline already passed,
+//! orders the remainder by aged priority and deadline **across both
+//! dtypes**, and serves it in same-model chunks through the shared
+//! bounded plan cache.
+//!
+//! ## One serve path
+//!
+//! Every request the runtime answers is executed and replied to by one
+//! step, [`ServeCtx::execute_and_reply`]: a batch, a solo, or a request
+//! the inline bypass lane serves on the submitting thread, on a local or
+//! a sharded entry. The scheduler runs that step inside one retry loop
+//! (`TypedLane::serve_chunk`), where a lone request is simply a chunk of
+//! one: look the entry up under the degradation ladder's device limit,
+//! execute and reply, and on a device fault within the
+//! [`RetryPolicy`] budget back off, shed the members whose deadline
+//! passed meanwhile, and go again on a rebuilt engine. The bypass lane
+//! ([`try_bypass`]) keeps only its hit-only lookup and its admission, then
+//! runs the same step. Every reply, served or failed, leaves through
+//! [`ServeCtx::finish`].
 //!
 //! ## Sharded lanes, erased queues, typed halves
 //!
@@ -19,12 +35,12 @@
 //!
 //! Within a lane, [`ErasedRequest`]s coming off the ring are unwrapped
 //! into two fully-typed [`TypedLane`]s (`f32`, `f64`), each owning its
-//! own gather/scatter scratch — so batch staging, the fused execute, and
-//! result scatter never see an erased value, and the enum round-trip is
-//! a move, not an allocation. What *is* shared is the admission
-//! pipeline: one deadline check, one priority order per window, one
-//! serve-sequence counter, one plan cache — each lane interleaves `f32`
-//! and `f64` work strictly by its window order, not dtype by dtype.
+//! own scratch — so batch staging, the fused execute, and result scatter
+//! never see an erased value, and the enum round-trip is a move, not an
+//! allocation. What *is* shared is the admission pipeline: one deadline
+//! check, one priority order per window, one serve-sequence counter, one
+//! plan cache — each lane interleaves `f32` and `f64` work strictly by
+//! its window order, not dtype by dtype.
 //!
 //! ## Service order within a window
 //!
@@ -54,18 +70,18 @@
 //! [`Clock`], so a manual clock makes the whole scheduling pipeline
 //! deterministic for tests.
 
-use crate::cache::{CachedPlan, PlanCache};
+use crate::cache::{CachedPlan, PinnedEntry, PlanCache};
 use crate::clock::Clock;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::health::DeviceHealth;
 use crate::metrics::{MetricsHub, Outcome};
 use crate::runtime::sealed::ErasedDtype;
 use crate::runtime::{
-    ErasedRequest, LaneHandle, Msg, Reply, Request, RetryPolicy, RuntimeConfig, StatsInner,
+    ErasedRequest, Msg, Reply, Request, RetryPolicy, RuntimeConfig, Shared, StatsInner,
 };
 use crate::trace::{ServeEventKind, StageTimings};
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
-use crossbeam::sync::atomic::{AtomicBool, Ordering};
+use crossbeam::sync::atomic::Ordering;
 use kron_core::{DType, Element, KronError, Matrix};
 use std::cmp::Reverse;
 use std::sync::{Arc, Mutex};
@@ -164,16 +180,6 @@ struct Group {
     idxs: Vec<usize>,
 }
 
-/// The device a device-fault error blames, or `None` for every other
-/// error. Exactly the errors that evict the entry and feed the breaker:
-/// a device that panicked mid-batch or stalled past the watchdog.
-fn faulted_device(err: &KronError) -> Option<usize> {
-    match err {
-        KronError::DeviceFailure { gpu, .. } | KronError::DeviceTimeout { gpu, .. } => Some(*gpu),
-        _ => None,
-    }
-}
-
 /// Consumes the next due scripted device fault (if any) and arms it on
 /// the entry about to execute: a `Panic` arms the engine's one-shot
 /// device panic, a `Stall` arms a device stall the engine's watchdog
@@ -185,13 +191,12 @@ fn faulted_device(err: &KronError) -> Option<usize> {
 pub(crate) fn arm_scripted_fault<T: Element>(
     entry: &mut CachedPlan<T>,
     plane: &FaultPlane,
-    now_us: u64,
+    clock: &Clock,
 ) {
-    if !entry.is_sharded() {
+    let Some(grid) = entry.grid() else {
         return;
-    }
-    let gpus = entry.grid().map_or(0, |g| g.gpus());
-    if let Some((gpu, kind)) = plane.next_device_fault(now_us, gpus) {
+    };
+    if let Some((gpu, kind)) = plane.next_device_fault(clock.now_us(), grid.gpus()) {
         match kind {
             FaultKind::Panic => {
                 entry.arm_fault(gpu);
@@ -235,34 +240,28 @@ fn wait_until(clock: &Clock, at_us: u64) {
     }
 }
 
-/// Everything one execute (and its retries) needs from the scheduler,
-/// projected out of its fields so a `&mut` lane can serve while the
-/// context borrows the shared state. The runtime handle constructs one
-/// too (fields are crate-visible) when it serves a request inline on
-/// the bypass lane via [`try_bypass`].
+/// Everything one serve needs from the runtime's [`Shared`] state,
+/// borrowed field by field so a `&mut` lane can serve while the context
+/// borrows the rest. [`ServeCtx::new`] builds one per scheduler cycle,
+/// per inline bypass serve, and for the `pin_model` pre-warm's fault
+/// bookkeeping.
 pub(crate) struct ServeCtx<'a> {
-    pub(crate) cache: &'a Mutex<PlanCache>,
-    pub(crate) stats: &'a StatsInner,
-    pub(crate) plane: &'a FaultPlane,
-    pub(crate) health: &'a DeviceHealth,
-    pub(crate) clock: &'a Clock,
+    cache: &'a Mutex<PlanCache>,
+    stats: &'a StatsInner,
+    plane: &'a FaultPlane,
+    health: &'a DeviceHealth,
+    clock: &'a Clock,
     /// Metrics hub: stage histograms, registries, and the flight
     /// recorder. Every reply flows through [`ServeCtx::finish`], which
     /// records into it.
-    pub(crate) hub: &'a MetricsHub,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) max_batch_rows: usize,
-    /// Devices the configured backend spans (1 for single-node) — the top
-    /// rung of the degradation ladder and the "not degraded" reference.
-    pub(crate) configured_gpus: usize,
+    hub: &'a MetricsHub,
+    cfg: &'a RuntimeConfig,
     /// Clock time when this cycle's linger window closed — the boundary
     /// between a request's linger stage and its execution stages.
-    pub(crate) window_close_us: u64,
-    /// The scheduler lane this context serves on behalf of — every reply
-    /// bumps that lane's counters in lockstep with the globals, so
-    /// `served == batched + solo + bypassed + error_replies` holds per
-    /// lane as well as globally.
-    pub(crate) lane: usize,
+    window_close_us: u64,
+    /// The scheduler lane this context serves on behalf of: every reply
+    /// bumps that lane's counters.
+    lane: usize,
 }
 
 /// Which lifetime counter an `Ok` reply lands in: the batched lane
@@ -278,16 +277,89 @@ enum ReplyClass {
     Bypass,
 }
 
+impl<'a> ServeCtx<'a> {
+    /// A context serving on `lane`, for a window that closed at
+    /// `window_close_us`.
+    pub(crate) fn new(shared: &'a Shared, lane: usize, window_close_us: u64) -> Self {
+        ServeCtx {
+            cache: &shared.cache,
+            stats: &shared.stats,
+            plane: &shared.plane,
+            health: &shared.health,
+            clock: &shared.clock,
+            hub: &shared.hub,
+            cfg: &shared.cfg,
+            window_close_us,
+            lane,
+        }
+    }
+}
+
 impl ServeCtx<'_> {
-    /// The single exit point for every request the runtime answers (the
-    /// scheduler's lanes and the inline bypass lane alike): completes
-    /// the timeline (queue and linger legs from the request's own
-    /// stamps), classifies the outcome, bumps exactly one of
-    /// `batched_requests`/`solo_requests`/`bypassed_requests`/
-    /// `error_replies`, records the stage histograms and the per-model
-    /// registry, and fills the reply slot. Centralizing this is what
-    /// pins the `served == batched + solo + bypassed + error_replies`
-    /// invariant.
+    /// Devices the configured backend spans (1 for single-node): the top
+    /// rung of the degradation ladder and the "not degraded" reference.
+    fn configured_gpus(&self) -> usize {
+        self.cfg.backend.gpus()
+    }
+
+    /// The plan-cache capacity `rows` rows execute at: the batch capacity
+    /// whenever they fit one batch, else the next power of two, so nearby
+    /// large sizes share one workspace.
+    fn capacity(&self, rows: usize) -> usize {
+        if rows <= self.cfg.max_batch_rows {
+            self.cfg.max_batch_rows
+        } else {
+            rows.next_power_of_two()
+        }
+    }
+
+    /// Device-fault bookkeeping after a failed execute, once the entry's
+    /// pin is dropped. For a [`KronError::DeviceFailure`] or
+    /// [`KronError::DeviceTimeout`] it blames the device (device metric,
+    /// `Fault` event, breaker ledger, `breaker_trips`) and evicts the
+    /// entry, so the next lookup rebuilds a fresh engine rather than
+    /// trust a possibly inconsistent fabric. Returns whether `err` was
+    /// such a fault; any other error leaves the entry cached.
+    pub(crate) fn device_fault(
+        &self,
+        err: &KronError,
+        dtype: DType,
+        shape_key: u64,
+        capacity: usize,
+    ) -> bool {
+        let (KronError::DeviceFailure { gpu, .. } | KronError::DeviceTimeout { gpu, .. }) = err
+        else {
+            return false;
+        };
+        let timeout = matches!(err, KronError::DeviceTimeout { .. });
+        let now = self.clock.now_us();
+        self.hub.record_device_fault(*gpu, timeout);
+        self.hub.event(
+            now,
+            ServeEventKind::Fault {
+                gpu: *gpu as u32,
+                timeout,
+            },
+        );
+        if self.health.record_failure(*gpu, now) {
+            self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        cache.evict_failed(dtype, shape_key, capacity, self.stats);
+        true
+    }
+
+    /// The single exit point for every request the runtime answers:
+    /// completes the timeline (queue and linger legs from the request's
+    /// own stamps), classifies the outcome, bumps exactly one of the
+    /// lane's `batched_requests`/`solo_requests`/`bypassed_requests`/
+    /// `error_replies` counters, records the stage histograms and the
+    /// per-model registry, and fills the reply slot. Those four lane
+    /// counters are the only per-class source: a lane's `served` and the
+    /// global class totals are their sums, so
+    /// `served == batched + solo + bypassed + error_replies` holds by
+    /// construction. The global `served` counter issues the reply's
+    /// sequence number.
     #[allow(clippy::too_many_arguments)]
     fn finish<T: Element>(
         &self,
@@ -300,48 +372,31 @@ impl ServeCtx<'_> {
         class: ReplyClass,
     ) {
         let shape_key = r.model.shape_key;
-        let m = r.x.rows();
-        let capacity = if m <= self.max_batch_rows {
-            self.max_batch_rows
-        } else {
-            m.next_power_of_two()
-        };
+        let capacity = self.capacity(r.x.rows());
         timings.queue_us = r.drained_us.saturating_sub(r.enqueued_us);
         timings.linger_us = self.window_close_us.saturating_sub(r.drained_us);
-        let lane_stats = self.stats.lane(self.lane);
+        let lane = self.stats.lane(self.lane);
         let outcome = match &result {
             Ok(()) => {
-                match class {
-                    ReplyClass::Batched => {
-                        lane_stats.batched_requests.fetch_add(1, Ordering::Relaxed);
-                        self.stats.batched_requests.fetch_add(1, Ordering::Relaxed)
-                    }
-                    ReplyClass::Solo => {
-                        lane_stats.solo_requests.fetch_add(1, Ordering::Relaxed);
-                        self.stats.solo_requests.fetch_add(1, Ordering::Relaxed)
-                    }
-                    ReplyClass::Bypass => {
-                        lane_stats.bypassed_requests.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bypassed_requests.fetch_add(1, Ordering::Relaxed)
-                    }
+                let (counter, outcome) = match class {
+                    ReplyClass::Batched => (&lane.batched_requests, Outcome::Ok),
+                    ReplyClass::Solo => (&lane.solo_requests, Outcome::Ok),
+                    ReplyClass::Bypass => (&lane.bypassed_requests, Outcome::Bypass),
                 };
+                counter.fetch_add(1, Ordering::Relaxed);
                 if attempts > 1 {
                     self.stats
                         .recovered_requests
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                match class {
-                    ReplyClass::Bypass => Outcome::Bypass,
-                    ReplyClass::Batched | ReplyClass::Solo => Outcome::Ok,
-                }
+                outcome
             }
             Err(KronError::DeadlineExceeded {
                 deadline_us,
                 now_us,
             }) => {
                 self.stats.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                lane_stats.error_replies.fetch_add(1, Ordering::Relaxed);
-                self.stats.error_replies.fetch_add(1, Ordering::Relaxed);
+                lane.error_replies.fetch_add(1, Ordering::Relaxed);
                 self.hub.event(
                     self.clock.now_us(),
                     ServeEventKind::Shed {
@@ -352,12 +407,10 @@ impl ServeCtx<'_> {
                 Outcome::Shed
             }
             Err(_) => {
-                lane_stats.error_replies.fetch_add(1, Ordering::Relaxed);
-                self.stats.error_replies.fetch_add(1, Ordering::Relaxed);
+                lane.error_replies.fetch_add(1, Ordering::Relaxed);
                 Outcome::Error
             }
         };
-        lane_stats.served.fetch_add(1, Ordering::Relaxed);
         let seq = self.stats.served.fetch_add(1, Ordering::Relaxed);
         self.hub.record_timings(&timings, outcome);
         self.hub
@@ -373,81 +426,155 @@ impl ServeCtx<'_> {
             timings,
         });
     }
-}
 
-/// The staged-batch execution core shared by the chunk and staged-solo
-/// paths: arm the next due scripted fault (consumed only if the entry has
-/// devices to fault), run the staged rows, account sharded executes, and
-/// feed the device-health ledger (successes close healthy breakers,
-/// device faults count toward trips) and the device metric registry.
-/// Returns the result, the `rows`-prorated summary (successful sharded
-/// runs only), whether the entry must be evicted (device fault — rebuild
-/// the engine rather than trust a possibly inconsistent fabric), and the
-/// execute wall time on the runtime clock.
-fn execute_once<T: Element>(
-    entry: &mut CachedPlan<T>,
-    ctx: &ServeCtx,
-    refs: &[&Matrix<T>],
-    rows: usize,
-) -> (
-    kron_core::Result<()>,
-    Option<gpu_sim::ExecSummary>,
-    bool,
-    u64,
-) {
-    arm_scripted_fault(entry, ctx.plane, ctx.clock.now_us());
-    let exec_start = ctx.clock.now_us();
-    let result = entry.run_batch(refs, rows);
-    let exec_us = ctx.clock.now_us().saturating_sub(exec_start);
-    let sharded = entry.is_sharded();
-    ctx.hub.event(
-        ctx.clock.now_us(),
-        ServeEventKind::Execute {
-            rows: rows as u32,
-            sharded,
-            ok: result.is_ok(),
-            exec_us,
-        },
-    );
-    let mut summary = None;
-    match &result {
-        Ok(()) => {
-            if sharded {
-                ctx.stats.sharded_batches.fetch_add(1, Ordering::Relaxed);
-                summary = entry.shard_summary(rows);
-                if let Some(s) = summary {
-                    ctx.stats
-                        .comm_bytes
-                        .fetch_add(s.comm_bytes, Ordering::Relaxed);
-                }
-                let gpus = entry.grid().map_or(0, |g| g.gpus());
-                for gpu in 0..gpus {
-                    ctx.hub.record_device_execute(gpu, exec_us);
-                }
-                if ctx.health.is_suspect() {
-                    ctx.health.record_success(gpus, ctx.clock.now_us());
-                }
+    /// Executes one chunk of same-model requests — the `live` slots of
+    /// `reqs` — on its pinned cache entry and replies to it: the one
+    /// execute-and-reply step behind the scheduler's batches and solos
+    /// and the inline bypass lane alike. `attempt` counts this execute
+    /// (1 on the first try) and `limit` is the device limit the entry was
+    /// looked up under; `timings` carries the lookup and retry legs.
+    ///
+    /// A lone request on a local entry executes in place, from its own
+    /// `x` into its own `y`. Every other chunk is gathered into the
+    /// entry's staging pair (zero-padded to a `GM` multiple when
+    /// sharded), executed once, and scattered back, each member replying
+    /// with its prorated share of a sharded execution. The next due
+    /// scripted fault is armed first (sharded entries only); executes are
+    /// accounted on the flight recorder, sharded ones also on the device
+    /// registry and the health ledger, and only chunks of several
+    /// requests count as batches. The entry stays locked until every
+    /// member has replied, so no concurrent lookup can reuse its staging
+    /// mid-scatter.
+    ///
+    /// On an error the entry is released first, then
+    /// [`Self::device_fault`] blames and evicts a faulted device. A
+    /// device fault within the [`RetryPolicy`] budget leaves every member
+    /// pending and returns the failed attempt's timings for the retry
+    /// loop; any other error is replied to the whole chunk.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_and_reply<T: ErasedDtype>(
+        &self,
+        pinned: PinnedEntry,
+        reqs: &mut [Option<Request<T>>],
+        live: &[usize],
+        refs_scratch: &mut Vec<*const Matrix<T>>,
+        attempt: u32,
+        limit: usize,
+        mut timings: StageTimings,
+        class: ReplyClass,
+    ) -> Option<StageTimings> {
+        let model = &reqs[live[0]].as_ref().expect("unserved").model;
+        let (model_id, shape_key) = (model.id, model.shape_key);
+        let (k, l) = (model.input_cols(), model.output_cols());
+        let rows: usize = live
+            .iter()
+            .map(|&i| reqs[i].as_ref().expect("unserved").x.rows())
+            .sum();
+        let mut guard = pinned.lock();
+        let entry = T::plan_mut(&mut guard).expect("dtype verified at cache lookup");
+        arm_scripted_fault(entry, self.plane, self.clock);
+        let in_place = live.len() == 1 && !entry.is_sharded();
+        if !in_place {
+            let bx = entry.batch_buffers().0.as_mut_slice();
+            let mut off = 0;
+            for &i in live {
+                let x = &reqs[i].as_ref().expect("unserved").x;
+                bx[off * k..(off + x.rows()) * k].copy_from_slice(x.as_slice());
+                off += x.rows();
             }
         }
-        Err(err) => {
-            if let Some(gpu) = faulted_device(err) {
-                let timeout = matches!(err, KronError::DeviceTimeout { .. });
-                ctx.hub.record_device_fault(gpu, timeout);
-                ctx.hub.event(
-                    ctx.clock.now_us(),
-                    ServeEventKind::Fault {
-                        gpu: gpu as u32,
-                        timeout,
+        let exec_start = self.clock.now_us();
+        let result = {
+            let r = reqs[live[0]].as_mut().expect("unserved");
+            let refs = refs_of(refs_scratch, r.model.factors());
+            entry.run(refs, rows, in_place.then_some((&r.x, &mut r.y)))
+        };
+        let exec_end = self.clock.now_us();
+        timings.exec_us = exec_end.saturating_sub(exec_start);
+        let grid = entry.grid();
+        self.hub.event(
+            exec_end,
+            ServeEventKind::Execute {
+                rows: rows as u32,
+                sharded: grid.is_some(),
+                ok: result.is_ok(),
+                exec_us: timings.exec_us,
+            },
+        );
+        if class == ReplyClass::Bypass {
+            self.hub.event(
+                exec_end,
+                ServeEventKind::Bypass {
+                    dtype: T::DTYPE,
+                    model: model_id,
+                    rows: rows as u32,
+                    exec_us: timings.exec_us,
+                },
+            );
+        }
+        if let Err(err) = result {
+            // Release the entry before touching the cache again (lock
+            // order: never hold an entry lock while taking the cache
+            // lock).
+            drop(guard);
+            drop(pinned);
+            let faulted = self.device_fault(&err, T::DTYPE, shape_key, self.capacity(rows));
+            if faulted && attempt <= self.cfg.retry.max_attempts {
+                return Some(timings);
+            }
+            if class == ReplyClass::Batched {
+                self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            }
+            for &i in live {
+                let r = reqs[i].take().expect("unserved");
+                self.finish(timings, r, Err(err.clone()), None, attempt, None, class);
+            }
+            return None;
+        }
+        if let Some(g) = grid {
+            self.stats.sharded_batches.fetch_add(1, Ordering::Relaxed);
+            if let Some(s) = entry.shard_summary(rows) {
+                self.stats
+                    .comm_bytes
+                    .fetch_add(s.comm_bytes, Ordering::Relaxed);
+            }
+            for gpu in 0..g.gpus() {
+                self.hub.record_device_execute(gpu, timings.exec_us);
+            }
+            if self.health.is_suspect() {
+                self.health.record_success(g.gpus(), self.clock.now_us());
+            }
+            if limit < self.configured_gpus() {
+                self.stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
+                self.hub.event(
+                    self.clock.now_us(),
+                    ServeEventKind::Degrade {
+                        from_gpus: self.configured_gpus() as u32,
+                        to_gpus: limit as u32,
                     },
                 );
-                if ctx.health.record_failure(gpu, ctx.clock.now_us()) {
-                    ctx.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                }
             }
         }
+        if class == ReplyClass::Batched {
+            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        }
+        let grid = grid.map(|g| (g.gm, g.gk));
+        let mut off = 0;
+        for &i in live {
+            let mut r = reqs[i].take().expect("unserved");
+            let m = r.x.rows();
+            if !in_place {
+                let by = entry.batch_buffers().1.as_slice();
+                r.y.as_mut_slice()
+                    .copy_from_slice(&by[off * l..(off + m) * l]);
+                timings.scatter_us = self.clock.now_us().saturating_sub(exec_end);
+            }
+            off += m;
+            let summary = entry.shard_summary(m);
+            self.finish(timings, r, Ok(()), summary, attempt, grid, class);
+        }
+        None
     }
-    let evict = result.as_ref().err().and_then(faulted_device).is_some();
-    (result, summary, evict, exec_us)
 }
 
 /// Builds a `&[&Matrix<T>]` over `factors` in the reused scratch buffer —
@@ -480,8 +607,9 @@ fn refs_of<'a, T: Element>(
 ///   exactly as the scheduler sheds cold, so neither lane counts a
 ///   plan-cache lookup for a shed request;
 /// - the plan cache holds a warm **local** entry at full device width
-///   ([`PlanCache::get_warm`]), which executes directly from/to the
-///   request's buffers exactly as the scheduler's local solo path.
+///   ([`PlanCache::get_warm`]): the request is admitted and runs through
+///   the scheduler's own [`ServeCtx::execute_and_reply`] as a chunk of
+///   one, so it executes in place exactly as a scheduler solo does.
 ///
 /// Otherwise (cold plan, degraded/rebuilding entry, or a sharded entry
 /// — which must keep its retry ladder, watchdog, and device-health
@@ -491,7 +619,6 @@ fn refs_of<'a, T: Element>(
 /// keeps breathing even when every request bypasses.
 pub(crate) fn try_bypass<T: ErasedDtype>(
     ctx: &ServeCtx,
-    cfg: &RuntimeConfig,
     mut r: Request<T>,
     refs_scratch: &mut Vec<*const Matrix<T>>,
 ) -> Option<Request<T>> {
@@ -532,67 +659,41 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
             return None;
         }
     }
-    let m = r.x.rows();
-    let capacity = if m <= ctx.max_batch_rows {
-        ctx.max_batch_rows
-    } else {
-        m.next_power_of_two()
-    };
     let plan_start = ctx.clock.now_us();
     let pinned = {
         let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.get_warm(&r.model, capacity, ctx.stats)
+        cache.get_warm(&r.model, ctx.capacity(r.x.rows()), ctx.stats)
     };
     let Some(pinned) = pinned else {
         return Some(r);
     };
-    let plan_us = ctx.clock.now_us().saturating_sub(plan_start);
+    let timings = StageTimings {
+        plan_us: ctx.clock.now_us().saturating_sub(plan_start),
+        ..StageTimings::default()
+    };
     admit(ctx, &r);
     // Fold a depth-1 cycle into the shared load signal and republish the
     // linger gauge, exactly as a scheduler cycle would.
     let ewma = ctx.stats.ewma_depth_x16.load(Ordering::Relaxed);
     let next = (3 * ewma + 16) / 4;
     ctx.stats.ewma_depth_x16.store(next, Ordering::Relaxed);
-    if cfg.adaptive_linger && cfg.batch_linger_us > 0 {
+    if ctx.cfg.adaptive_linger && ctx.cfg.batch_linger_us > 0 {
         ctx.stats.current_linger_us.store(
-            adaptive_linger_us(cfg.batch_linger_us, next),
+            adaptive_linger_us(ctx.cfg.batch_linger_us, next),
             Ordering::Relaxed,
         );
     }
-    let (result, exec_us) = {
-        let mut guard = pinned.lock();
-        let entry = T::plan_mut(&mut guard).expect("dtype verified at cache lookup");
-        let refs = refs_of(refs_scratch, r.model.factors());
-        let exec_start = ctx.clock.now_us();
-        let result = entry.run_rows(&r.x, refs, &mut r.y, m);
-        let exec_us = ctx.clock.now_us().saturating_sub(exec_start);
-        ctx.hub.event(
-            ctx.clock.now_us(),
-            ServeEventKind::Execute {
-                rows: m as u32,
-                sharded: false,
-                ok: result.is_ok(),
-                exec_us,
-            },
-        );
-        (result, exec_us)
-    };
-    drop(pinned);
-    ctx.hub.event(
-        ctx.clock.now_us(),
-        ServeEventKind::Bypass {
-            dtype: T::DTYPE,
-            model: r.model.id,
-            rows: m as u32,
-            exec_us,
-        },
+    let retry = ctx.execute_and_reply(
+        pinned,
+        &mut [Some(r)],
+        &[0],
+        refs_scratch,
+        1,
+        ctx.configured_gpus(),
+        timings,
+        ReplyClass::Bypass,
     );
-    let timings = StageTimings {
-        plan_us,
-        exec_us,
-        ..StageTimings::default()
-    };
-    ctx.finish(timings, r, result, None, 1, None, ReplyClass::Bypass);
+    debug_assert!(retry.is_none(), "a local entry raises no device fault");
     None
 }
 
@@ -777,7 +878,7 @@ impl<T: ErasedDtype> TypedLane<T> {
         // Move the index list out so `serve_chunk(&mut self)` can run;
         // restored below to keep its capacity for the next cycle.
         let idxs = std::mem::take(&mut self.groups[gi].idxs);
-        let max_batch_rows = ctx.max_batch_rows;
+        let max_batch_rows = ctx.cfg.max_batch_rows;
         let mut start = 0;
         while start < idxs.len() {
             let mut rows = 0;
@@ -838,356 +939,102 @@ impl<T: ErasedDtype> TypedLane<T> {
         });
     }
 
-    /// Serves a same-model chunk whose rows sum to ≤ `max_batch_rows`:
-    /// gather rows into the cached batch input, one fused (or sharded)
-    /// execute, scatter back. A chunk of one skips the grouping
-    /// bookkeeping via the solo path. The cache entry stays pinned for
-    /// the whole gather/execute/scatter, so no concurrent sweep can drop
-    /// the engine mid-batch.
-    ///
-    /// On a device fault the chunk is retried per [`RetryPolicy`]: the
-    /// broken engine is evicted and the batch re-executes on a rebuilt
-    /// grid, degrading toward single-device as attempts mount; members
-    /// whose deadline a retry would overshoot are shed between attempts.
-    /// The gather repeats per attempt — a degraded entry has its own
-    /// staging buffers.
+    /// Serves a same-model chunk through the retry loop: a lone request
+    /// (a solo, whatever its size) is a chunk of one, a batch one of
+    /// several whose rows sum to ≤ `max_batch_rows`. Each attempt looks
+    /// the entry up at the chunk's capacity under the degradation
+    /// ladder's device limit, then runs [`ServeCtx::execute_and_reply`],
+    /// whose pin keeps any concurrent sweep from dropping the engine
+    /// mid-execute. A build error is terminal for the whole chunk. After
+    /// a device fault within the [`RetryPolicy`] budget the loop backs
+    /// off, sheds the members whose deadline passed meanwhile, and tries
+    /// again on a rebuilt (possibly degraded) entry.
     fn serve_chunk(&mut self, idxs: &[usize], ctx: &ServeCtx) {
         debug_assert!(!idxs.is_empty());
-        if idxs.len() == 1 {
-            let r = self.pending[idxs[0]].take().expect("unserved");
-            self.serve_solo(r, ctx);
-            return;
-        }
-        let model = Arc::clone(&self.pending[idxs[0]].as_ref().expect("unserved").model);
-        let capacity = ctx.max_batch_rows;
-        let k = model.input_cols();
-        let l = model.output_cols();
         let mut live = std::mem::take(&mut self.retry_scratch);
         live.clear();
         live.extend_from_slice(idxs);
-        let chunk_rows: usize = live
+        let rows: usize = live
             .iter()
             .map(|&i| self.pending[i].as_ref().expect("unserved").x.rows())
             .sum();
+        let capacity = ctx.capacity(rows);
+        let class = if idxs.len() > 1 {
+            ReplyClass::Batched
+        } else {
+            ReplyClass::Solo
+        };
         let serve_start = ctx.clock.now_us();
-        ctx.hub.event(
-            serve_start,
-            ServeEventKind::BatchFormed {
-                model: model.id,
-                requests: live.len() as u32,
-                rows: chunk_rows as u32,
-            },
-        );
+        if class == ReplyClass::Batched {
+            ctx.hub.event(
+                serve_start,
+                ServeEventKind::BatchFormed {
+                    model: self.pending[idxs[0]].as_ref().expect("unserved").model.id,
+                    requests: live.len() as u32,
+                    rows: rows as u32,
+                },
+            );
+        }
         // `attempt` counts executes performed; the reply's `attempts`.
         let mut attempt: u32 = 0;
         loop {
-            let now = ctx.clock.now_us();
-            // Backoff waited out before this attempt (0 on the first).
-            let retry_us = now.saturating_sub(serve_start);
-            let allowed = ctx.health.allowed_gpus(now, ctx.configured_gpus);
-            let limit = attempt_limit(&ctx.retry, ctx.configured_gpus, attempt, allowed);
             let plan_start = ctx.clock.now_us();
+            let allowed = ctx.health.allowed_gpus(plan_start, ctx.configured_gpus());
+            let limit = attempt_limit(&ctx.cfg.retry, ctx.configured_gpus(), attempt, allowed);
             let pinned = {
+                let model = &self.pending[live[0]].as_ref().expect("unserved").model;
                 let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.get_or_create(&model, capacity, limit, ctx.stats)
+                cache.get_or_create(model, capacity, limit, ctx.stats)
             };
-            let plan_us = ctx.clock.now_us().saturating_sub(plan_start);
+            let timings = StageTimings {
+                plan_us: ctx.clock.now_us().saturating_sub(plan_start),
+                // Backoff waited out before this attempt (0 on the first).
+                retry_us: plan_start.saturating_sub(serve_start),
+                ..StageTimings::default()
+            };
             let pinned = match pinned {
                 Ok(p) => p,
                 Err(err) => {
                     // Build errors are deterministic — retrying cannot
-                    // help. Terminal for the whole chunk.
-                    let timings = StageTimings {
-                        plan_us,
-                        retry_us,
-                        ..StageTimings::default()
-                    };
+                    // help.
                     for &i in &live {
                         let r = self.pending[i].take().expect("unserved");
-                        ctx.finish(
-                            timings,
-                            r,
-                            Err(err.clone()),
-                            None,
-                            attempt,
-                            None,
-                            ReplyClass::Batched,
-                        );
+                        ctx.finish(timings, r, Err(err.clone()), None, attempt, None, class);
                     }
                     break;
                 }
             };
-            let mut guard = pinned.lock();
-            let entry = T::plan_mut(&mut guard).expect("dtype verified at cache lookup");
-
-            // Gather request rows into the staged batch input.
-            let total_rows = {
-                let (bx, _) = entry.batch_buffers();
-                let mut off = 0;
-                for &i in &live {
-                    let r = self.pending[i].as_ref().expect("unserved");
-                    let m = r.x.rows();
-                    bx.as_mut_slice()[off * k..(off + m) * k].copy_from_slice(r.x.as_slice());
-                    off += m;
-                }
-                off
-            };
-
-            let refs = refs_of(&mut self.refs_scratch, model.factors());
-            let (result, _, evict, exec_us) = execute_once(entry, ctx, refs, total_rows);
-            let exec_end = ctx.clock.now_us();
             attempt += 1;
-            match result {
-                Ok(()) => {
-                    let grid = entry.grid().map(|g| (g.gm, g.gk));
-                    // Scatter results back and reply with each request's
-                    // prorated share of the simulated sharded execution.
-                    let mut off = 0;
-                    for &i in &live {
-                        let mut r = self.pending[i].take().expect("unserved");
-                        let m = r.x.rows();
-                        r.y.as_mut_slice()
-                            .copy_from_slice(&entry.batch_y().as_slice()[off * l..(off + m) * l]);
-                        let summary = entry.shard_summary(m);
-                        off += m;
-                        let timings = StageTimings {
-                            plan_us,
-                            exec_us,
-                            scatter_us: ctx.clock.now_us().saturating_sub(exec_end),
-                            retry_us,
-                            ..StageTimings::default()
-                        };
-                        ctx.finish(
-                            timings,
-                            r,
-                            Ok(()),
-                            summary,
-                            attempt,
-                            grid,
-                            ReplyClass::Batched,
-                        );
-                    }
-                    ctx.stats.batches.fetch_add(1, Ordering::Relaxed);
-                    if grid.is_some() && limit < ctx.configured_gpus {
-                        ctx.stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
-                        ctx.hub.event(
-                            ctx.clock.now_us(),
-                            ServeEventKind::Degrade {
-                                from_gpus: ctx.configured_gpus as u32,
-                                to_gpus: limit as u32,
-                            },
-                        );
-                    }
-                    break;
-                }
-                Err(err) => {
-                    // Release the entry before touching the cache again
-                    // (lock order: never hold an entry lock while taking
-                    // the cache lock).
-                    drop(guard);
-                    drop(pinned);
-                    if evict {
-                        let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-                        cache.evict_failed(T::DTYPE, model.shape_key, capacity, ctx.stats);
-                    }
-                    let timings = StageTimings {
-                        plan_us,
-                        exec_us,
-                        retry_us,
-                        ..StageTimings::default()
-                    };
-                    if !evict || attempt > ctx.retry.max_attempts {
-                        // Not a device fault, or the retry budget is
-                        // spent: the error is client-visible.
-                        for &i in &live {
-                            let r = self.pending[i].take().expect("unserved");
-                            ctx.finish(
-                                timings,
-                                r,
-                                Err(err.clone()),
-                                None,
-                                attempt,
-                                None,
-                                ReplyClass::Batched,
-                            );
-                        }
-                        ctx.stats.batches.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    ctx.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    ctx.hub.event(
-                        ctx.clock.now_us(),
-                        ServeEventKind::Retry {
-                            attempt: attempt + 1,
-                            limit_gpus: limit as u32,
-                        },
-                    );
-                    if ctx.retry.backoff_us > 0 {
-                        wait_until(ctx.clock, ctx.clock.now_us() + ctx.retry.backoff_us);
-                    }
-                    self.shed_expired_retries(&mut live, attempt, ctx, timings);
-                    if live.is_empty() {
-                        break;
-                    }
-                }
+            let Some(failed) = ctx.execute_and_reply(
+                pinned,
+                &mut self.pending,
+                &live,
+                &mut self.refs_scratch,
+                attempt,
+                limit,
+                timings,
+                class,
+            ) else {
+                break;
+            };
+            ctx.stats.retries.fetch_add(1, Ordering::Relaxed);
+            ctx.hub.event(
+                ctx.clock.now_us(),
+                ServeEventKind::Retry {
+                    attempt: attempt + 1,
+                    limit_gpus: limit as u32,
+                },
+            );
+            if ctx.cfg.retry.backoff_us > 0 {
+                wait_until(ctx.clock, ctx.clock.now_us() + ctx.cfg.retry.backoff_us);
+            }
+            self.shed_expired_retries(&mut live, attempt, ctx, failed);
+            if live.is_empty() {
+                break;
             }
         }
         live.clear();
         self.retry_scratch = live;
-    }
-
-    /// Takes pending slot `idx` and serves it solo.
-    fn serve_solo_at(&mut self, idx: usize, ctx: &ServeCtx) {
-        if let Some(r) = self.pending[idx].take() {
-            self.serve_solo(r, ctx);
-        }
-    }
-
-    /// Serves one request on its own. On a local entry it executes
-    /// directly from/to the request's buffers (no staging copies); on a
-    /// sharded entry it stages through the batch buffers so the row count
-    /// can zero-pad to a `GM` multiple. Small requests reuse the
-    /// batch-capacity entry; large ones get power-of-two-capacity entries
-    /// so nearby sizes share workspaces. Device faults retry exactly as
-    /// in [`Self::serve_chunk`].
-    fn serve_solo(&mut self, mut r: Request<T>, ctx: &ServeCtx) {
-        let m = r.x.rows();
-        let capacity = if m <= ctx.max_batch_rows {
-            ctx.max_batch_rows
-        } else {
-            m.next_power_of_two()
-        };
-        let serve_start = ctx.clock.now_us();
-        let mut attempt: u32 = 0;
-        loop {
-            let now = ctx.clock.now_us();
-            // Backoff waited out before this attempt (0 on the first).
-            let retry_us = now.saturating_sub(serve_start);
-            let allowed = ctx.health.allowed_gpus(now, ctx.configured_gpus);
-            let limit = attempt_limit(&ctx.retry, ctx.configured_gpus, attempt, allowed);
-            let plan_start = ctx.clock.now_us();
-            let pinned = {
-                let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.get_or_create(&r.model, capacity, limit, ctx.stats)
-            };
-            let plan_us = ctx.clock.now_us().saturating_sub(plan_start);
-            let pinned = match pinned {
-                Ok(p) => p,
-                Err(err) => {
-                    let timings = StageTimings {
-                        plan_us,
-                        retry_us,
-                        ..StageTimings::default()
-                    };
-                    ctx.finish(timings, r, Err(err), None, attempt, None, ReplyClass::Solo);
-                    return;
-                }
-            };
-            let mut summary = None;
-            let mut grid = None;
-            let (result, evict, exec_us, scatter_us) = {
-                let mut guard = pinned.lock();
-                let entry = T::plan_mut(&mut guard).expect("dtype verified at cache lookup");
-                let refs = refs_of(&mut self.refs_scratch, r.model.factors());
-                if entry.is_sharded() {
-                    let k = r.model.input_cols();
-                    let l = r.model.output_cols();
-                    {
-                        let (bx, _) = entry.batch_buffers();
-                        bx.as_mut_slice()[..m * k].copy_from_slice(r.x.as_slice());
-                    }
-                    let (result, s, ev, exec_us) = execute_once(entry, ctx, refs, m);
-                    let exec_end = ctx.clock.now_us();
-                    let mut scatter_us = 0;
-                    if result.is_ok() {
-                        r.y.as_mut_slice()
-                            .copy_from_slice(&entry.batch_y().as_slice()[..m * l]);
-                        summary = s;
-                        grid = entry.grid().map(|g| (g.gm, g.gk));
-                        scatter_us = ctx.clock.now_us().saturating_sub(exec_end);
-                    }
-                    (result, ev, exec_us, scatter_us)
-                } else {
-                    let exec_start = ctx.clock.now_us();
-                    let result = entry.run_rows(&r.x, refs, &mut r.y, m);
-                    let exec_us = ctx.clock.now_us().saturating_sub(exec_start);
-                    ctx.hub.event(
-                        ctx.clock.now_us(),
-                        ServeEventKind::Execute {
-                            rows: m as u32,
-                            sharded: false,
-                            ok: result.is_ok(),
-                            exec_us,
-                        },
-                    );
-                    (result, false, exec_us, 0)
-                }
-            };
-            attempt += 1;
-            drop(pinned);
-            if evict {
-                let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.evict_failed(T::DTYPE, r.model.shape_key, capacity, ctx.stats);
-            }
-            let timings = StageTimings {
-                plan_us,
-                exec_us,
-                scatter_us,
-                retry_us,
-                ..StageTimings::default()
-            };
-            match result {
-                Ok(()) => {
-                    if grid.is_some() && limit < ctx.configured_gpus {
-                        ctx.stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
-                        ctx.hub.event(
-                            ctx.clock.now_us(),
-                            ServeEventKind::Degrade {
-                                from_gpus: ctx.configured_gpus as u32,
-                                to_gpus: limit as u32,
-                            },
-                        );
-                    }
-                    ctx.finish(timings, r, Ok(()), summary, attempt, grid, ReplyClass::Solo);
-                    return;
-                }
-                Err(err) => {
-                    if !evict || attempt > ctx.retry.max_attempts {
-                        ctx.finish(timings, r, Err(err), None, attempt, None, ReplyClass::Solo);
-                        return;
-                    }
-                    ctx.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    ctx.hub.event(
-                        ctx.clock.now_us(),
-                        ServeEventKind::Retry {
-                            attempt: attempt + 1,
-                            limit_gpus: limit as u32,
-                        },
-                    );
-                    if ctx.retry.backoff_us > 0 {
-                        wait_until(ctx.clock, ctx.clock.now_us() + ctx.retry.backoff_us);
-                    }
-                    let now = ctx.clock.now_us();
-                    if let Some(deadline_us) = r.deadline_us {
-                        if deadline_us < now {
-                            ctx.finish(
-                                timings,
-                                r,
-                                Err(KronError::DeadlineExceeded {
-                                    deadline_us,
-                                    now_us: now,
-                                }),
-                                None,
-                                attempt,
-                                None,
-                                ReplyClass::Solo,
-                            );
-                            return;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1195,35 +1042,17 @@ impl<T: ErasedDtype> TypedLane<T> {
 /// one service order; two typed halves. The runtime spawns one per
 /// configured lane. See the module docs.
 pub(crate) struct Scheduler {
-    /// This scheduler's lane index into `lanes` — also the index of the
-    /// per-lane counters it bumps in [`StatsInner`].
+    /// This scheduler's lane index into `shared.lanes` — also the index
+    /// of the per-lane counters it bumps in [`StatsInner`].
     lane: usize,
-    /// Every lane's handle (lock-free ring + striped gate), shared with
-    /// the runtime's send path and the sibling schedulers. Work-stealing
-    /// pops from sibling rings through this; [`Self::poison`] closes
-    /// every gate through it.
-    lanes: Arc<[LaneHandle]>,
-    /// This lane's own receiver (a clone of `lanes[lane].rx`).
+    /// The runtime state every lane shares with the runtime handle: the
+    /// lanes' rings and gates (work-stealing pops from sibling rings
+    /// through them; [`Self::poison`] closes every gate and sets the
+    /// poison flag), the plan cache, counters, clock, chaos plane,
+    /// health ledger, metrics hub, and configuration.
+    shared: Arc<Shared>,
+    /// This lane's own receiver (a clone of `shared.lanes[lane].rx`).
     rx: Receiver<Msg>,
-    /// Global poison flag shared with the runtime handle's submit path:
-    /// set when any lane panics, so submits fail fast with
-    /// [`KronError::Shutdown`] instead of queueing behind a dead lane.
-    poisoned: Arc<AtomicBool>,
-    cfg: RuntimeConfig,
-    /// The plan cache, shared with the runtime handle (client-side pins,
-    /// sweeps, and probes). Never locked while an entry lock is held.
-    cache: Arc<Mutex<PlanCache>>,
-    stats: Arc<StatsInner>,
-    clock: Clock,
-    /// Scripted chaos plane shared with the runtime handle; consulted
-    /// before every sharded execute (one atomic load while disarmed).
-    plane: Arc<FaultPlane>,
-    /// Device-health ledger shared with the runtime handle: executes
-    /// record outcomes, plan builds respect its quarantine limit.
-    health: Arc<DeviceHealth>,
-    /// Metrics hub shared with the runtime handle: stage histograms,
-    /// per-model/per-device registries, and the flight recorder.
-    hub: Arc<MetricsHub>,
     /// Per-lane arrival counter — the cross-dtype FIFO tie-break within
     /// this lane's windows.
     next_arrival: u64,
@@ -1236,32 +1065,12 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        lane: usize,
-        lanes: Arc<[LaneHandle]>,
-        poisoned: Arc<AtomicBool>,
-        cfg: RuntimeConfig,
-        cache: Arc<Mutex<PlanCache>>,
-        stats: Arc<StatsInner>,
-        plane: Arc<FaultPlane>,
-        health: Arc<DeviceHealth>,
-        hub: Arc<MetricsHub>,
-    ) -> Self {
-        let clock = cfg.clock.clone();
-        let rx = lanes[lane].rx.clone();
+    pub(crate) fn new(lane: usize, shared: Arc<Shared>) -> Self {
+        let rx = shared.lanes[lane].rx.clone();
         Scheduler {
             lane,
-            lanes,
+            shared,
             rx,
-            poisoned,
-            cfg,
-            cache,
-            stats,
-            clock,
-            plane,
-            health,
-            hub,
             next_arrival: 0,
             f32_lane: TypedLane::new(),
             f64_lane: TypedLane::new(),
@@ -1276,7 +1085,7 @@ impl Scheduler {
     fn enqueue(&mut self, req: ErasedRequest) {
         let arrival = self.next_arrival;
         self.next_arrival += 1;
-        let now = self.clock.now_us();
+        let now = self.shared.clock.now_us();
         match req {
             ErasedRequest::F32(mut r) => {
                 r.drained_us = now;
@@ -1297,13 +1106,16 @@ impl Scheduler {
     /// The linger window for the next batch cycle: the configured cap,
     /// scaled by smoothed load when adaptation is on.
     fn effective_linger_us(&self) -> u64 {
-        let cap = self.cfg.batch_linger_us;
-        if cap == 0 || !self.cfg.adaptive_linger {
+        let cap = self.shared.cfg.batch_linger_us;
+        if cap == 0 || !self.shared.cfg.adaptive_linger {
             return cap;
         }
         // The depth signal lives in the shared stats so the inline
         // bypass lane's depth-1 serves decay it too (see `try_bypass`).
-        adaptive_linger_us(cap, self.stats.ewma_depth_x16.load(Ordering::Relaxed))
+        adaptive_linger_us(
+            cap,
+            self.shared.stats.ewma_depth_x16.load(Ordering::Relaxed),
+        )
     }
 
     /// The scheduler loop, panic-contained: each iteration runs under
@@ -1334,8 +1146,8 @@ impl Scheduler {
     /// ring needs this thread to consume, so a blocking wait without the
     /// drain would deadlock.
     fn poison(&mut self) {
-        self.poisoned.store(true, Ordering::SeqCst);
-        for lane in self.lanes.iter() {
+        self.shared.poisoned.store(true, Ordering::SeqCst);
+        for lane in self.shared.lanes.iter() {
             lane.gate.begin_close();
         }
         loop {
@@ -1346,7 +1158,7 @@ impl Scheduler {
                     Err(_) => break,
                 }
             }
-            if self.lanes[self.lane].gate.senders_drained() {
+            if self.shared.lanes[self.lane].gate.senders_drained() {
                 break;
             }
             crossbeam::sync::thread::yield_now();
@@ -1360,19 +1172,7 @@ impl Scheduler {
                 Err(_) => break,
             }
         }
-        let ctx = ServeCtx {
-            cache: &self.cache,
-            stats: &self.stats,
-            plane: &self.plane,
-            health: &self.health,
-            clock: &self.clock,
-            hub: &self.hub,
-            retry: self.cfg.retry,
-            max_batch_rows: self.cfg.max_batch_rows,
-            configured_gpus: self.cfg.backend.gpus(),
-            window_close_us: self.clock.now_us(),
-            lane: self.lane,
-        };
+        let ctx = ServeCtx::new(&self.shared, self.lane, self.shared.clock.now_us());
         self.f32_lane.fail_all(&ctx);
         self.f64_lane.fail_all(&ctx);
     }
@@ -1382,7 +1182,7 @@ impl Scheduler {
     /// drain a batch window, serve it. Returns `false` when the loop
     /// should exit (shutdown, or every sender gone).
     fn step(&mut self) -> bool {
-        let msg = if self.lanes.len() == 1 {
+        let msg = if self.shared.lanes.len() == 1 {
             // Single lane (the default): the classic blocking drain — no
             // stealing, no polling, exact legacy service order.
             let Ok(msg) = self.rx.recv() else {
@@ -1422,11 +1222,12 @@ impl Scheduler {
                     // runtime's clock, so a manual clock holds it open
                     // until the test advances time.
                     let linger_us = self.effective_linger_us();
-                    self.stats
+                    self.shared
+                        .stats
                         .current_linger_us
                         .store(linger_us, Ordering::Relaxed);
-                    let deadline = (linger_us > 0).then(|| self.clock.now_us() + linger_us);
-                    while self.pending_len() < self.cfg.max_queue {
+                    let deadline = (linger_us > 0).then(|| self.shared.clock.now_us() + linger_us);
+                    while self.pending_len() < self.shared.cfg.max_queue {
                         match self.rx.try_recv() {
                             Ok(Msg::Request(r)) => self.enqueue(r),
                             Ok(Msg::Shutdown) => {
@@ -1438,11 +1239,11 @@ impl Scheduler {
                                 // linger deadline for a late arrival (no
                                 // spinning — producers get the CPU).
                                 let Some(d) = deadline else { break };
-                                let now = self.clock.now_us();
+                                let now = self.shared.clock.now_us();
                                 if now >= d {
                                     break;
                                 }
-                                let wait = if self.clock.is_manual() {
+                                let wait = if self.shared.clock.is_manual() {
                                     MANUAL_POLL
                                 } else {
                                     Duration::from_micros(d - now)
@@ -1453,7 +1254,9 @@ impl Scheduler {
                                         shutting = true;
                                         break;
                                     }
-                                    Err(RecvTimeoutError::Timeout) if self.clock.is_manual() => {
+                                    Err(RecvTimeoutError::Timeout)
+                                        if self.shared.clock.is_manual() =>
+                                    {
                                         // Re-read the virtual clock; the
                                         // test may have advanced it.
                                         continue;
@@ -1499,7 +1302,7 @@ impl Scheduler {
     fn try_steal(&mut self) -> bool {
         let mut victim = usize::MAX;
         let mut depth = 1usize;
-        for (i, lane) in self.lanes.iter().enumerate() {
+        for (i, lane) in self.shared.lanes.iter().enumerate() {
             if i == self.lane {
                 continue;
             }
@@ -1515,13 +1318,13 @@ impl Scheduler {
         let budget = depth / 2;
         let mut stolen = 0u32;
         for _ in 0..budget {
-            match self.lanes[victim].rx.try_recv() {
+            match self.shared.lanes[victim].rx.try_recv() {
                 Ok(Msg::Request(r)) => {
                     self.enqueue(r);
                     stolen += 1;
                 }
                 Ok(Msg::Shutdown) => {
-                    let _ = self.lanes[victim].tx.send(Msg::Shutdown);
+                    let _ = self.shared.lanes[victim].tx.send(Msg::Shutdown);
                     break;
                 }
                 Err(_) => break,
@@ -1530,12 +1333,13 @@ impl Scheduler {
         if stolen == 0 {
             return false;
         }
-        self.stats
+        self.shared
+            .stats
             .lane(self.lane)
             .steals
             .fetch_add(1, Ordering::Relaxed);
-        self.hub.event(
-            self.clock.now_us(),
+        self.shared.hub.event(
+            self.shared.clock.now_us(),
             ServeEventKind::Steal {
                 from: victim as u32,
                 to: self.lane as u32,
@@ -1558,45 +1362,38 @@ impl Scheduler {
         // Scripted scheduler-thread fault: fires here, before any request
         // leaves its pending slot, so the poison path can honestly fail
         // every in-flight caller (none is ever half-served).
-        if self.plane.scheduler_panic_due(self.clock.now_us()) {
+        if self
+            .shared
+            .plane
+            .scheduler_panic_due(self.shared.clock.now_us())
+        {
             panic!("injected scheduler fault (chaos plane)");
         }
         // Load signal for the next cycle's linger window (shared with the
         // bypass lane, which folds in depth-1 cycles the scheduler never
         // sees).
-        let ewma = self.stats.ewma_depth_x16.load(Ordering::Relaxed);
-        self.stats
+        let ewma = self.shared.stats.ewma_depth_x16.load(Ordering::Relaxed);
+        self.shared
+            .stats
             .ewma_depth_x16
             .store((3 * ewma + 16 * total as u64) / 4, Ordering::Relaxed);
 
         // Cycle-boundary idle sweep (a no-op unless the policy sets
         // `max_idle_us`).
         {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.sweep_idle(&self.stats);
+            let mut cache = self.shared.cache.lock().unwrap_or_else(|e| e.into_inner());
+            cache.sweep_idle(&self.shared.stats);
         }
 
         // The window closes here: everything drained this cycle spent
         // `now - drained_us` lingering, and the serve stages start now.
-        let now = self.clock.now_us();
-        let ctx = ServeCtx {
-            cache: &self.cache,
-            stats: &self.stats,
-            plane: &self.plane,
-            health: &self.health,
-            clock: &self.clock,
-            hub: &self.hub,
-            retry: self.cfg.retry,
-            max_batch_rows: self.cfg.max_batch_rows,
-            configured_gpus: self.cfg.backend.gpus(),
-            window_close_us: now,
-            lane: self.lane,
-        };
+        let now = self.shared.clock.now_us();
+        let ctx = ServeCtx::new(&self.shared, self.lane, now);
         self.f32_lane.shed_expired(now, &ctx);
         self.f64_lane.shed_expired(now, &ctx);
 
-        let aging = self.cfg.priority_aging_us;
-        let batch_max_m = self.cfg.batch_max_m;
+        let aging = self.shared.cfg.priority_aging_us;
+        let batch_max_m = self.shared.cfg.batch_max_m;
         self.f32_lane.build_groups(batch_max_m, now, aging);
         self.f64_lane.build_groups(batch_max_m, now, aging);
 
@@ -1627,14 +1424,15 @@ impl Scheduler {
         for i in 0..self.solo_order.len() {
             let w = self.solo_order[i];
             match w.dtype {
-                DType::F32 => self.f32_lane.serve_solo_at(w.idx, &ctx),
-                DType::F64 => self.f64_lane.serve_solo_at(w.idx, &ctx),
+                DType::F32 => self.f32_lane.serve_chunk(&[w.idx], &ctx),
+                DType::F64 => self.f64_lane.serve_chunk(&[w.idx], &ctx),
             }
         }
         self.f32_lane.clear();
         self.f64_lane.clear();
         // Republish this lane's depth gauge now the window has drained.
-        self.stats
+        self.shared
+            .stats
             .lane(self.lane)
             .depth
             .store(self.rx.len() as u64, Ordering::Relaxed);

@@ -15,8 +15,8 @@
 //!    `#[cfg(test)]` regions — a panicking submit path poisons lanes.
 //! 3. **No allocation in zero-alloc functions**: the functions the
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
-//!    slot reply protocol, the ring push/pop) must not call allocating
-//!    std constructors.
+//!    slot reply protocol, the ring push/pop, the scheduler's one
+//!    execute-and-reply path) must not call allocating std constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` touching a
 //!    protocol atomic (gate state, bypass claim, seqlock seq, ring
 //!    head/tail, sleeper count) must carry a `// relaxed:` justification
@@ -25,6 +25,11 @@
 //! Exceptions live in `crates/xtask/analyze-allowlist.txt` as
 //! `file|line-substring|reason` triples — reviewable, greppable, and
 //! immune to line-number drift.
+//!
+//! The pass also checks its own configuration, so a rename cannot
+//! silently retire a check: every rule-3 function must still be
+//! declared in its file, and every allowlist entry must still match a
+//! line.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -46,6 +51,10 @@ const HOT_PATH_FILES: &[&str] = &[
 /// catches the regression at review time, before a gate trips).
 const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
     ("crates/kron-runtime/src/trace.rs", &["record"]),
+    (
+        "crates/kron-runtime/src/scheduler.rs",
+        &["finish", "execute_and_reply", "try_bypass"],
+    ),
     (
         "crates/kron-runtime/src/runtime.rs",
         &[
@@ -154,6 +163,21 @@ impl Allowlist {
             .iter()
             .any(|(f, needle)| f == file && line_text.contains(needle.as_str()))
     }
+
+    /// Indices of the entries for `file` that some line of `scan` matches.
+    fn matched_in<'a>(
+        &'a self,
+        file: &'a str,
+        scan: &'a FileScan,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, (f, needle))| {
+                (f == file && scan.lines.iter().any(|l| l.raw.contains(needle.as_str())))
+                    .then_some(i)
+            })
+    }
 }
 
 fn workspace_root() -> PathBuf {
@@ -188,19 +212,23 @@ fn rust_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Vec<Violation>) {
-    let is_hot_path = HOT_PATH_FILES.contains(&rel);
-    let zero_alloc_fns: &[&str] = ZERO_ALLOC_FNS
+/// The rule-3 functions named for file `rel`.
+fn zero_alloc_fns(rel: &str) -> &'static [&'static str] {
+    ZERO_ALLOC_FNS
         .iter()
         .find(|(f, _)| *f == rel)
         .map(|(_, fns)| *fns)
-        .unwrap_or(&[]);
+        .unwrap_or(&[])
+}
+
+fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Vec<Violation>) {
+    let is_hot_path = HOT_PATH_FILES.contains(&rel);
     let relaxed_atoms: &[&str] = RELAXED_PROTOCOL_ATOMICS
         .iter()
         .find(|(f, _)| *f == rel)
         .map(|(_, ids)| *ids)
         .unwrap_or(&[]);
-    let zero_alloc_lines = scan.function_body_lines(zero_alloc_fns);
+    let zero_alloc_lines = scan.function_body_lines(zero_alloc_fns(rel));
 
     for (idx, line) in scan.lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -277,11 +305,36 @@ fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Ve
     }
 }
 
+/// The pass's self-check against one file: every rule-3 function named
+/// for `rel` must still be declared in it, and every allowlist entry that
+/// matches one of its lines is marked in `matched`.
+fn check_config(
+    rel: &str,
+    scan: &FileScan,
+    allow: &Allowlist,
+    matched: &mut [bool],
+    violations: &mut Vec<Violation>,
+) {
+    for name in scan.undeclared_fns(zero_alloc_fns(rel)) {
+        violations.push(Violation {
+            file: rel.to_string(),
+            line: 0,
+            rule: "zero-alloc",
+            message: format!("zero-alloc function `{name}` is not declared in this file"),
+        });
+    }
+    for i in allow.matched_in(rel, scan) {
+        matched[i] = true;
+    }
+}
+
 fn analyze() -> ExitCode {
     let root = workspace_root();
     let allow = Allowlist::load(&root.join("crates/xtask/analyze-allowlist.txt"));
     let mut violations = Vec::new();
     let sources = rust_sources(&root);
+    let mut scanned = Vec::new();
+    let mut matched = vec![false; allow.entries.len()];
     for path in &sources {
         let rel = path
             .strip_prefix(&root)
@@ -293,6 +346,26 @@ fn analyze() -> ExitCode {
         };
         let scan = FileScan::new(&text);
         check_file(&rel, &scan, &allow, &mut violations);
+        check_config(&rel, &scan, &allow, &mut matched, &mut violations);
+        scanned.push(rel);
+    }
+    for (file, _) in ZERO_ALLOC_FNS {
+        if !scanned.iter().any(|rel| rel == file) {
+            violations.push(Violation {
+                file: file.to_string(),
+                line: 0,
+                rule: "zero-alloc",
+                message: "file with zero-alloc functions not found".to_string(),
+            });
+        }
+    }
+    for ((file, needle), _) in allow.entries.iter().zip(&matched).filter(|(_, m)| !**m) {
+        violations.push(Violation {
+            file: file.clone(),
+            line: 0,
+            rule: "allowlist",
+            message: format!("allowlist entry `{needle}` matches no line"),
+        });
     }
     if violations.is_empty() {
         println!(
@@ -394,6 +467,23 @@ mod tests {
         let v = violations_in("crates/kron-runtime/src/trace.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains(":3:") && v[0].contains("zero-alloc"));
+    }
+
+    #[test]
+    fn config_check_flags_renamed_functions_and_marks_live_allowlist_entries() {
+        let allow = Allowlist::parse(
+            "crates/kron-runtime/src/trace.rs | x.unwrap() | reasoned\n\
+             crates/kron-runtime/src/trace.rs | gone() | reasoned\n\
+             crates/b.rs | x.unwrap() | reasoned\n",
+        );
+        let scan = FileScan::new("fn recorded() { x.unwrap() }\n");
+        let mut matched = vec![false; allow.entries.len()];
+        let mut out = Vec::new();
+        let rel = "crates/kron-runtime/src/trace.rs";
+        check_config(rel, &scan, &allow, &mut matched, &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(format!("{}", out[0]).contains("`record` is not declared"));
+        assert_eq!(matched, [true, false, false]);
     }
 
     #[test]

@@ -51,49 +51,69 @@ impl FileScan {
     /// Line indices (0-based) inside the bodies of the named functions.
     pub fn function_body_lines(&self, names: &[&str]) -> HashSet<usize> {
         let mut out = HashSet::new();
-        if names.is_empty() {
-            return out;
-        }
         for (idx, line) in self.lines.iter().enumerate() {
-            let is_decl = names.iter().any(|n| {
-                line.code.find(&format!("fn {n}")).is_some_and(|at| {
-                    match line.code[at..].chars().nth(3 + n.len()) {
-                        // Exact-name match: `fn record(` must not claim
-                        // `fn record_all(`.
-                        Some(c) => c == '(' || c == '<',
-                        None => false,
-                    }
-                })
-            });
-            if !is_decl {
-                continue;
-            }
-            // Walk forward to the body's opening brace, then match it.
-            let mut depth = 0u32;
-            let mut opened = false;
-            for (j, l) in self.lines.iter().enumerate().skip(idx) {
-                for c in l.code.chars() {
-                    match c {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => depth = depth.saturating_sub(1),
-                        // A semicolon before any brace is a bodyless
-                        // declaration (trait method, extern) — no body
-                        // region to mark.
-                        ';' if !opened => return out,
-                        _ => {}
-                    }
-                }
-                out.insert(j);
-                if opened && depth == 0 {
-                    break;
+            for at in names.iter().flat_map(|n| fn_decls(&line.code, n)) {
+                if let Some(body) = self.body_from(idx, at) {
+                    out.extend(body);
                 }
             }
         }
         out
     }
+
+    /// The names among `names` that no line of the file declares.
+    pub fn undeclared_fns<'n>(&self, names: &[&'n str]) -> Vec<&'n str> {
+        names
+            .iter()
+            .copied()
+            .filter(|n| self.lines.iter().all(|l| fn_decls(&l.code, n).is_empty()))
+            .collect()
+    }
+
+    /// The lines of the function declared at column `col` of line `idx`,
+    /// through its body's closing brace, or `None` for a bodyless
+    /// declaration (trait method, extern): a `;` before the body's `{`
+    /// and outside any `(..)` or `[..]` (an array type such as
+    /// `[u8; 4]` in the signature) ends the declaration.
+    fn body_from(&self, idx: usize, col: usize) -> Option<std::ops::RangeInclusive<usize>> {
+        let mut depth = 0u32;
+        let mut nest = 0u32;
+        let mut opened = false;
+        for (j, l) in self.lines.iter().enumerate().skip(idx) {
+            let code = if j == idx {
+                &l.code[col..]
+            } else {
+                &l.code[..]
+            };
+            for c in code.chars() {
+                match c {
+                    '{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    '}' => depth = depth.saturating_sub(1),
+                    '(' | '[' if !opened => nest += 1,
+                    ')' | ']' if !opened => nest = nest.saturating_sub(1),
+                    ';' if !opened && nest == 0 => return None,
+                    _ => {}
+                }
+                if opened && depth == 0 {
+                    return Some(idx..=j);
+                }
+            }
+        }
+        opened.then(|| idx..=self.lines.len() - 1)
+    }
+}
+
+/// Byte offsets in `code` of every `fn name` declaration. Exact-name
+/// match: `fn record(` must not claim `fn record_all(`.
+fn fn_decls(code: &str, name: &str) -> Vec<usize> {
+    let decl = format!("fn {name}");
+    code.match_indices(&decl)
+        .map(|(at, _)| at)
+        .filter(|&at| matches!(code[at + decl.len()..].chars().next(), Some('(' | '<')))
+        .collect()
 }
 
 /// Keyword search that respects identifier boundaries (`unsafe` must
@@ -372,5 +392,42 @@ mod tests {
         let body = scan.function_body_lines(&["record"]);
         assert!(body.contains(&1) && body.contains(&2) && body.contains(&3));
         assert!(!body.contains(&5), "matched the wrong function by prefix");
+    }
+
+    #[test]
+    fn bodyless_declaration_skips_only_itself() {
+        let scan = FileScan::new(
+            "trait X {\n\
+                 fn foo(&self);\n\
+             }\n\
+             fn bar() {\n\
+                 let v = vec![1];\n\
+             }\n",
+        );
+        let body = scan.function_body_lines(&["foo", "bar"]);
+        assert!(!body.contains(&1), "a bodyless declaration has no body");
+        assert!(body.contains(&3) && body.contains(&4) && body.contains(&5));
+        let one_line = FileScan::new("trait X { fn foo(&self); } fn bar() { let v = vec![1]; }\n");
+        assert!(one_line.function_body_lines(&["foo", "bar"]).contains(&0));
+        assert!(one_line.function_body_lines(&["foo"]).is_empty());
+    }
+
+    #[test]
+    fn semicolon_in_a_signature_array_type_is_not_a_declaration_end() {
+        let scan = FileScan::new(
+            "fn rec(&self, b: [u8; 4]) {\n\
+                 let v = vec![1];\n\
+             }\n",
+        );
+        let body = scan.function_body_lines(&["rec"]);
+        assert!(body.contains(&0) && body.contains(&1) && body.contains(&2));
+        let one_line = FileScan::new("fn rec(&self, b: [u8; 4]) { let v = vec![1]; }\n");
+        assert!(one_line.function_body_lines(&["rec"]).contains(&0));
+    }
+
+    #[test]
+    fn undeclared_names_are_reported() {
+        let scan = FileScan::new("fn kept() {}\nfn kept_too<T>() {}\n");
+        assert_eq!(scan.undeclared_fns(&["kept", "kept_too", "gone"]), ["gone"]);
     }
 }

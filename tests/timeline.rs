@@ -2,7 +2,7 @@
 //! the scheduler spends on a request is attributable to a configured
 //! policy knob — the linger window, the retry backoff, or the breaker
 //! cooldown — and the `StageTimings` on the receipt must account for
-//! those legs **exactly**. Four phases, one fresh runtime each:
+//! those legs **exactly**. Five phases, one fresh runtime each:
 //!
 //! 1. a fixed 300us linger window lands as `linger_us == 300`;
 //! 2. a 700us retry backoff lands as `retry_us == 700` on the retried
@@ -13,7 +13,10 @@
 //!    holds the Open → HalfOpen → Closed transition in causal order;
 //! 4. a warm-plan submit on an idle runtime takes the inline bypass
 //!    lane: `queue_us == 0` and `linger_us == 0` on a frozen clock,
-//!    with a `Bypass` event (and no `Admit`) on the flight recorder.
+//!    with a `Bypass` event (and no `Admit`) on the flight recorder;
+//! 5. a deadline that falls inside a 700us retry backoff sheds its
+//!    request when the backoff ends (`now_us == t0 + 700`), alone or out
+//!    of a two-request chunk whose deadline-free member the retry serves.
 //!
 //! Exactness is what's under test: each phase advances virtual time by
 //! precisely the scripted amount at a deterministic sync point (the
@@ -23,10 +26,10 @@
 
 use std::sync::Arc;
 
-use kron_core::Matrix;
+use kron_core::{KronError, Matrix};
 use kron_runtime::{
-    Backend, BreakerPolicy, BreakerState, Clock, FaultPlan, ManualClock, RetryPolicy, Runtime,
-    RuntimeConfig, ServeEventKind, Ticket,
+    Backend, BreakerPolicy, BreakerState, Clock, FaultPlan, ManualClock, Model, RetryPolicy,
+    Runtime, RuntimeConfig, ServeEventKind, SubmitOptions, Ticket,
 };
 use kron_testkit::ExpectedTimings;
 
@@ -309,4 +312,112 @@ fn bypassed_request_charges_zero_queue_and_linger() {
             .any(|e| matches!(e.kind, ServeEventKind::Admit { .. })),
         "a bypassed serve is never admitted to a window: {events:?}"
     );
+}
+
+/// Phase 5 — deadlines that expire inside a retry backoff. A scripted
+/// device fault fails the first sharded execute and the scheduler parks
+/// for the 700us backoff. A request whose deadline falls inside that park
+/// is shed when it ends, with the post-backoff clock on its error,
+/// instead of being served late: (a) a lone request, and (b) one member
+/// of a two-request chunk, whose deadline-free sibling the retry still
+/// serves (`attempts == 2`, `retry_us == 700`).
+#[test]
+fn deadline_inside_retry_backoff_is_shed_when_the_backoff_ends() {
+    fn faulting_runtime(linger_us: u64) -> (Runtime, Arc<ManualClock>, Model<f64>) {
+        let (runtime, time) = manual_runtime(RuntimeConfig {
+            max_batch_rows: 32,
+            batch_max_m: 16,
+            batch_linger_us: linger_us,
+            adaptive_linger: false,
+            backend: Backend::Distributed {
+                gpus: 2,
+                p2p: false,
+            },
+            retry: RetryPolicy {
+                max_attempts: 2,
+                backoff_us: 700,
+                degrade: false,
+            },
+            ..RuntimeConfig::default()
+        });
+        let model = runtime
+            .load_model(model_factors(&[(4, 4), (4, 4)], 9))
+            .unwrap();
+        runtime
+            .install_fault_plan(FaultPlan::new().panic_on_batch(0, 0))
+            .unwrap();
+        (runtime, time, model)
+    }
+    fn expect_shed(ticket: Ticket<f64>, label: &str, deadline_us: u64, now_us: u64) {
+        match ticket.wait() {
+            Err(KronError::DeadlineExceeded {
+                deadline_us: d,
+                now_us: n,
+            }) => assert_eq!((d, n), (deadline_us, now_us), "{label}"),
+            other => panic!("{label}: expected a post-backoff shed, got {other:?}"),
+        }
+    }
+
+    // (a) A lone request, due at t0 + 300: drained in time, it fails its
+    // first execute at t0 and is shed when the backoff ends at t0 + 700.
+    let (runtime, time, model) = faulting_runtime(0);
+    let t0 = 30_000;
+    time.set_us(t0);
+    let lone = runtime
+        .submit_with(
+            &model,
+            seq_matrix(4, model.input_cols(), 50),
+            SubmitOptions::default().with_deadline_us(t0 + 300),
+        )
+        .unwrap();
+    sync_on(|| runtime.stats().retries == 1);
+    time.advance_us(700);
+    expect_shed(lone, "phase 5a lone request", t0 + 300, t0 + 700);
+    let stats = runtime.stats();
+    assert_eq!(stats.retries, 1, "stats: {stats}");
+    assert_eq!(stats.deadline_shed, 1, "stats: {stats}");
+    assert_eq!(stats.error_replies, 1, "stats: {stats}");
+    assert_eq!(stats.batched_requests, 0, "stats: {stats}");
+    assert_eq!(stats.solo_requests, 0, "stats: {stats}");
+
+    // (b) Two requests of one model share a 300us window that closes at
+    // t0 + 300; the chunk fails there and backs off until t0 + 1_000,
+    // past the second request's t0 + 600 deadline.
+    let (runtime, time, model) = faulting_runtime(300);
+    let t0 = 40_000;
+    time.set_us(t0);
+    let free = runtime
+        .submit(&model, seq_matrix(2, model.input_cols(), 60))
+        .unwrap();
+    sync_on(|| runtime.stats().current_linger_us == 300);
+    let timed = runtime
+        .submit_with(
+            &model,
+            seq_matrix(2, model.input_cols(), 61),
+            SubmitOptions::default().with_deadline_us(t0 + 600),
+        )
+        .unwrap();
+    // An empty ring means the scheduler drained the second request into
+    // the open window.
+    sync_on(|| runtime.stats().lanes()[0].depth == 0);
+    time.advance_us(300);
+    sync_on(|| runtime.stats().retries == 1);
+    time.advance_us(700);
+    expect_shed(timed, "phase 5b deadline member", t0 + 600, t0 + 1_000);
+    expect(
+        free,
+        "phase 5b deadline-free member",
+        ExpectedTimings {
+            queue_us: 0,
+            linger_us: 300,
+            retry_us: 700,
+            attempts: 2,
+        },
+    );
+    let stats = runtime.stats();
+    assert_eq!(stats.retries, 1, "stats: {stats}");
+    assert_eq!(stats.deadline_shed, 1, "stats: {stats}");
+    assert_eq!(stats.error_replies, 1, "stats: {stats}");
+    assert_eq!(stats.batched_requests, 1, "stats: {stats}");
+    assert_eq!(stats.solo_requests, 0, "stats: {stats}");
 }
