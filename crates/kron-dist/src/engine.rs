@@ -18,6 +18,11 @@
 //!   (`StoreGPUTile`) sends parts in `Vec` buffers that the receiver
 //!   returns to the sender over a second fabric after placing them, so a
 //!   warmed engine's relocation rounds allocate nothing.
+//! * **Bounded channels** — every channel is a preallocated ring sized
+//!   from the protocol: each fabric mailbox holds two parts (a device runs
+//!   at most one round ahead of a row peer), the completion channel one
+//!   `Done` per device, and each command and stall-release channel one
+//!   message per execute. No send ever waits on a full ring.
 //! * **Fault isolation** — a panic on a simulated device (injected via
 //!   [`ShardedEngine::inject_fault`] or a genuine kernel bug) is caught on
 //!   that device; the device then degrades to *protocol completion* mode,
@@ -41,9 +46,9 @@
 //! results agree **bit-for-bit** with every single-device engine on
 //! integer-valued data (and to the usual FMA rounding elsewhere).
 
-use crate::fabric::{CommModel, Fabric, GpuGrid};
+use crate::fabric::{CommModel, Fabric, GpuGrid, MAILBOX_DEPTH};
 use crate::fastkron::{dist_shape, simulate_sharded, DistShape};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use fastkron_core::{sliced_multiply_rows_into, PackPanel};
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::{ExecReport, ExecSummary};
@@ -84,6 +89,29 @@ const FABRIC_RECV_TIMEOUT: Duration = Duration::from_secs(60);
 /// clock and a bounded `done_rx` receive so that manual-clock tests (where
 /// virtual time only moves when the test advances it) still make progress.
 const WATCHDOG_POLL: Duration = Duration::from_micros(200);
+
+/// Depth of each device's command channel: the coordinator sends one
+/// `Cmd` per execute and collects every `Done` before the next.
+const CMD_DEPTH: usize = 1;
+
+/// Depth of each device's stall-release channel: at most one stall is
+/// armed per execute, and the stalled device consumes its release before
+/// reporting `Done`.
+const RESUME_DEPTH: usize = 1;
+
+/// Sends one exchange buffer into a fabric mailbox. The protocol bounds
+/// every mailbox at [`MAILBOX_DEPTH`], so the send never waits on a full
+/// ring; the assert checks that bound. The sending worker is the
+/// mailbox's only producer, so its snapshot reads its own exact tail and
+/// at worst a stale head: it can over-count the queue, never under-count
+/// it.
+fn post<T>(tx: &Sender<Vec<T>>, buf: Vec<T>) {
+    debug_assert!(
+        tx.len() < MAILBOX_DEPTH,
+        "fabric mailbox over its protocol bound"
+    );
+    let _ = tx.send(buf);
+}
 
 /// Clock bridge for the slow-device watchdog. The engine itself is
 /// clock-free; its owner (the serving runtime, or a test) injects its
@@ -324,7 +352,7 @@ impl<T: Element> Worker<T> {
             }
         }
 
-        // Send part `dst` to GPU (bm, dst); sends never block (unbounded).
+        // Send part `dst` to GPU (bm, dst); the mailbox has room (`post`).
         for dst in 0..gk {
             if dst == self.bk {
                 continue;
@@ -341,7 +369,7 @@ impl<T: Element> Worker<T> {
             for r in 0..tgm {
                 buf.extend_from_slice(&self.local[r * tgk + dst * part_cols..][..part_cols]);
             }
-            let _ = self.data_tx[dst].as_ref().expect("row peer").send(buf);
+            post(self.data_tx[dst].as_ref().expect("row peer"), buf);
         }
 
         // Layout scales (paper Figure 8; identical in structure to
@@ -382,7 +410,7 @@ impl<T: Element> Worker<T> {
                 }
             }
             // Hand the buffer back to its sender for the next round.
-            let _ = self.recycle_tx[src].as_ref().expect("row peer").send(part);
+            post(self.recycle_tx[src].as_ref().expect("row peer"), part);
         }
         std::mem::swap(&mut self.local, &mut self.next);
         Ok(())
@@ -444,16 +472,17 @@ impl<T: Element> ShardedEngine<T> {
         let (gm, gk) = (grid.gm, grid.gk);
         let data: Fabric<Vec<T>> = Fabric::new(grid);
         let recycle: Fabric<Vec<T>> = Fabric::new(grid);
-        let (done_tx, done_rx) = unbounded();
+        // One `Done` per device per execute, all collected before the next.
+        let (done_tx, done_rx) = bounded(gm * gk);
         let mut cmd_txs = Vec::with_capacity(gm * gk);
         let mut resume_txs: Vec<Option<Sender<()>>> = (0..gm * gk).map(|_| None).collect();
         let mut workers = Vec::with_capacity(gm * gk);
         for bm in 0..gm {
             for bk in 0..gk {
                 let me = grid.id(bm, bk);
-                let (cmd_tx, cmd_rx) = unbounded();
+                let (cmd_tx, cmd_rx) = bounded(CMD_DEPTH);
                 cmd_txs.push(cmd_tx);
-                let (resume_tx, resume_rx) = unbounded();
+                let (resume_tx, resume_rx) = bounded(RESUME_DEPTH);
                 resume_txs[me] = Some(resume_tx);
                 let peer = |other: usize| (other != bk).then(|| grid.id(bm, other));
                 let worker = Worker {
@@ -841,28 +870,35 @@ mod tests {
 
     #[test]
     fn injected_fault_fails_one_batch_then_recovers() {
-        let mut engine = engine_for(8, 4, 3, 4);
-        let fs: Vec<Matrix<f64>> = (0..3).map(|i| seq_matrix(4, 4, 7 * i + 1)).collect();
-        let refs: Vec<&Matrix<f64>> = fs.iter().collect();
-        let x = seq_matrix(8, 64, 3);
-        let mut y = Matrix::zeros(8, 64);
+        // Grid {2, 2}: one row peer per device. Grid {4, 4} (`Nlocal` 3):
+        // three row peers, where a mailbox too small for the protocol
+        // would deadlock the exchange. Both run two relocation rounds.
+        for (n, gpus) in [(3usize, 4usize), (4, 16)] {
+            let mut engine = engine_for(8, 4, n, gpus);
+            assert_eq!(engine.shape.rounds, 2);
+            let k = 4usize.pow(n as u32);
+            let fs: Vec<Matrix<f64>> = (0..n).map(|i| seq_matrix(4, 4, 7 * i + 1)).collect();
+            let refs: Vec<&Matrix<f64>> = fs.iter().collect();
+            let x = seq_matrix(8, k, 3);
+            let mut y = Matrix::zeros(8, k);
 
-        assert!(engine.inject_fault(99).is_err());
-        engine.inject_fault(2).unwrap();
-        let err = engine.execute_rows(&x, &refs, &mut y, 8).unwrap_err();
-        match err {
-            KronError::DeviceFailure { gpu, ref reason } => {
-                assert_eq!(gpu, 2);
-                assert!(reason.contains("injected device fault"), "{reason}");
+            assert!(engine.inject_fault(99).is_err());
+            engine.inject_fault(2).unwrap();
+            let err = engine.execute_rows(&x, &refs, &mut y, 8).unwrap_err();
+            match err {
+                KronError::DeviceFailure { gpu, ref reason } => {
+                    assert_eq!(gpu, 2);
+                    assert!(reason.contains("injected device fault"), "{reason}");
+                }
+                other => panic!("expected DeviceFailure, got {other:?}"),
             }
-            other => panic!("expected DeviceFailure, got {other:?}"),
-        }
 
-        // The fault was one-shot and the fabric stayed balanced: the very
-        // next batch on the same engine succeeds and is correct.
-        engine.execute_rows(&x, &refs, &mut y, 8).unwrap();
-        let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
-        assert_eq!(y.as_slice(), oracle.as_slice());
+            // The fault was one-shot and the fabric stayed balanced: the
+            // very next batch on the same engine succeeds and is correct.
+            engine.execute_rows(&x, &refs, &mut y, 8).unwrap();
+            let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
+            assert_eq!(y.as_slice(), oracle.as_slice(), "{gpus} GPUs");
+        }
     }
 
     /// A deterministic watchdog timeline for single-threaded tests: every

@@ -84,8 +84,19 @@ impl CommModel {
     }
 }
 
+/// Messages one mailbox of a [`Fabric`] holds. In Algorithm 2 a device
+/// sends each row peer one part per relocation round and receives every
+/// peer's part before its next round, so it runs at most one round ahead
+/// of a peer: two parts in flight per pair. The buffers peers hand back
+/// after placing a part obey the same bound, and a new execute starts
+/// only after every device reported the last one done.
+pub(crate) const MAILBOX_DEPTH: usize = 2;
+
 /// Point-to-point mailbox fabric for functional distributed runs: one
-/// crossbeam channel per ordered GPU pair.
+/// bounded crossbeam channel per ordered GPU pair, holding
+/// `MAILBOX_DEPTH` (2) messages. A send into a full mailbox waits until
+/// its receiver pops, so a caller must keep each pair's traffic within
+/// that depth, as Algorithm 2's rounds do.
 pub struct Fabric<M> {
     grid: GpuGrid,
     senders: Vec<crossbeam::channel::Sender<M>>,
@@ -99,7 +110,7 @@ impl<M: Send> Fabric<M> {
         let mut senders = Vec::with_capacity(n * n);
         let mut receivers = Vec::with_capacity(n * n);
         for _ in 0..n * n {
-            let (s, r) = crossbeam::channel::unbounded();
+            let (s, r) = crossbeam::channel::bounded(MAILBOX_DEPTH);
             senders.push(s);
             receivers.push(r);
         }

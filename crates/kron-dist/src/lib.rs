@@ -4,9 +4,10 @@
 //! paper).
 //!
 //! * [`fabric`] — the machine model: a SUMMA-style `{GM, GK}` grid of
-//!   simulated GPUs, point-to-point messaging over OS threads and
-//!   crossbeam channels (standing in for NCCL over NVLink 2), and an α–β
-//!   communication-time model.
+//!   simulated GPUs, point-to-point messaging over OS threads and bounded
+//!   crossbeam channels sized from Algorithm 2's per-round traffic
+//!   (standing in for NCCL over NVLink 2), and an α–β communication-time
+//!   model.
 //! * [`fastkron`] — Algorithm 2: each GPU performs
 //!   `Nlocal = ⌊log_P TGK⌋` *local* sliced multiplications before one
 //!   all-to-all relocation round (`StoreGPUTile`), cutting communication

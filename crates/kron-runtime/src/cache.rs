@@ -605,24 +605,16 @@ impl PlanCache {
                 return Ok(PinnedEntry::new(slot));
             }
             // 64-bit shape-hash collision, or a device-limit transition
-            // (degraded ↔ full width): rebuild for the new chain/limit
-            // rather than ever serving a wrong-shape or wrong-width
-            // state. The old entry's Arc is replaced, so an in-flight pin
-            // keeps the old engine alive until it drops.
-            stats.plan_misses.fetch_add(1, Ordering::Relaxed);
-            self.hub
-                .record_plan_lookup(T::DTYPE, model.shape_key, capacity, false);
-            let built = self.build_entry(model, capacity, eff_limit, stats)?;
-            let bytes = built.key.estimated_bytes();
-            let slot = self.entries.get_mut(&map_key).expect("present above");
-            self.total_bytes = self.total_bytes - slot.bytes + bytes;
-            slot.bytes = bytes;
-            slot.built_limit = eff_limit;
-            slot.entry = Arc::new(Mutex::new(T::wrap_plan(built)));
-            slot.pins = Arc::new(AtomicUsize::new(0));
-            let pinned = PinnedEntry::new(slot);
-            self.update_gauges(stats);
-            return Ok(pinned);
+            // (degraded ↔ full width): never serve a wrong-shape or
+            // wrong-width state. Drop the stale slot from the map and the
+            // ledger (not an eviction: no count, event or rebuild mark)
+            // and build on the miss path below, budget check and
+            // eviction included. An in-flight pin keeps the old engine
+            // alive until it drops.
+            if let Some(stale) = self.entries.remove(&map_key) {
+                self.total_bytes -= stale.bytes;
+                self.update_gauges(stats);
+            }
         }
 
         stats.plan_misses.fetch_add(1, Ordering::Relaxed);
@@ -1008,6 +1000,64 @@ mod tests {
         assert_eq!(cache.keys()[0].dtype, DType::F64);
         assert_eq!(stats.evictions.load(Ordering::Relaxed), 1);
         assert!(cache.resident_bytes() <= one64);
+        assert_eq!(
+            stats.cached_bytes.load(Ordering::Relaxed) as usize,
+            cache.resident_bytes()
+        );
+    }
+
+    #[test]
+    fn width_change_rebuild_stays_within_the_byte_budget() {
+        // Two local (limit 1) entries fill the budget exactly; a sharded
+        // entry accounts twice a local one of the same shape.
+        let a = model(&[(4, 4), (4, 4), (4, 4)], 0);
+        let b = model(&[(8, 8), (8, 8)], 1);
+        let grid = Backend::Distributed { gpus: 4, p2p: true };
+        let probe = |limit: usize| {
+            let mut c = PlanCache::new(
+                V100.clone(),
+                &grid,
+                CachePolicy::default(),
+                Clock::manual(),
+                2_000_000,
+            );
+            let stats = StatsInner::default();
+            drop(c.get_or_create(&a, 8, limit, &stats).unwrap());
+            c.resident_bytes()
+        };
+        let (local, sharded) = (probe(1), probe(usize::MAX));
+        assert_eq!(sharded, 2 * local);
+        let budget = 2 * local;
+        let mut cache = PlanCache::new(
+            V100.clone(),
+            &grid,
+            CachePolicy {
+                max_entries: usize::MAX,
+                max_idle_us: None,
+                max_bytes: Some(budget),
+            },
+            Clock::manual(),
+            2_000_000,
+        );
+        let stats = StatsInner::default();
+        drop(cache.get_or_create(&a, 8, 1, &stats).unwrap());
+        drop(cache.get_or_create(&b, 8, 1, &stats).unwrap());
+        assert_eq!(cache.resident_bytes(), budget);
+
+        // The grid heals: `a` rebuilds at full width. Its stale local
+        // slot goes first, then the LRU entry (`b`) makes room.
+        let pin = cache.get_or_create(&a, 8, usize::MAX, &stats).unwrap();
+        assert!(<f64 as ErasedDtype>::plan_mut(&mut pin.lock())
+            .expect("f64 entry")
+            .is_sharded());
+        assert!(
+            cache.resident_bytes() <= budget,
+            "{}",
+            cache.resident_bytes()
+        );
+        assert_eq!(cache.len(), 1, "b evicted to fit the budget");
+        assert_eq!(stats.evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.rebuilds.load(Ordering::Relaxed), 0);
         assert_eq!(
             stats.cached_bytes.load(Ordering::Relaxed) as usize,
             cache.resident_bytes()

@@ -1,22 +1,19 @@
 //! Vendored API-subset shim of [crossbeam](https://crates.io/crates/crossbeam).
 //!
-//! Provides `crossbeam::channel::{unbounded, bounded, Sender, Receiver}`
-//! with clonable ends, plus `queue::ArrayQueue` — the surfaces used by the
+//! Provides `crossbeam::channel::{bounded, Sender, Receiver}` with
+//! clonable ends, plus `queue::ArrayQueue` — the surfaces used by the
 //! simulated multi-GPU fabric (as its NCCL stand-in) and the serving
 //! runtime's sharded admission lanes.
 //!
-//! Two channel flavors, mirroring crossbeam's internal design:
-//!
-//! - **list** ([`channel::unbounded`]): `Mutex<VecDeque>` + `Condvar`.
-//!   Throughput is irrelevant at the fabric's message counts (a few per
-//!   GPU pair per run), so the simple lock is fine.
-//! - **ring** ([`channel::bounded`]): a lock-free bounded MPMC ring
-//!   ([`queue::ArrayQueue`], Vyukov's algorithm) with condvar-assisted
-//!   parking for blocking receives. Producers never take a lock on the
-//!   fast path (they only touch the condvar mutex when a receiver has
-//!   registered itself as sleeping), so N submitter threads scale without
-//!   serializing on admission. The ring is preallocated at construction —
-//!   sends never allocate, preserving zero-alloc steady-state serving.
+//! One channel flavor: [`channel::bounded`], a lock-free bounded MPMC
+//! ring ([`queue::ArrayQueue`], Vyukov's algorithm) with condvar-assisted
+//! parking for blocking receives. Producers never take a lock on the
+//! fast path (they only touch the condvar mutex when a receiver has
+//! registered itself as sleeping), so N submitter threads scale without
+//! serializing on admission. The ring is preallocated at construction —
+//! sends never allocate, preserving zero-alloc steady-state serving. The
+//! fabric's traffic per GPU pair is fixed by its protocol, so its
+//! mailboxes are rings sized from that bound.
 
 #![deny(missing_docs)]
 
@@ -208,12 +205,19 @@ pub mod queue {
             }
         }
 
-        /// Approximate number of queued elements (racy snapshot).
+        /// Approximate number of queued elements (racy snapshot), always
+        /// within `0..=capacity()`.
         pub fn len(&self) -> usize {
-            // relaxed: documented racy snapshot; no decision hangs on it.
-            let tail = self.tail.load(Ordering::Relaxed);
+            // Work stealing sizes its steal from this snapshot, so it must
+            // stay in range. Both cursors only grow and `head <= tail`:
+            // loading `head` first keeps the difference from going
+            // negative when a pop lands between the loads, and the clamp
+            // bounds pushes landing there (or a stale `tail` where loads
+            // may reorder).
+            // relaxed: a racy snapshot, bounded by the load order and clamp.
             let head = self.head.load(Ordering::Relaxed);
-            tail.wrapping_sub(head) as isize as usize
+            let tail = self.tail.load(Ordering::Relaxed);
+            (tail.wrapping_sub(head) as isize).clamp(0, self.capacity() as isize) as usize
         }
 
         /// Whether the queue currently looks empty (racy snapshot).
@@ -233,31 +237,17 @@ pub mod queue {
 pub mod channel {
     use crate::sync::atomic::{fence, AtomicUsize, Ordering};
     use crate::sync::{Arc, Condvar, Mutex};
-    use std::collections::VecDeque;
     use std::fmt;
     // Wall-clock deadlines are inherently non-deterministic, so
     // `recv_timeout` is not model-exercised (model suites use `recv` /
-    // `try_recv`); under `kron_loom` the timed waits still compile
-    // because the model condvar ignores the duration.
+    // `try_recv`, which never read the clock); under `kron_loom` the timed
+    // wait still compiles because the model condvar ignores the duration.
     use std::time::{Duration, Instant};
 
     use crate::queue::ArrayQueue;
 
-    // ---------------------------------------------------------------- list
-
-    struct ListShared<T> {
-        queue: Mutex<Queue<T>>,
-        ready: Condvar,
-    }
-
-    struct Queue<T> {
-        items: VecDeque<T>,
-        senders: usize,
-    }
-
-    // ---------------------------------------------------------------- ring
-
-    struct RingShared<T> {
+    /// State shared by every end of one channel.
+    struct Shared<T> {
         ring: ArrayQueue<T>,
         senders: AtomicUsize,
         receivers: AtomicUsize,
@@ -268,7 +258,7 @@ pub mod channel {
         ready: Condvar,
     }
 
-    impl<T> RingShared<T> {
+    impl<T> Shared<T> {
         /// Wakes parked receivers if any are registered. Pairs a SeqCst
         /// fence after the producer's push with one after the consumer's
         /// sleeper registration so a wakeup can never be missed.
@@ -281,21 +271,62 @@ pub mod channel {
                 self.ready.notify_all();
             }
         }
-    }
 
-    enum Flavor<T> {
-        List(Arc<ListShared<T>>),
-        Ring(Arc<RingShared<T>>),
+        /// The one blocking receive behind [`Receiver::recv`] and
+        /// [`Receiver::recv_timeout`]: pops a message, or parks on the
+        /// condvar until a send, the last sender's drop, or `deadline`
+        /// (`None`: no deadline, and the clock is never read).
+        fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+            loop {
+                if let Some(v) = self.ring.pop() {
+                    return Ok(v);
+                }
+                if self.senders.load(Ordering::Acquire) == 0 {
+                    // Catch a send racing the disconnect check.
+                    return self.ring.pop().ok_or(RecvTimeoutError::Disconnected);
+                }
+                let wait = match deadline {
+                    Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                        Some(left) if !left.is_zero() => Some(left),
+                        _ => return Err(RecvTimeoutError::Timeout),
+                    },
+                    None => None,
+                };
+                let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.sleepers.fetch_add(1, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+                // Re-check after registering: a producer that missed our
+                // registration must have pushed before it.
+                if !self.ring.is_empty() || self.senders.load(Ordering::Acquire) == 0 {
+                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
+                    drop(guard);
+                    // The racing producer may have claimed its slot but
+                    // not yet published the value; give it the CPU rather
+                    // than re-polling a torn ring.
+                    crate::sync::thread::yield_now();
+                    continue;
+                }
+                let guard = match wait {
+                    Some(left) => {
+                        let woke = self.ready.wait_timeout(guard, left);
+                        woke.unwrap_or_else(|e| e.into_inner()).0
+                    }
+                    None => self.ready.wait(guard).unwrap_or_else(|e| e.into_inner()),
+                };
+                drop(guard);
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
     }
 
     /// Sending half of a channel.
     pub struct Sender<T> {
-        flavor: Flavor<T>,
+        shared: Arc<Shared<T>>,
     }
 
     /// Receiving half of a channel.
     pub struct Receiver<T> {
-        flavor: Flavor<T>,
+        shared: Arc<Shared<T>>,
     }
 
     /// Error returned by [`Sender::send`] when every receiver is gone.
@@ -346,25 +377,6 @@ pub mod channel {
         }
     }
 
-    /// Creates an unbounded channel; both ends are clonable.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(ListShared {
-            queue: Mutex::new(Queue {
-                items: VecDeque::new(),
-                senders: 1,
-            }),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                flavor: Flavor::List(Arc::clone(&shared)),
-            },
-            Receiver {
-                flavor: Flavor::List(shared),
-            },
-        )
-    }
-
     /// Creates a bounded lock-free MPMC channel holding at least `capacity`
     /// messages (rounded up to a power of two). Both ends are clonable —
     /// cloned receivers make the channel work-stealable. `send` spins (with
@@ -372,7 +384,7 @@ pub mod channel {
     /// lock; `recv` parks on a condvar only after the ring is observed
     /// empty.
     pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(RingShared {
+        let shared = Arc::new(Shared {
             ring: ArrayQueue::new(capacity),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -382,68 +394,44 @@ pub mod channel {
         });
         (
             Sender {
-                flavor: Flavor::Ring(Arc::clone(&shared)),
+                shared: Arc::clone(&shared),
             },
-            Receiver {
-                flavor: Flavor::Ring(shared),
-            },
+            Receiver { shared },
         )
     }
 
     impl<T> Sender<T> {
-        /// Enqueues a message. The list flavor never blocks; the ring
-        /// flavor spin-yields while full (backpressure) and fails only
-        /// when every receiver is gone.
+        /// Enqueues a message, spin-yielding while the ring is full
+        /// (backpressure). Fails only when every receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match &self.flavor {
-                Flavor::List(shared) => {
-                    // Receivers alive ⇔ some Arc is held by a Receiver.
-                    // The shim (like a fabric with pre-created mailboxes)
-                    // always accepts; a dropped receiver discards the queue.
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    q.items.push_back(value);
-                    drop(q);
-                    shared.ready.notify_one();
-                    Ok(())
+            let shared = &self.shared;
+            let mut value = value;
+            let mut spins = 0u32;
+            loop {
+                if shared.receivers.load(Ordering::Acquire) == 0 {
+                    return Err(SendError(value));
                 }
-                Flavor::Ring(shared) => {
-                    let mut value = value;
-                    let mut spins = 0u32;
-                    loop {
-                        if shared.receivers.load(Ordering::Acquire) == 0 {
-                            return Err(SendError(value));
-                        }
-                        match shared.ring.push(value) {
-                            Ok(()) => {
-                                shared.notify();
-                                return Ok(());
-                            }
-                            Err(v) => value = v,
-                        }
-                        // Full ring: a consumer exists (checked above) and
-                        // is draining, so back off briefly and retry.
-                        spins += 1;
-                        if spins < 64 {
-                            crate::sync::hint::spin_loop();
-                        } else {
-                            crate::sync::thread::yield_now();
-                        }
+                match shared.ring.push(value) {
+                    Ok(()) => {
+                        shared.notify();
+                        return Ok(());
                     }
+                    Err(v) => value = v,
+                }
+                // Full ring: a consumer exists (checked above) and is
+                // draining, so back off briefly and retry.
+                spins += 1;
+                if spins < 64 {
+                    crate::sync::hint::spin_loop();
+                } else {
+                    crate::sync::thread::yield_now();
                 }
             }
         }
 
         /// Approximate number of queued messages (racy snapshot).
         pub fn len(&self) -> usize {
-            match &self.flavor {
-                Flavor::List(shared) => shared
-                    .queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .items
-                    .len(),
-                Flavor::Ring(shared) => shared.ring.len(),
-            }
+            self.shared.ring.len()
         }
 
         /// Whether the channel currently looks empty (racy snapshot).
@@ -454,46 +442,22 @@ pub mod channel {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            match &self.flavor {
-                Flavor::List(shared) => {
-                    shared
-                        .queue
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .senders += 1;
-                    Sender {
-                        flavor: Flavor::List(Arc::clone(shared)),
-                    }
-                }
-                Flavor::Ring(shared) => {
-                    shared.senders.fetch_add(1, Ordering::Relaxed);
-                    Sender {
-                        flavor: Flavor::Ring(Arc::clone(shared)),
-                    }
-                }
+            // relaxed: publishes nothing (as in `Arc::clone`); this live
+            // sender keeps the count nonzero, so no one sees it hit zero.
+            self.shared.senders.fetch_add(1, Ordering::Relaxed);
+            Sender {
+                shared: Arc::clone(&self.shared),
             }
         }
     }
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            match &self.flavor {
-                Flavor::List(shared) => {
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    q.senders -= 1;
-                    if q.senders == 0 {
-                        drop(q);
-                        shared.ready.notify_all();
-                    }
-                }
-                Flavor::Ring(shared) => {
-                    if shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last sender: wake parked receivers so they can
-                        // observe the disconnect.
-                        let _guard = shared.lock.lock().unwrap_or_else(|e| e.into_inner());
-                        shared.ready.notify_all();
-                    }
-                }
+            if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Last sender: wake parked receivers so they can observe
+                // the disconnect.
+                let _guard = self.shared.lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.shared.ready.notify_all();
             }
         }
     }
@@ -501,136 +465,30 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or every sender is dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            match &self.flavor {
-                Flavor::List(shared) => {
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if let Some(v) = q.items.pop_front() {
-                            return Ok(v);
-                        }
-                        if q.senders == 0 {
-                            return Err(RecvError);
-                        }
-                        q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-                Flavor::Ring(shared) => loop {
-                    if let Some(v) = shared.ring.pop() {
-                        return Ok(v);
-                    }
-                    if shared.senders.load(Ordering::Acquire) == 0 {
-                        // Catch a send racing the disconnect check.
-                        return shared.ring.pop().ok_or(RecvError);
-                    }
-                    let mut guard = shared.lock.lock().unwrap_or_else(|e| e.into_inner());
-                    shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                    // Re-check after registering: a producer that missed
-                    // our registration must have pushed before it.
-                    if !shared.ring.is_empty() || shared.senders.load(Ordering::Acquire) == 0 {
-                        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                        drop(guard);
-                        // The racing producer may have claimed its slot
-                        // but not yet published the value; give it the
-                        // CPU rather than re-polling a torn ring.
-                        crate::sync::thread::yield_now();
-                        continue;
-                    }
-                    guard = shared.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-                    drop(guard);
-                    shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                },
-            }
+            self.shared.recv_until(None).map_err(|_| RecvError)
         }
 
         /// Blocks up to `timeout` for a message — a timed [`Self::recv`]
         /// (parks on the condvar; no spinning).
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            match &self.flavor {
-                Flavor::List(shared) => {
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if let Some(v) = q.items.pop_front() {
-                            return Ok(v);
-                        }
-                        if q.senders == 0 {
-                            return Err(RecvTimeoutError::Disconnected);
-                        }
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(RecvTimeoutError::Timeout);
-                        }
-                        let (guard, _) = shared
-                            .ready
-                            .wait_timeout(q, deadline - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        q = guard;
-                    }
-                }
-                Flavor::Ring(shared) => loop {
-                    if let Some(v) = shared.ring.pop() {
-                        return Ok(v);
-                    }
-                    if shared.senders.load(Ordering::Acquire) == 0 {
-                        return shared.ring.pop().ok_or(RecvTimeoutError::Disconnected);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                    let guard = shared.lock.lock().unwrap_or_else(|e| e.into_inner());
-                    shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                    if !shared.ring.is_empty() || shared.senders.load(Ordering::Acquire) == 0 {
-                        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                        drop(guard);
-                        // As in `recv`: let the racing producer publish.
-                        crate::sync::thread::yield_now();
-                        continue;
-                    }
-                    let (guard, _) = shared
-                        .ready
-                        .wait_timeout(guard, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    drop(guard);
-                    shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                },
-            }
+            self.shared.recv_until(Some(Instant::now() + timeout))
         }
 
         /// Dequeues a message if one is ready.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            match &self.flavor {
-                Flavor::List(shared) => {
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    match q.items.pop_front() {
-                        Some(v) => Ok(v),
-                        None if q.senders == 0 => Err(TryRecvError::Disconnected),
-                        None => Err(TryRecvError::Empty),
-                    }
+            let shared = &self.shared;
+            match shared.ring.pop() {
+                Some(v) => Ok(v),
+                None if shared.senders.load(Ordering::Acquire) == 0 => {
+                    shared.ring.pop().ok_or(TryRecvError::Disconnected)
                 }
-                Flavor::Ring(shared) => match shared.ring.pop() {
-                    Some(v) => Ok(v),
-                    None if shared.senders.load(Ordering::Acquire) == 0 => {
-                        shared.ring.pop().ok_or(TryRecvError::Disconnected)
-                    }
-                    None => Err(TryRecvError::Empty),
-                },
+                None => Err(TryRecvError::Empty),
             }
         }
 
         /// Approximate number of queued messages (racy snapshot).
         pub fn len(&self) -> usize {
-            match &self.flavor {
-                Flavor::List(shared) => shared
-                    .queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .items
-                    .len(),
-                Flavor::Ring(shared) => shared.ring.len(),
-            }
+            self.shared.ring.len()
         }
 
         /// Whether the channel currently looks empty (racy snapshot).
@@ -641,37 +499,30 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            match &self.flavor {
-                Flavor::List(shared) => Receiver {
-                    flavor: Flavor::List(Arc::clone(shared)),
-                },
-                Flavor::Ring(shared) => {
-                    shared.receivers.fetch_add(1, Ordering::Relaxed);
-                    Receiver {
-                        flavor: Flavor::Ring(Arc::clone(shared)),
-                    }
-                }
+            // relaxed: publishes nothing (as in `Arc::clone`); this live
+            // receiver keeps the count nonzero, so no send sees it at zero.
+            self.shared.receivers.fetch_add(1, Ordering::Relaxed);
+            Receiver {
+                shared: Arc::clone(&self.shared),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if let Flavor::Ring(shared) = &self.flavor {
-                shared.receivers.fetch_sub(1, Ordering::AcqRel);
-            }
+            self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvTimeoutError, TryRecvError};
+    use super::channel::{bounded, RecvTimeoutError, TryRecvError};
     use super::queue::ArrayQueue;
 
     #[test]
     fn send_recv_fifo() {
-        let (s, r) = unbounded();
+        let (s, r) = bounded(2);
         s.send(1).unwrap();
         s.send(2).unwrap();
         assert_eq!(r.recv().unwrap(), 1);
@@ -681,7 +532,7 @@ mod tests {
 
     #[test]
     fn disconnect_after_last_sender_drops() {
-        let (s, r) = unbounded::<u8>();
+        let (s, r) = bounded::<u8>(1);
         let s2 = s.clone();
         drop(s);
         s2.send(9).unwrap();
@@ -694,7 +545,7 @@ mod tests {
     #[test]
     fn recv_timeout_times_out_then_delivers() {
         use std::time::Duration;
-        let (s, r) = unbounded::<u8>();
+        let (s, r) = bounded::<u8>(1);
         assert_eq!(
             r.recv_timeout(Duration::from_millis(5)),
             Err(RecvTimeoutError::Timeout)
@@ -710,7 +561,7 @@ mod tests {
 
     #[test]
     fn cross_thread_handoff() {
-        let (s, r) = unbounded();
+        let (s, r) = bounded(100);
         let t = std::thread::spawn(move || {
             for i in 0..100 {
                 s.send(i).unwrap();
@@ -722,6 +573,26 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(sum, (0..100).sum::<i32>());
+    }
+
+    #[test]
+    fn recv_timeout_parked_before_a_send_wakes_on_it() {
+        use std::time::{Duration, Instant};
+        let (s, r) = bounded::<u32>(2);
+        // The test keeps `s` alive, so only the send itself (not a
+        // disconnect) can wake the parked receiver.
+        let s2 = s.clone();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            s2.send(5).unwrap();
+        });
+        let start = Instant::now();
+        assert_eq!(r.recv_timeout(Duration::from_secs(10)), Ok(5));
+        // A lost wakeup would sit out the timeout and still pop the value.
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
+        t.join().unwrap();
+        drop(s);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! RUSTFLAGS="--cfg kron_loom" cargo test -p crossbeam --test modelcheck
 //! ```
 //!
-//! The suites drive the *production* `ArrayQueue` and ring-channel code
-//! (not simplified replicas) through every schedule within the preemption
-//! bound, plus mutation-validation tests that re-introduce a historical
-//! bug shape (a dropped sleeper-handshake fence) and assert the checker
-//! still catches it — if these fail, the checker has gone blind.
+//! The suites drive the *production* `ArrayQueue` and channel code (not
+//! simplified replicas) through every schedule within the preemption
+//! bound. That channel is the one flavor behind both the serving
+//! runtime's admission lanes and kron-dist's fabric mailboxes.
+//! Mutation-validation tests re-introduce a historical bug shape (a
+//! dropped sleeper-handshake fence) and assert the checker still catches
+//! it — if these fail, the checker has gone blind.
 #![cfg(kron_loom)]
 
 use crossbeam::channel::bounded;
@@ -135,6 +137,26 @@ fn array_queue_contended_push_never_overfills() {
     });
 }
 
+#[test]
+fn array_queue_len_stays_within_capacity() {
+    // `len` races a worker that pushes one and pops two: a pop landing
+    // between `len`'s two cursor loads must not wrap `tail - head`, since
+    // work stealing reads the result as a victim's depth.
+    check_pass("len-bound", || {
+        let q = Arc::new(ArrayQueue::new(2));
+        q.push(1u32).unwrap();
+        let q2 = Arc::clone(&q);
+        let worker = thread::spawn(move || {
+            q2.push(2).unwrap();
+            assert_eq!(q2.pop(), Some(1));
+            assert_eq!(q2.pop(), Some(2));
+        });
+        let len = q.len();
+        assert!(len <= q.capacity(), "len() read {len} on a ring of 2");
+        worker.join().unwrap();
+    });
+}
+
 // ------------------------------------------------------- sleeper handshake
 
 #[test]
@@ -173,10 +195,12 @@ fn ring_channel_two_messages_fifo() {
 
 // ----------------------------------------------------- mutation validation
 
-/// `#[cfg(test)]`-only mutant replica of `RingShared`'s sleeper
+/// `#[cfg(test)]`-only mutant replica of the channel's sleeper
 /// handshake, with the producer-side `SeqCst` fence made optional. The
-/// code shape deliberately mirrors `channel::RingShared::{notify}` and
-/// the parking section of `Receiver::recv` line for line.
+/// code shape deliberately mirrors `channel::Shared::notify` and the
+/// parking section of `Shared::recv_until` (the one blocking receive
+/// behind `recv` and `recv_timeout`, here without a deadline) line for
+/// line.
 struct SleeperHandshake {
     ring: ArrayQueue<u32>,
     sleepers: AtomicUsize,

@@ -15,12 +15,14 @@
 //!    `#[cfg(test)]` regions — a panicking submit path poisons lanes.
 //! 3. **No allocation in zero-alloc functions**: the functions the
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
-//!    slot reply protocol, the ring push/pop, the scheduler's one
-//!    execute-and-reply path) must not call allocating std constructors.
+//!    slot reply protocol, the ring push/pop, the channel's send and
+//!    receive paths, the scheduler's one execute-and-reply path) must not
+//!    call allocating std constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` touching a
 //!    protocol atomic (gate state, bypass claim, seqlock seq, ring
-//!    head/tail, sleeper count) must carry a `// relaxed:` justification
-//!    on the same or a nearby preceding line.
+//!    head/tail, sleeper count, channel sender/receiver counts) must
+//!    carry a `// relaxed:` justification on the same or a nearby
+//!    preceding line.
 //!
 //! Exceptions live in `crates/xtask/analyze-allowlist.txt` as
 //! `file|line-substring|reason` triples — reviewable, greppable, and
@@ -28,8 +30,9 @@
 //!
 //! The pass also checks its own configuration, so a rename cannot
 //! silently retire a check: every rule-3 function must still be
-//! declared in its file, and every allowlist entry must still match a
-//! line.
+//! declared in its file, every rule-4 atomic must still be named by a
+//! code line of its file (outside tests), and every allowlist entry must
+//! still match a line.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -70,7 +73,15 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/shims/crossbeam/src/lib.rs",
-        &["push", "pop", "send", "try_recv"],
+        &[
+            "push",
+            "pop",
+            "send",
+            "try_recv",
+            "recv",
+            "recv_timeout",
+            "recv_until",
+        ],
     ),
 ];
 
@@ -99,7 +110,7 @@ const RELAXED_PROTOCOL_ATOMICS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/shims/crossbeam/src/lib.rs",
-        &["head", "tail", "seq", "sleepers", "disconnected"],
+        &["head", "tail", "seq", "sleepers", "senders", "receivers"],
     ),
 ];
 
@@ -221,13 +232,18 @@ fn zero_alloc_fns(rel: &str) -> &'static [&'static str] {
         .unwrap_or(&[])
 }
 
-fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Vec<Violation>) {
-    let is_hot_path = HOT_PATH_FILES.contains(&rel);
-    let relaxed_atoms: &[&str] = RELAXED_PROTOCOL_ATOMICS
+/// The rule-4 protocol atomics named for file `rel`.
+fn relaxed_atoms(rel: &str) -> &'static [&'static str] {
+    RELAXED_PROTOCOL_ATOMICS
         .iter()
         .find(|(f, _)| *f == rel)
         .map(|(_, ids)| *ids)
-        .unwrap_or(&[]);
+        .unwrap_or(&[])
+}
+
+fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Vec<Violation>) {
+    let is_hot_path = HOT_PATH_FILES.contains(&rel);
+    let relaxed_atoms = relaxed_atoms(rel);
     let zero_alloc_lines = scan.function_body_lines(zero_alloc_fns(rel));
 
     for (idx, line) in scan.lines.iter().enumerate() {
@@ -306,8 +322,9 @@ fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Ve
 }
 
 /// The pass's self-check against one file: every rule-3 function named
-/// for `rel` must still be declared in it, and every allowlist entry that
-/// matches one of its lines is marked in `matched`.
+/// for `rel` must still be declared in it, every rule-4 atomic named for
+/// it must appear in a code line outside its tests, and every allowlist
+/// entry that matches one of its lines is marked in `matched`.
 fn check_config(
     rel: &str,
     scan: &FileScan,
@@ -322,6 +339,16 @@ fn check_config(
             rule: "zero-alloc",
             message: format!("zero-alloc function `{name}` is not declared in this file"),
         });
+    }
+    for id in relaxed_atoms(rel) {
+        if !scan.names(id) {
+            violations.push(Violation {
+                file: rel.to_string(),
+                line: 0,
+                rule: "bare-relaxed",
+                message: format!("protocol atomic `{id}` is named by no code line of this file"),
+            });
+        }
     }
     for i in allow.matched_in(rel, scan) {
         matched[i] = true;
@@ -349,13 +376,21 @@ fn analyze() -> ExitCode {
         check_config(&rel, &scan, &allow, &mut matched, &mut violations);
         scanned.push(rel);
     }
-    for (file, _) in ZERO_ALLOC_FNS {
+    let listed = ZERO_ALLOC_FNS
+        .iter()
+        .map(|(file, _)| (file, "zero-alloc"))
+        .chain(
+            RELAXED_PROTOCOL_ATOMICS
+                .iter()
+                .map(|(file, _)| (file, "bare-relaxed")),
+        );
+    for (file, rule) in listed {
         if !scanned.iter().any(|rel| rel == file) {
             violations.push(Violation {
                 file: file.to_string(),
                 line: 0,
-                rule: "zero-alloc",
-                message: "file with zero-alloc functions not found".to_string(),
+                rule,
+                message: format!("file listed for `{rule}` not found"),
             });
         }
     }
@@ -476,7 +511,7 @@ mod tests {
              crates/kron-runtime/src/trace.rs | gone() | reasoned\n\
              crates/b.rs | x.unwrap() | reasoned\n",
         );
-        let scan = FileScan::new("fn recorded() { x.unwrap() }\n");
+        let scan = FileScan::new("fn recorded(r: &R) { r.seq; r.head; r.drained; x.unwrap() }\n");
         let mut matched = vec![false; allow.entries.len()];
         let mut out = Vec::new();
         let rel = "crates/kron-runtime/src/trace.rs";
@@ -484,6 +519,34 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(format!("{}", out[0]).contains("`record` is not declared"));
         assert_eq!(matched, [true, false, false]);
+    }
+
+    #[test]
+    fn config_check_flags_protocol_atomics_no_code_line_names() {
+        let allow = Allowlist { entries: vec![] };
+        let rel = "crates/kron-runtime/src/trace.rs";
+        let config = |src: &str| {
+            let mut out = Vec::new();
+            check_config(rel, &FileScan::new(src), &allow, &mut [], &mut out);
+            out.iter().map(|v| format!("{v}")).collect::<Vec<_>>()
+        };
+        // `drained` only in a string, a comment and a test: none counts.
+        let v = config(
+            "fn record(r: &R) {\n\
+                 r.seq.load(Ordering::Acquire);\n\
+                 r.head.load(Ordering::Acquire);\n\
+                 let what = \"drained\"; // drained\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 fn g(r: &R) { r.drained.load(Ordering::Acquire); }\n\
+             }\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("`drained` is named by no code line"), "{v:?}");
+        // A code line naming it clears the check.
+        let v = config("fn record(r: &R) { r.seq; r.head; r.drained; }\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

@@ -61,6 +61,14 @@ impl FileScan {
         out
     }
 
+    /// Whether a code line outside the test regions names `ident` as a
+    /// whole word (comments and string literals never count).
+    pub fn names(&self, ident: &str) -> bool {
+        self.lines
+            .iter()
+            .any(|l| !l.in_test_region && contains_word(&l.code, ident))
+    }
+
     /// The names among `names` that no line of the file declares.
     pub fn undeclared_fns<'n>(&self, names: &[&'n str]) -> Vec<&'n str> {
         names
