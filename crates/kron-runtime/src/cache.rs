@@ -45,8 +45,8 @@
 //!   estimate fits the budget *before* it builds. An entry whose estimate
 //!   alone exceeds the whole budget fails with the documented
 //!   [`KronError::CacheBudgetExceeded`] — no amount of eviction could
-//!   admit it. The resident total is the
-//!   [`crate::RuntimeStats::cached_bytes`] gauge.
+//!   admit it. The resident total is what the
+//!   [`crate::RuntimeStats::cached_bytes`] gauge reads.
 //! * **Idle timeout** (`max_idle_us`) — [`PlanCache::sweep_idle`] evicts
 //!   unpinned entries whose last use is older than the timeout on the
 //!   runtime's [`Clock`]; the scheduler sweeps at the start of every
@@ -66,14 +66,15 @@
 //! the engine lives until the last pin drops. [`crate::Runtime::pin_model`]
 //! exposes the same mechanism to clients for keeping a hot model resident.
 //!
-//! Evictions and rebuilds are counted in [`crate::RuntimeStats`]
-//! (`evictions`, `rebuilds`, and the `cached_entries` / `cached_bytes`
-//! gauges).
+//! Evictions and rebuilds are counted in the runtime's metrics plane
+//! ([`crate::RuntimeStats::evictions`], [`crate::RuntimeStats::rebuilds`]),
+//! and plan hits and misses in its per-model registry. A snapshot reads
+//! the `cached_entries` / `cached_bytes` gauges straight from the cache.
 
 use crate::clock::Clock;
 use crate::metrics::MetricsHub;
 use crate::runtime::sealed::ErasedDtype;
-use crate::runtime::{Backend, ModelInner, StatsInner};
+use crate::runtime::{Backend, ModelInner};
 use crate::trace::{EvictReason, ServeEventKind};
 use crossbeam::sync::atomic::{AtomicUsize, Ordering};
 use fastkron_core::Workspace;
@@ -372,15 +373,16 @@ pub struct PlanCache {
     /// that), so it stays small however long the runtime serves.
     evicted_keys: HashSet<MapKey>,
     use_seq: u64,
-    /// Sum of every resident slot's `bytes` — the budget's ledger and the
-    /// `cached_bytes` gauge.
+    /// Sum of every resident slot's `bytes` — the budget's ledger, which
+    /// the `cached_bytes` gauge reads.
     total_bytes: usize,
     /// Watchdog budget installed on every engine this cache builds: a
     /// device stalled past this many clock microseconds fails its batch
     /// with [`KronError::DeviceTimeout`] instead of hanging the fabric.
     watchdog_us: u64,
-    /// Metrics plane evictions and per-model plan lookups are recorded
-    /// into. A standalone cache gets its own private hub.
+    /// Metrics plane evictions, rebuilds, local fallbacks, and per-model
+    /// plan lookups are recorded into. A standalone cache gets its own
+    /// private hub.
     hub: Arc<MetricsHub>,
 }
 
@@ -408,8 +410,7 @@ impl PlanCache {
         )
     }
 
-    /// [`Self::new`], recording evictions and per-model plan lookups
-    /// into the runtime's shared metrics `hub`.
+    /// [`Self::new`], recording into the runtime's shared metrics `hub`.
     pub(crate) fn with_hub(
         device: DeviceSpec,
         backend: &Backend,
@@ -499,23 +500,16 @@ impl PlanCache {
     /// inconsistent fabric. Unconditional: a pinned (in-flight) entry is
     /// detached from the map and lives until its last pin drops — it is
     /// never handed out again.
-    pub(crate) fn evict_failed(
-        &mut self,
-        dtype: DType,
-        shape_key: u64,
-        capacity: usize,
-        stats: &StatsInner,
-    ) {
+    pub(crate) fn evict_failed(&mut self, dtype: DType, shape_key: u64, capacity: usize) {
         if self.remove_slot((dtype, shape_key, capacity), EvictReason::Failed) {
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-            self.update_gauges(stats);
+            self.hub.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Evicts unpinned entries idle longer than the policy's
     /// `max_idle_us`; returns how many were evicted. A no-op when idle
     /// eviction is disabled.
-    pub(crate) fn sweep_idle(&mut self, stats: &StatsInner) -> usize {
+    pub(crate) fn sweep_idle(&mut self) -> usize {
         let Some(max_idle) = self.policy.max_idle_us else {
             return 0;
         };
@@ -542,8 +536,8 @@ impl PlanCache {
         });
         let evicted = before - self.entries.len();
         if evicted > 0 {
-            stats.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-            self.update_gauges(stats);
+            let evictions = &self.hub.stats.evictions;
+            evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         }
         evicted
     }
@@ -568,9 +562,9 @@ impl PlanCache {
     }
 
     /// Looks up (or builds) the execution state for `model`'s shape chain
-    /// at `capacity` rows — a workspace, or a sharded engine — counting
-    /// the hit or miss (and the local fallback when the grid cannot shard
-    /// the model).
+    /// at `capacity` rows — a workspace, or a sharded engine — recording
+    /// the hit or miss in the model registry (and counting the local
+    /// fallback when the grid cannot shard the model).
     /// `limit` caps how many simulated devices the entry may span (the
     /// breaker's quarantine and the retry ladder's degradation both pass
     /// fewer than the configured grid; pass `usize::MAX` for "whatever
@@ -585,7 +579,6 @@ impl PlanCache {
         model: &ModelInner<T>,
         capacity: usize,
         limit: usize,
-        stats: &StatsInner,
     ) -> Result<PinnedEntry> {
         let eff_limit = self.effective_limit(limit);
         let map_key = (T::DTYPE, model.shape_key, capacity);
@@ -599,7 +592,6 @@ impl PlanCache {
             slot.last_used_seq = seq;
             slot.last_used_us = now;
             if fresh {
-                stats.plan_hits.fetch_add(1, Ordering::Relaxed);
                 self.hub
                     .record_plan_lookup(T::DTYPE, model.shape_key, capacity, true);
                 return Ok(PinnedEntry::new(slot));
@@ -613,11 +605,9 @@ impl PlanCache {
             // alive until it drops.
             if let Some(stale) = self.entries.remove(&map_key) {
                 self.total_bytes -= stale.bytes;
-                self.update_gauges(stats);
             }
         }
 
-        stats.plan_misses.fetch_add(1, Ordering::Relaxed);
         self.hub
             .record_plan_lookup(T::DTYPE, model.shape_key, capacity, false);
         // A misconfigured backend (e.g. non-power-of-two grid) fails
@@ -639,11 +629,11 @@ impl PlanCache {
                 });
             }
         }
-        self.make_room(estimate, stats);
-        let built = self.build_entry(model, capacity, eff_limit, stats)?;
+        self.make_room(estimate);
+        let built = self.build_entry(model, capacity, eff_limit)?;
         let bytes = built.key.estimated_bytes();
         if self.evicted_keys.remove(&map_key) {
-            stats.rebuilds.fetch_add(1, Ordering::Relaxed);
+            self.hub.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
         }
         self.total_bytes += bytes;
         let slot = self.entries.entry(map_key).or_insert(Slot {
@@ -654,16 +644,14 @@ impl PlanCache {
             bytes,
             built_limit: eff_limit,
         });
-        let pinned = PinnedEntry::new(slot);
-        self.update_gauges(stats);
-        Ok(pinned)
+        Ok(PinnedEntry::new(slot))
     }
 
     /// Hit-only lookup for the inline bypass lane: returns the pinned
     /// entry iff `model`'s plan key is already resident, built at the
     /// full effective device limit, shape-verified, and **local**
     /// (non-sharded) — the bypass lane never drives the staged sharded
-    /// path. Counts the plan hit and touches recency exactly as
+    /// path. Records the plan hit and touches recency exactly as
     /// [`Self::get_or_create`] would on a hit, but a cold, degraded, or
     /// sharded entry counts nothing here: the request falls back to the
     /// scheduler, which performs — and accounts — its own lookup.
@@ -671,7 +659,6 @@ impl PlanCache {
         &mut self,
         model: &ModelInner<T>,
         capacity: usize,
-        stats: &StatsInner,
     ) -> Option<PinnedEntry> {
         let eff_limit = self.effective_limit(usize::MAX);
         let map_key = (T::DTYPE, model.shape_key, capacity);
@@ -687,7 +674,6 @@ impl PlanCache {
         self.use_seq += 1;
         slot.last_used_seq = self.use_seq;
         slot.last_used_us = self.clock.now_us();
-        stats.plan_hits.fetch_add(1, Ordering::Relaxed);
         self.hub
             .record_plan_lookup(T::DTYPE, model.shape_key, capacity, true);
         Some(PinnedEntry::new(slot))
@@ -724,7 +710,7 @@ impl PlanCache {
     /// for one more entry under `max_entries` *and* `incoming_bytes` more
     /// under `max_bytes`. Stops early if everything left is pinned (pins
     /// are an explicit override of both bounds).
-    fn make_room(&mut self, incoming_bytes: usize, stats: &StatsInner) {
+    fn make_room(&mut self, incoming_bytes: usize) {
         let over = |cache: &Self| {
             cache.entries.len() >= cache.policy.max_entries
                 || cache
@@ -741,18 +727,8 @@ impl PlanCache {
                 .map(|(key, _)| *key);
             let Some(key) = lru else { break };
             self.remove_slot(key, EvictReason::Capacity);
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
+            self.hub.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        self.update_gauges(stats);
-    }
-
-    fn update_gauges(&self, stats: &StatsInner) {
-        stats
-            .cached_entries
-            .store(self.entries.len() as u64, Ordering::Relaxed);
-        stats
-            .cached_bytes
-            .store(self.total_bytes as u64, Ordering::Relaxed);
     }
 
     /// The grid an entry at effective device limit `limit` shards over:
@@ -772,7 +748,6 @@ impl PlanCache {
         model: &ModelInner<T>,
         capacity: usize,
         limit: usize,
-        stats: &StatsInner,
     ) -> Result<CachedPlan<T>> {
         let device = &self.device;
         match self.grid_for_limit(limit)? {
@@ -802,7 +777,10 @@ impl PlanCache {
                         // The grid cannot shard this shape (mixed or
                         // rectangular factors, indivisible K): serve it
                         // locally rather than failing.
-                        stats.local_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        self.hub
+                            .stats
+                            .local_fallbacks
+                            .fetch_add(1, Ordering::Relaxed);
                         self.local_entry(model, capacity)
                     }
                     Err(other) => Err(other),
@@ -876,18 +854,15 @@ mod tests {
         ModelInner::build(id, factors).unwrap()
     }
 
-    fn cache(policy: CachePolicy, clock: Clock) -> (PlanCache, StatsInner) {
-        (
-            PlanCache::new(V100.clone(), &Backend::SingleNode, policy, clock, 2_000_000),
-            StatsInner::default(),
-        )
+    fn cache(policy: CachePolicy, clock: Clock) -> PlanCache {
+        PlanCache::new(V100.clone(), &Backend::SingleNode, policy, clock, 2_000_000)
     }
 
     #[test]
     fn pinned_entry_survives_lru_and_idle_eviction_while_in_flight() {
         let clock = Clock::manual();
         let handle = clock.manual_handle().unwrap();
-        let (mut cache, stats) = cache(
+        let mut cache = cache(
             CachePolicy {
                 max_entries: 1,
                 max_idle_us: Some(100),
@@ -899,16 +874,16 @@ mod tests {
         let b = model(&[(3, 3)], 1);
 
         // Hold A's pin — the in-flight state during a batch execute.
-        let pin_a = cache.get_or_create(&a, 8, usize::MAX, &stats).unwrap();
+        let pin_a = cache.get_or_create(&a, 8, usize::MAX).unwrap();
 
         // Idle sweep far past the timeout must not touch the pinned entry.
         handle.advance_us(10_000);
-        assert_eq!(cache.sweep_idle(&stats), 0);
+        assert_eq!(cache.sweep_idle(), 0);
         assert_eq!(cache.len(), 1);
 
         // Capacity pressure must also route around it: B builds, the
         // cache overflows to 2 (explicit pin override), A survives.
-        let pin_b = cache.get_or_create(&b, 8, usize::MAX, &stats).unwrap();
+        let pin_b = cache.get_or_create(&b, 8, usize::MAX).unwrap();
         assert_eq!(cache.len(), 2);
         drop(pin_b);
 
@@ -916,17 +891,17 @@ mod tests {
         // the LRU unpinned entry again.
         drop(pin_a);
         let c = model(&[(4, 4)], 2);
-        let _pin_c = cache.get_or_create(&c, 8, usize::MAX, &stats).unwrap();
+        let _pin_c = cache.get_or_create(&c, 8, usize::MAX).unwrap();
         assert!(cache.len() <= 2);
-        assert!(stats.evictions.load(Ordering::Relaxed) >= 1);
+        assert!(cache.hub.stats.evictions.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
     fn failed_entry_detaches_but_lives_until_pin_drops() {
-        let (mut cache, stats) = cache(CachePolicy::default(), Clock::manual());
+        let mut cache = cache(CachePolicy::default(), Clock::manual());
         let a = model(&[(2, 2)], 0);
-        let pin = cache.get_or_create(&a, 4, usize::MAX, &stats).unwrap();
-        cache.evict_failed(DType::F64, a.shape_key, 4, &stats);
+        let pin = cache.get_or_create(&a, 4, usize::MAX).unwrap();
+        cache.evict_failed(DType::F64, a.shape_key, 4);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.resident_bytes(), 0);
         // The detached entry is still usable through the pin.
@@ -937,19 +912,19 @@ mod tests {
         drop(guard);
         drop(pin);
         // And the next lookup is a rebuild.
-        let _pin = cache.get_or_create(&a, 4, usize::MAX, &stats).unwrap();
-        assert_eq!(stats.rebuilds.load(Ordering::Relaxed), 1);
+        let _pin = cache.get_or_create(&a, 4, usize::MAX).unwrap();
+        assert_eq!(cache.hub.stats.rebuilds.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn one_cache_holds_both_dtypes_under_one_policy() {
-        let (mut cache, stats) = cache(CachePolicy::default(), Clock::manual());
+        let mut cache = cache(CachePolicy::default(), Clock::manual());
         // Same shape chain, both dtypes: two distinct entries (the key
         // includes the dtype), one ledger.
         let a64 = model(&[(4, 4), (4, 4)], 0);
         let a32 = model_f32(&[(4, 4), (4, 4)], 1);
-        let p64 = cache.get_or_create(&a64, 8, usize::MAX, &stats).unwrap();
-        let p32 = cache.get_or_create(&a32, 8, usize::MAX, &stats).unwrap();
+        let p64 = cache.get_or_create(&a64, 8, usize::MAX).unwrap();
+        let p32 = cache.get_or_create(&a32, 8, usize::MAX).unwrap();
         assert_eq!(cache.len(), 2);
         // f64 state accounts twice the bytes of the same-shape f32 state.
         let keys = cache.keys();
@@ -968,9 +943,10 @@ mod tests {
         // A second f64 lookup is a hit (4 ops: 2 misses + 2 re-lookups).
         drop(p64);
         drop(p32);
-        let _again = cache.get_or_create(&a64, 8, usize::MAX, &stats).unwrap();
-        assert_eq!(stats.plan_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.plan_misses.load(Ordering::Relaxed), 2);
+        let _again = cache.get_or_create(&a64, 8, usize::MAX).unwrap();
+        let (plan_hits, plan_misses) = cache.hub.plan_lookups();
+        assert_eq!(plan_hits, 1);
+        assert_eq!(plan_misses, 2);
     }
 
     #[test]
@@ -980,11 +956,11 @@ mod tests {
         // Budget sized to hold either entry alone, but not both: the f64
         // build must evict the idle f32 entry first.
         let one64 = {
-            let (mut probe, stats) = cache(CachePolicy::default(), Clock::manual());
-            let _p = probe.get_or_create(&a64, 8, usize::MAX, &stats).unwrap();
+            let mut probe = cache(CachePolicy::default(), Clock::manual());
+            let _p = probe.get_or_create(&a64, 8, usize::MAX).unwrap();
             probe.resident_bytes()
         };
-        let (mut cache, stats) = cache(
+        let mut cache = cache(
             CachePolicy {
                 max_entries: usize::MAX,
                 max_idle_us: None,
@@ -992,18 +968,14 @@ mod tests {
             },
             Clock::manual(),
         );
-        let p32 = cache.get_or_create(&a32, 8, usize::MAX, &stats).unwrap();
+        let p32 = cache.get_or_create(&a32, 8, usize::MAX).unwrap();
         drop(p32);
         assert_eq!(cache.len(), 1);
-        let _p64 = cache.get_or_create(&a64, 8, usize::MAX, &stats).unwrap();
+        let _p64 = cache.get_or_create(&a64, 8, usize::MAX).unwrap();
         assert_eq!(cache.len(), 1, "f32 entry evicted to fit the budget");
         assert_eq!(cache.keys()[0].dtype, DType::F64);
-        assert_eq!(stats.evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.hub.stats.evictions.load(Ordering::Relaxed), 1);
         assert!(cache.resident_bytes() <= one64);
-        assert_eq!(
-            stats.cached_bytes.load(Ordering::Relaxed) as usize,
-            cache.resident_bytes()
-        );
     }
 
     #[test]
@@ -1021,8 +993,7 @@ mod tests {
                 Clock::manual(),
                 2_000_000,
             );
-            let stats = StatsInner::default();
-            drop(c.get_or_create(&a, 8, limit, &stats).unwrap());
+            drop(c.get_or_create(&a, 8, limit).unwrap());
             c.resident_bytes()
         };
         let (local, sharded) = (probe(1), probe(usize::MAX));
@@ -1039,14 +1010,13 @@ mod tests {
             Clock::manual(),
             2_000_000,
         );
-        let stats = StatsInner::default();
-        drop(cache.get_or_create(&a, 8, 1, &stats).unwrap());
-        drop(cache.get_or_create(&b, 8, 1, &stats).unwrap());
+        drop(cache.get_or_create(&a, 8, 1).unwrap());
+        drop(cache.get_or_create(&b, 8, 1).unwrap());
         assert_eq!(cache.resident_bytes(), budget);
 
         // The grid heals: `a` rebuilds at full width. Its stale local
         // slot goes first, then the LRU entry (`b`) makes room.
-        let pin = cache.get_or_create(&a, 8, usize::MAX, &stats).unwrap();
+        let pin = cache.get_or_create(&a, 8, usize::MAX).unwrap();
         assert!(<f64 as ErasedDtype>::plan_mut(&mut pin.lock())
             .expect("f64 entry")
             .is_sharded());
@@ -1056,17 +1026,13 @@ mod tests {
             cache.resident_bytes()
         );
         assert_eq!(cache.len(), 1, "b evicted to fit the budget");
-        assert_eq!(stats.evictions.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.rebuilds.load(Ordering::Relaxed), 0);
-        assert_eq!(
-            stats.cached_bytes.load(Ordering::Relaxed) as usize,
-            cache.resident_bytes()
-        );
+        assert_eq!(cache.hub.stats.evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.hub.stats.rebuilds.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn entry_larger_than_the_whole_budget_is_a_clean_error() {
-        let (mut cache, stats) = cache(
+        let mut cache = cache(
             CachePolicy {
                 max_entries: usize::MAX,
                 max_idle_us: None,
@@ -1075,7 +1041,7 @@ mod tests {
             Clock::manual(),
         );
         let a = model(&[(8, 8), (8, 8)], 0);
-        match cache.get_or_create(&a, 32, usize::MAX, &stats).map(|_| ()) {
+        match cache.get_or_create(&a, 32, usize::MAX).map(|_| ()) {
             Err(KronError::CacheBudgetExceeded {
                 required_bytes,
                 max_bytes,

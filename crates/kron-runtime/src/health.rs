@@ -231,6 +231,13 @@ impl DeviceHealth {
         limit
     }
 
+    /// Breaker trips summed over every device: the one source of
+    /// [`crate::RuntimeStats::breaker_trips`]. Allocation-free.
+    pub(crate) fn trips(&self) -> u64 {
+        let devices = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        devices.iter().map(|d| d.trips).sum()
+    }
+
     /// Snapshot of every device's health for the
     /// [`crate::Runtime::device_health`] probe. Read-only: an elapsed
     /// cooldown shows as [`BreakerState::HalfOpen`] without mutating the

@@ -102,8 +102,11 @@
 //!   ([`RuntimeStats::lanes`] for the live prefix) carries each lane's
 //!   depth, inflight, served/batched/solo/bypassed/error counters, and
 //!   steals; `served == batched + solo + bypassed + error_replies`
-//!   holds per lane as well as globally, and `metrics_snapshot()`
-//!   exports the same per-lane series to JSON and Prometheus.
+//!   holds per lane as well as globally by construction (a lane's
+//!   `served` is the sum of its four reply classes, and every global
+//!   total sums the lanes), and the stats table, `metrics_snapshot()`'s
+//!   JSON and its Prometheus text render the same per-lane series from
+//!   one field list.
 //!
 //! The default stays one lane: single-lane deployments keep the classic
 //! global service order (and its deterministic manual-clock tests)
@@ -303,6 +306,15 @@
 //!   registry ([`Runtime::model_stats`], [`ModelStats`]), and per device
 //!   ([`Runtime::device_health`] reports carry a
 //!   [`DeviceMetricsSnapshot`]).
+//! * **One metrics plane** — the counters, histograms, and registries
+//!   live in one shared hub, and every fact is recorded once: a reply
+//!   bumps one lane class counter, one histogram per stage, and its
+//!   outcome's histogram (the only record of its end-to-end total). What
+//!   another record already implies — `submitted`, `served`, the plan
+//!   hits and misses, `deadline_shed`, `breaker_trips`,
+//!   `inflight_requests`, the cache gauges, a histogram's count, the
+//!   `total` stage, a device's executes, a model's errors — is derived
+//!   when a snapshot is taken, so it cannot disagree with its source.
 //! * **Flight recorder** — a fixed-capacity lock-free ring of recent
 //!   [`ServeEvent`]s (admissions, sheds, batch formation, executes,
 //!   faults, retries, degrades, breaker transitions, evictions), drained
@@ -312,8 +324,9 @@
 //!   histograms, registries, and device health into one
 //!   [`MetricsSnapshot`] that renders to stable JSON
 //!   ([`MetricsSnapshot::to_json`]) or Prometheus text
-//!   ([`MetricsSnapshot::to_prometheus`]); the serve bench records its
-//!   p50/p95/p99 tails from these histograms.
+//!   ([`MetricsSnapshot::to_prometheus`], one contiguous group per
+//!   family); the serve bench records its p50/p95/p99 tails from these
+//!   histograms.
 //!
 //! See `examples/serving_observability.rs` for a chaos drill that prints
 //! the snapshot and the drained event trace.

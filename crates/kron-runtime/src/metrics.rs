@@ -1,19 +1,25 @@
-//! Latency histograms, per-model/per-device metric registries, and the
-//! snapshot/export surface: the aggregate half of the runtime's
-//! observability layer (the causal half — timelines and the flight
-//! recorder — lives in [`crate::trace`]).
+//! The runtime's one metrics plane: the lifetime counters, latency
+//! histograms, per-model/per-device registries, and the snapshot/export
+//! surface — the aggregate half of the runtime's observability layer
+//! (the causal half — timelines and the flight recorder — lives in
+//! [`crate::trace`]).
 //!
 //! Everything on the hot path is preallocated and atomic: recording a
-//! stage latency is one `leading_zeros` plus three relaxed atomic adds
-//! into a fixed 40-bucket log2 histogram, and the per-model registry
-//! reserves its slots up front so steady-state serving performs zero
-//! heap allocations (proved in `serve_alloc.rs`). Reads are cold-path:
-//! [`crate::Runtime::metrics_snapshot`] folds counters, stage/outcome
-//! histograms, both registries, and device health into one coherent
-//! [`MetricsSnapshot`] that renders to stable JSON or Prometheus text.
+//! stage latency is one `leading_zeros` plus two relaxed atomic adds
+//! (its bucket and the latency sum) into a fixed 40-bucket log2
+//! histogram, and the per-model registry reserves its slots up front so
+//! steady-state serving performs zero heap allocations (proved in
+//! `serve_alloc.rs`). Each fact is recorded once: a count is the sum of
+//! its buckets, the end-to-end total is the sum of the outcome
+//! histograms, and every counter that another record already implies is
+//! derived when a snapshot is taken (see [`RuntimeStats`]). Reads are
+//! cold-path: [`crate::Runtime::metrics_snapshot`] folds counters,
+//! stage/outcome histograms, both registries, and device health into one
+//! [`MetricsSnapshot`] that renders to stable JSON or Prometheus text
+//! from one field list.
 
 use crate::health::DeviceHealthReport;
-use crate::runtime::RuntimeStats;
+use crate::runtime::{LaneStats, RuntimeStats, StatsInner};
 use crate::trace::{FlightRecorder, ServeEvent, ServeEventKind, StageTimings};
 use kron_core::DType;
 use std::fmt::Write as _;
@@ -45,10 +51,10 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 /// Preallocated atomic log2 latency histogram: recording is lock-free
-/// and allocation-free.
+/// and allocation-free. It keeps no count of its own: a snapshot's
+/// count is the sum of the buckets it copied, so the two always agree.
 pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_us: AtomicU64,
 }
 
@@ -56,25 +62,23 @@ impl LatencyHistogram {
     pub(crate) fn new() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
         }
     }
 
-    /// Records one latency observation. Hot path: three relaxed adds.
+    /// Records one latency observation. Hot path: two relaxed adds.
     pub(crate) fn record(&self, us: u64) {
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
     /// Copies the current bucket counts out (cold path).
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut s = HistogramSnapshot::default();
-        for (i, b) in self.buckets.iter().enumerate() {
-            s.buckets[i] = b.load(Ordering::Relaxed);
+        for (out, b) in s.buckets.iter_mut().zip(&self.buckets) {
+            *out = b.load(Ordering::Relaxed);
         }
-        s.count = self.count.load(Ordering::Relaxed);
+        s.count = s.buckets.iter().sum();
         s.sum_us = self.sum_us.load(Ordering::Relaxed);
         s
     }
@@ -91,7 +95,7 @@ impl LatencyHistogram {
 pub struct HistogramSnapshot {
     /// Observation count per log2 bucket.
     pub buckets: [u64; BUCKETS],
-    /// Total observations.
+    /// Total observations: the sum of `buckets`.
     pub count: u64,
     /// Sum of all observed latencies (µs).
     pub sum_us: u64,
@@ -155,9 +159,18 @@ impl HistogramSnapshot {
         for i in 0..BUCKETS {
             out.buckets[i] = self.buckets[i].saturating_sub(earlier.buckets[i]);
         }
-        out.count = self.count.saturating_sub(earlier.count);
+        out.count = out.buckets.iter().sum();
         out.sum_us = self.sum_us.saturating_sub(earlier.sum_us);
         out
+    }
+
+    /// Adds `other`'s observations to this snapshot, bucket by bucket.
+    fn merge(&mut self, other: &HistogramSnapshot) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum_us += other.sum_us;
     }
 }
 
@@ -176,7 +189,8 @@ pub enum Stage {
     Scatter,
     /// Retry cost: serve start → final attempt start.
     Retry,
-    /// End-to-end: sum of all stages.
+    /// End-to-end: sum of all stages. Recorded once per reply, into its
+    /// [`Outcome`]'s histogram; this stage is their bucket-wise sum.
     Total,
 }
 
@@ -270,13 +284,15 @@ pub struct ModelStats {
     pub capacity: usize,
     /// Requests served `Ok` under this key.
     pub serves: u64,
-    /// Requests replied with an error (including sheds) under this key.
+    /// Requests replied with an error (including sheds) under this key:
+    /// every reply in `latency` that is not a serve.
     pub errors: u64,
     /// Plan-cache hits for this key.
     pub plan_hits: u64,
     /// Plan-cache misses (builds) for this key.
     pub plan_misses: u64,
-    /// End-to-end latency of requests served under this key.
+    /// End-to-end latency of every reply under this key, serves and
+    /// errors alike.
     pub latency: HistogramSnapshot,
     /// True for the single spill slot that aggregates every key past the
     /// registry's bound (its key fields are zeroed).
@@ -287,7 +303,8 @@ pub struct ModelStats {
 /// carried on each [`DeviceHealthReport`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeviceMetricsSnapshot {
-    /// Sharded executes this device participated in.
+    /// Sharded executes this device participated in (`exec_latency`'s
+    /// count).
     pub executes: u64,
     /// Faults attributed to this device (failures and timeouts).
     pub faults: u64,
@@ -308,9 +325,9 @@ struct ModelSlot {
     shape_key: u64,
     capacity: usize,
     serves: u64,
-    errors: u64,
     plan_hits: u64,
     plan_misses: u64,
+    /// Every reply under the key; its count less `serves` is the errors.
     latency: HistogramSnapshot,
 }
 
@@ -321,7 +338,6 @@ impl ModelSlot {
             shape_key: 0,
             capacity: 0,
             serves: 0,
-            errors: 0,
             plan_hits: 0,
             plan_misses: 0,
             latency: HistogramSnapshot::default(),
@@ -329,7 +345,23 @@ impl ModelSlot {
     }
 
     fn used(&self) -> bool {
-        self.serves + self.errors + self.plan_hits + self.plan_misses > 0
+        self.latency.count + self.plan_hits + self.plan_misses > 0
+    }
+
+    /// The public row for this slot (the overflow slot's key fields are
+    /// never set, so they read as zero).
+    fn stats(&self, overflow: bool) -> ModelStats {
+        ModelStats {
+            dtype: self.dtype,
+            shape_key: self.shape_key,
+            capacity: self.capacity,
+            serves: self.serves,
+            errors: self.latency.count - self.serves,
+            plan_hits: self.plan_hits,
+            plan_misses: self.plan_misses,
+            latency: self.latency,
+            overflow,
+        }
     }
 }
 
@@ -371,18 +403,22 @@ impl ModelRegistry {
 }
 
 struct DeviceMetrics {
-    executes: AtomicU64,
     faults: AtomicU64,
     timeouts: AtomicU64,
+    /// One observation per execute: its count is the execute count.
     exec_latency: LatencyHistogram,
 }
 
-/// The runtime's shared metrics plane: stage/outcome histograms, the
-/// bounded per-model registry, per-device counters, and the flight
-/// recorder. One `Arc<MetricsHub>` is threaded through the scheduler,
-/// plan cache, device-health ledger, and fault plane.
+/// The runtime's one metrics plane: the lifetime counters, the
+/// stage/outcome histograms, the bounded per-model registry, per-device
+/// counters, and the flight recorder. One `Arc<MetricsHub>` is shared by
+/// the scheduler lanes, the plan cache, the device-health ledger, the
+/// fault plane, and every reply slot.
 pub(crate) struct MetricsHub {
-    stages: [LatencyHistogram; 7],
+    /// The counters no other record implies (see [`StatsInner`]).
+    pub(crate) stats: StatsInner,
+    /// Every stage but [`Stage::Total`], in [`Stage::ALL`] order.
+    stages: [LatencyHistogram; 6],
     outcomes: [LatencyHistogram; 4],
     models: Mutex<ModelRegistry>,
     devices: Box<[DeviceMetrics]>,
@@ -392,12 +428,12 @@ pub(crate) struct MetricsHub {
 impl MetricsHub {
     pub(crate) fn new(gpus: usize) -> Self {
         MetricsHub {
+            stats: StatsInner::default(),
             stages: std::array::from_fn(|_| LatencyHistogram::new()),
             outcomes: std::array::from_fn(|_| LatencyHistogram::new()),
             models: Mutex::new(ModelRegistry::new()),
             devices: (0..gpus)
                 .map(|_| DeviceMetrics {
-                    executes: AtomicU64::new(0),
                     faults: AtomicU64::new(0),
                     timeouts: AtomicU64::new(0),
                     exec_latency: LatencyHistogram::new(),
@@ -409,7 +445,8 @@ impl MetricsHub {
     }
 
     /// Records one request's stage breakdown into the stage histograms
-    /// and its end-to-end total into the outcome histogram.
+    /// and its end-to-end total into the outcome histogram (the only
+    /// record of the total; see [`Stage::Total`]).
     pub(crate) fn record_timings(&self, t: &StageTimings, outcome: Outcome) {
         self.stages[Stage::Queue.index()].record(t.queue_us);
         self.stages[Stage::Linger.index()].record(t.linger_us);
@@ -417,9 +454,7 @@ impl MetricsHub {
         self.stages[Stage::Exec.index()].record(t.exec_us);
         self.stages[Stage::Scatter.index()].record(t.scatter_us);
         self.stages[Stage::Retry.index()].record(t.retry_us);
-        let total = t.total_us();
-        self.stages[Stage::Total.index()].record(total);
-        self.outcomes[outcome.index()].record(total);
+        self.outcomes[outcome.index()].record(t.total_us());
     }
 
     /// Folds one reply into the per-model registry.
@@ -433,14 +468,14 @@ impl MetricsHub {
     ) {
         let mut reg = self.models.lock().unwrap_or_else(|e| e.into_inner());
         let slot = reg.slot_mut(dtype, shape_key, capacity);
-        match outcome {
-            Outcome::Ok | Outcome::Bypass => slot.serves += 1,
-            Outcome::Error | Outcome::Shed => slot.errors += 1,
+        if matches!(outcome, Outcome::Ok | Outcome::Bypass) {
+            slot.serves += 1;
         }
         slot.latency.record(total_us);
     }
 
-    /// Folds one plan-cache lookup into the per-model registry.
+    /// Folds one plan-cache lookup into the per-model registry, the only
+    /// record of plan hits and misses.
     pub(crate) fn record_plan_lookup(
         &self,
         dtype: DType,
@@ -457,10 +492,19 @@ impl MetricsHub {
         }
     }
 
+    /// `(plan_hits, plan_misses)` summed over the registry, overflow
+    /// slot included. Allocation-free.
+    pub(crate) fn plan_lookups(&self) -> (u64, u64) {
+        let reg = self.models.lock().unwrap_or_else(|e| e.into_inner());
+        reg.slots
+            .iter()
+            .chain(std::iter::once(&reg.overflow))
+            .fold((0, 0), |(h, m), s| (h + s.plan_hits, m + s.plan_misses))
+    }
+
     /// Records a sharded execute this device participated in.
     pub(crate) fn record_device_execute(&self, gpu: usize, exec_us: u64) {
         if let Some(d) = self.devices.get(gpu) {
-            d.executes.fetch_add(1, Ordering::Relaxed);
             d.exec_latency.record(exec_us);
         }
     }
@@ -478,12 +522,15 @@ impl MetricsHub {
     /// One device's counters for [`DeviceHealthReport::metrics`].
     pub(crate) fn device_snapshot(&self, gpu: usize) -> DeviceMetricsSnapshot {
         match self.devices.get(gpu) {
-            Some(d) => DeviceMetricsSnapshot {
-                executes: d.executes.load(Ordering::Relaxed),
-                faults: d.faults.load(Ordering::Relaxed),
-                timeouts: d.timeouts.load(Ordering::Relaxed),
-                exec_latency: d.exec_latency.snapshot(),
-            },
+            Some(d) => {
+                let exec_latency = d.exec_latency.snapshot();
+                DeviceMetricsSnapshot {
+                    executes: exec_latency.count,
+                    faults: d.faults.load(Ordering::Relaxed),
+                    timeouts: d.timeouts.load(Ordering::Relaxed),
+                    exec_latency,
+                }
+            }
             None => DeviceMetricsSnapshot::default(),
         }
     }
@@ -498,9 +545,17 @@ impl MetricsHub {
         self.recorder.drain()
     }
 
-    /// Snapshot of one stage histogram.
+    /// Snapshot of one stage histogram; [`Stage::Total`] sums the
+    /// outcome histograms.
     pub(crate) fn stage_snapshot(&self, stage: Stage) -> HistogramSnapshot {
-        self.stages[stage.index()].snapshot()
+        if stage != Stage::Total {
+            return self.stages[stage.index()].snapshot();
+        }
+        let mut total = HistogramSnapshot::default();
+        for &o in &Outcome::ALL {
+            total.merge(&self.outcome_snapshot(o));
+        }
+        total
     }
 
     /// Snapshot of one outcome histogram.
@@ -512,33 +567,9 @@ impl MetricsHub {
     /// absorbed anything), ordered by first use.
     pub(crate) fn model_stats(&self) -> Vec<ModelStats> {
         let reg = self.models.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<ModelStats> = reg
-            .slots
-            .iter()
-            .map(|s| ModelStats {
-                dtype: s.dtype,
-                shape_key: s.shape_key,
-                capacity: s.capacity,
-                serves: s.serves,
-                errors: s.errors,
-                plan_hits: s.plan_hits,
-                plan_misses: s.plan_misses,
-                latency: s.latency,
-                overflow: false,
-            })
-            .collect();
+        let mut out: Vec<ModelStats> = reg.slots.iter().map(|s| s.stats(false)).collect();
         if reg.overflow.used() {
-            out.push(ModelStats {
-                dtype: reg.overflow.dtype,
-                shape_key: 0,
-                capacity: 0,
-                serves: reg.overflow.serves,
-                errors: reg.overflow.errors,
-                plan_hits: reg.overflow.plan_hits,
-                plan_misses: reg.overflow.plan_misses,
-                latency: reg.overflow.latency,
-                overflow: true,
-            });
+            out.push(reg.overflow.stats(true));
         }
         out
     }
@@ -565,6 +596,28 @@ pub struct MetricsSnapshot {
     pub devices: Vec<DeviceHealthReport>,
 }
 
+/// Whether a [`RuntimeStats`] or [`LaneStats`] field only grows
+/// (a counter) or moves both ways (a gauge): its Prometheus type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MetricKind {
+    Counter,
+    Gauge,
+}
+
+/// One rendered counter or gauge: `(name, kind, value)`.
+pub(crate) type Field = (&'static str, MetricKind, u64);
+
+impl MetricKind {
+    /// The Prometheus `# TYPE` keyword, and the suffix the family name
+    /// takes (`_total` on counters).
+    fn prometheus(self) -> (&'static str, &'static str) {
+        match self {
+            MetricKind::Counter => ("counter", "_total"),
+            MetricKind::Gauge => ("gauge", ""),
+        }
+    }
+}
+
 fn json_histogram(out: &mut String, h: &HistogramSnapshot) {
     let _ = write!(
         out,
@@ -578,87 +631,30 @@ fn json_histogram(out: &mut String, h: &HistogramSnapshot) {
     );
 }
 
+/// Writes `fields` as comma-separated JSON members.
+fn json_fields(out: &mut String, fields: &[Field]) {
+    for (i, (name, _, v)) in fields.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{name}\":{v}");
+    }
+}
+
 impl MetricsSnapshot {
     /// Renders the snapshot as one stable JSON object (hand-formatted —
     /// the runtime carries no serialization dependency). Key order is
     /// fixed, so textual diffs between snapshots are meaningful.
     pub fn to_json(&self) -> String {
-        // Destructured so a new counter is a compile error here until
-        // the renderer handles it.
-        let RuntimeStats {
-            submitted,
-            requests_f32,
-            requests_f64,
-            served,
-            batches,
-            batched_requests,
-            solo_requests,
-            bypassed_requests,
-            error_replies,
-            plan_hits,
-            plan_misses,
-            sharded_batches,
-            local_fallbacks,
-            comm_bytes,
-            evictions,
-            rebuilds,
-            deadline_shed,
-            retries,
-            degraded_batches,
-            recovered_requests,
-            breaker_trips,
-            cached_entries,
-            cached_bytes,
-            current_linger_us,
-            inflight_requests,
-            scheduler_lanes,
-            lane_steals,
-            lane_stats: _,
-        } = self.stats;
         let mut out = String::with_capacity(4096);
         let _ = write!(out, "{{\"at_us\":{},\"stats\":{{", self.at_us);
-        let _ = write!(
-            out,
-            "\"submitted\":{submitted},\"requests_f32\":{requests_f32},\
-             \"requests_f64\":{requests_f64},\"served\":{served},\"batches\":{batches},\
-             \"batched_requests\":{batched_requests},\"solo_requests\":{solo_requests},\
-             \"bypassed_requests\":{bypassed_requests},\
-             \"error_replies\":{error_replies},\"plan_hits\":{plan_hits},\
-             \"plan_misses\":{plan_misses},\"sharded_batches\":{sharded_batches},\
-             \"local_fallbacks\":{local_fallbacks},\"comm_bytes\":{comm_bytes},\
-             \"evictions\":{evictions},\"rebuilds\":{rebuilds},\"deadline_shed\":{deadline_shed},\
-             \"retries\":{retries},\"degraded_batches\":{degraded_batches},\
-             \"recovered_requests\":{recovered_requests},\"breaker_trips\":{breaker_trips},\
-             \"cached_entries\":{cached_entries},\"cached_bytes\":{cached_bytes},\
-             \"current_linger_us\":{current_linger_us},\
-             \"inflight_requests\":{inflight_requests},\
-             \"scheduler_lanes\":{scheduler_lanes},\"lane_steals\":{lane_steals}}}"
-        );
-        out.push_str(",\"lanes\":[");
+        json_fields(&mut out, &self.stats.fields());
+        out.push_str("},\"lanes\":[");
         for (i, l) in self.stats.lanes().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            // Destructured so a new per-lane counter is a compile error
-            // here until the renderer handles it.
-            let crate::runtime::LaneStats {
-                depth,
-                inflight,
-                served,
-                batched_requests,
-                solo_requests,
-                bypassed_requests,
-                error_replies,
-                steals,
-            } = *l;
-            let _ = write!(
-                out,
-                "{{\"lane\":{i},\"depth\":{depth},\"inflight\":{inflight},\
-                 \"served\":{served},\"batched_requests\":{batched_requests},\
-                 \"solo_requests\":{solo_requests},\
-                 \"bypassed_requests\":{bypassed_requests},\
-                 \"error_replies\":{error_replies},\"steals\":{steals}}}"
-            );
+            let _ = write!(out, "{{\"lane\":{i},");
+            json_fields(&mut out, &l.fields());
+            out.push('}');
         }
         out.push_str("],\"stages\":{");
         for (i, (stage, h)) in self.stages.iter().enumerate() {
@@ -722,91 +718,31 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// lifetime counters as `kron_*` counters/gauges, stage histograms
-    /// as cumulative-`le` histograms, per-model serve counters, and
-    /// per-device counters.
+    /// lifetime counters as `kron_*` counters/gauges, per-lane series
+    /// labelled by lane, stage histograms as cumulative-`le` histograms,
+    /// per-model serve counters, and per-device counters. Each family is
+    /// one contiguous group under its `# TYPE` line.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(8192);
-        let RuntimeStats {
-            submitted,
-            requests_f32,
-            requests_f64,
-            served,
-            batches,
-            batched_requests,
-            solo_requests,
-            bypassed_requests,
-            error_replies,
-            plan_hits,
-            plan_misses,
-            sharded_batches,
-            local_fallbacks,
-            comm_bytes,
-            evictions,
-            rebuilds,
-            deadline_shed,
-            retries,
-            degraded_batches,
-            recovered_requests,
-            breaker_trips,
-            cached_entries,
-            cached_bytes,
-            current_linger_us,
-            inflight_requests,
-            scheduler_lanes,
-            lane_steals,
-            lane_stats: _,
-        } = self.stats;
-        for (name, kind, v) in [
-            ("kron_submitted_total", "counter", submitted),
-            ("kron_requests_f32_total", "counter", requests_f32),
-            ("kron_requests_f64_total", "counter", requests_f64),
-            ("kron_served_total", "counter", served),
-            ("kron_batches_total", "counter", batches),
-            ("kron_batched_requests_total", "counter", batched_requests),
-            ("kron_solo_requests_total", "counter", solo_requests),
-            ("kron_bypassed_requests_total", "counter", bypassed_requests),
-            ("kron_error_replies_total", "counter", error_replies),
-            ("kron_plan_hits_total", "counter", plan_hits),
-            ("kron_plan_misses_total", "counter", plan_misses),
-            ("kron_sharded_batches_total", "counter", sharded_batches),
-            ("kron_local_fallbacks_total", "counter", local_fallbacks),
-            ("kron_comm_bytes_total", "counter", comm_bytes),
-            ("kron_evictions_total", "counter", evictions),
-            ("kron_rebuilds_total", "counter", rebuilds),
-            ("kron_deadline_shed_total", "counter", deadline_shed),
-            ("kron_retries_total", "counter", retries),
-            ("kron_degraded_batches_total", "counter", degraded_batches),
-            (
-                "kron_recovered_requests_total",
-                "counter",
-                recovered_requests,
-            ),
-            ("kron_breaker_trips_total", "counter", breaker_trips),
-            ("kron_cached_entries", "gauge", cached_entries),
-            ("kron_cached_bytes", "gauge", cached_bytes),
-            ("kron_current_linger_us", "gauge", current_linger_us),
-            ("kron_inflight_requests", "gauge", inflight_requests),
-            ("kron_scheduler_lanes", "gauge", scheduler_lanes),
-            ("kron_lane_steals_total", "counter", lane_steals),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {v}");
+        for (name, kind, v) in self.stats.fields() {
+            let (ty, suffix) = kind.prometheus();
+            let _ = writeln!(
+                out,
+                "# TYPE kron_{name}{suffix} {ty}\nkron_{name}{suffix} {v}"
+            );
         }
-        for (name, kind, field) in [
-            ("kron_lane_depth", "gauge", 0usize),
-            ("kron_lane_inflight", "gauge", 1),
-            ("kron_lane_served_total", "counter", 2),
-            ("kron_lane_steals_by_lane_total", "counter", 3),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (i, l) in self.stats.lanes().iter().enumerate() {
-                let v = match field {
-                    0 => l.depth,
-                    1 => l.inflight,
-                    2 => l.served,
-                    _ => l.steals,
-                };
-                let _ = writeln!(out, "{name}{{lane=\"{i}\"}} {v}");
+        let lanes: Vec<_> = self.stats.lanes().iter().map(LaneStats::fields).collect();
+        for (f, &(name, kind, _)) in lanes[0].iter().enumerate() {
+            // The all-lane sum already owns `kron_lane_steals_total`.
+            let name = if name == "steals" {
+                "steals_by_lane"
+            } else {
+                name
+            };
+            let (ty, suffix) = kind.prometheus();
+            let _ = writeln!(out, "# TYPE kron_lane_{name}{suffix} {ty}");
+            for (i, row) in lanes.iter().enumerate() {
+                let _ = writeln!(out, "kron_lane_{name}{suffix}{{lane=\"{i}\"}} {}", row[f].2);
             }
         }
         for (stage, h) in &self.stages {
@@ -839,13 +775,15 @@ impl MetricsSnapshot {
             );
         }
         let _ = writeln!(out, "# TYPE kron_device_executes_total counter");
-        let _ = writeln!(out, "# TYPE kron_device_faults_total counter");
         for d in &self.devices {
             let _ = writeln!(
                 out,
                 "kron_device_executes_total{{gpu=\"{}\"}} {}",
                 d.gpu, d.metrics.executes
             );
+        }
+        let _ = writeln!(out, "# TYPE kron_device_faults_total counter");
+        for d in &self.devices {
             let _ = writeln!(
                 out,
                 "kron_device_faults_total{{gpu=\"{}\"}} {}",
@@ -931,6 +869,42 @@ mod tests {
         // Rank 1 of 2 in bucket 10 [512, 1023]: 512 + 511/4 = 639.
         assert_eq!(window.percentile(0.5), 639);
         assert_eq!(bucket_index(window.percentile(0.5)), bucket_index(1_000));
+    }
+
+    #[test]
+    fn snapshots_taken_while_recording_are_never_torn() {
+        // The regression this guards: a snapshot read the buckets, then a
+        // separate count. A record landing between the two reads left the
+        // count above the buckets' sum, and `percentile(1.0)` walked off
+        // the last bucket to read 2^39 - 1 µs.
+        let h = LatencyHistogram::new();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (snapshots, torn) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut us = 50;
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(us); // bucket 6: [32, 63]
+                    us = if us == 56 { 50 } else { us + 1 };
+                }
+            });
+            let start = std::time::Instant::now();
+            let (mut snapshots, mut torn) = (0u64, None);
+            while torn.is_none() && start.elapsed() < std::time::Duration::from_millis(500) {
+                let s = h.snapshot();
+                let p100 = s.percentile(1.0);
+                let consistent = s.count == s.buckets.iter().sum::<u64>()
+                    && (s.count == 0 || bucket_index(p100) == bucket_index(50));
+                if !consistent {
+                    torn = Some((s, p100));
+                }
+                snapshots += 1;
+            }
+            // Stop the recorder before asserting, so a failure cannot
+            // leave the scope waiting on it forever.
+            stop.store(true, Ordering::Relaxed);
+            (snapshots, torn)
+        });
+        assert!(torn.is_none(), "snapshot {snapshots} torn: {torn:?}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::cache::{CachePolicy, PinnedEntry, PlanCache};
 use crate::clock::Clock;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlane, FaultTrigger};
 use crate::health::{BreakerPolicy, DeviceHealth, DeviceHealthReport};
-use crate::metrics::{MetricsHub, MetricsSnapshot, ModelStats, Outcome, Stage};
+use crate::metrics::{Field, MetricKind, MetricsHub, MetricsSnapshot, ModelStats, Outcome, Stage};
 use crate::scheduler::{arm_scripted_fault, Scheduler, ServeCtx};
 use crate::trace::{ServeEvent, ServeEventKind, StageTimings};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -237,14 +237,16 @@ pub const MAX_LANES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LaneStats {
     /// Gauge: requests sitting in this lane's admission ring right now
-    /// (admitted, not yet drained by a scheduler thread).
+    /// (admitted, not yet drained by a scheduler thread), read from the
+    /// ring when the snapshot is taken.
     pub depth: u64,
     /// Gauge: admitted requests on this lane whose results have not been
     /// claimed — the lane's bypass-eligibility signal (a request bypasses
     /// only when its lane reads zero; see [`RuntimeConfig::inline_bypass`]).
     pub inflight: u64,
     /// Requests this lane completed (its throughput counter), including
-    /// requests it stole from siblings and inline bypasses it hosted.
+    /// requests it stole from siblings and inline bypasses it hosted: the
+    /// sum of the four reply classes below.
     pub served: u64,
     /// Requests this lane served through a multi-request batch.
     pub batched_requests: u64,
@@ -266,13 +268,15 @@ pub struct LaneStats {
 /// dtype it serves (the per-dtype split is `requests_f32`/`requests_f64`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeStats {
-    /// Requests accepted by `submit`/`execute`/`Session::call`.
+    /// Requests accepted by `submit`/`execute`/`Session::call`:
+    /// `requests_f32 + requests_f64`.
     pub submitted: u64,
     /// Accepted requests carrying `f32` data.
     pub requests_f32: u64,
     /// Accepted requests carrying `f64` data.
     pub requests_f64: u64,
-    /// Requests completed (successfully or with an error reply).
+    /// Requests completed (successfully or with an error reply): the sum
+    /// of every lane's [`LaneStats::served`].
     pub served: u64,
     /// Multi-request fused executes performed.
     pub batches: u64,
@@ -291,9 +295,12 @@ pub struct RuntimeStats {
     /// `bypassed_requests`, and this counter:
     /// `served == batched + solo + bypassed + error_replies`.
     pub error_replies: u64,
-    /// Requests whose plan/workspace came from the cache.
+    /// Requests whose plan/workspace came from the cache: the sum of
+    /// [`ModelStats::plan_hits`] over [`Runtime::model_stats`], overflow
+    /// row included.
     pub plan_hits: u64,
-    /// Cache misses (an entry was built: a workspace or a sharded engine).
+    /// Cache misses (an entry was built: a workspace or a sharded
+    /// engine): the sum of [`ModelStats::plan_misses`], as `plan_hits`.
     pub plan_misses: u64,
     /// Executes that sharded across the simulated GPU grid.
     pub sharded_batches: u64,
@@ -315,7 +322,8 @@ pub struct RuntimeStats {
     /// Requests shed with [`KronError::DeadlineExceeded`] because their
     /// deadline had already passed when the scheduler picked them up
     /// (they never reached an execute), or because a retry would have
-    /// landed past their deadline.
+    /// landed past their deadline. The count of the
+    /// [`Outcome::Shed`] latency histogram.
     pub deadline_shed: u64,
     /// Batch re-executions after a device fault (each failed execute that
     /// was retried counts once, whatever grid the retry ran on).
@@ -326,24 +334,28 @@ pub struct RuntimeStats {
     /// Requests that saw a device fault but were ultimately served `Ok`
     /// by a retry — the transparent-recovery counter.
     pub recovered_requests: u64,
-    /// Device circuit-breaker trips (Closed or HalfOpen → Open; see
-    /// [`Runtime::device_health`]).
+    /// Device circuit-breaker trips (Closed or HalfOpen → Open): the sum
+    /// of [`DeviceHealthReport::trips`] over [`Runtime::device_health`].
     pub breaker_trips: u64,
-    /// Gauge: plan-cache entries currently resident (both dtypes).
+    /// Gauge: plan-cache entries currently resident (both dtypes), read
+    /// from the cache when the snapshot is taken
+    /// ([`Runtime::cached_entries`]).
     pub cached_entries: u64,
     /// Gauge: estimated bytes resident across every plan-cache entry
     /// (workspace + staging + engine footprint; the
-    /// [`CachePolicy::max_bytes`] accounting basis).
+    /// [`CachePolicy::max_bytes`] accounting basis), read from the cache
+    /// when the snapshot is taken ([`Runtime::cached_bytes`]).
     pub cached_bytes: u64,
     /// Gauge: the effective linger window of the most recent scheduling
     /// cycle (equals `batch_linger_us` with adaptation off; breathes with
     /// load otherwise).
     pub current_linger_us: u64,
     /// Gauge: admitted requests whose results have not yet been claimed
-    /// by a waiter — the bypass lane's idleness signal: a request is
-    /// eligible for inline execution only when this reads zero, so
-    /// pipelined bursts (submit many, wait later) keep flowing through
-    /// the batching scheduler.
+    /// by a waiter: the sum of every lane's [`LaneStats::inflight`], so
+    /// it also counts a bypass claim in progress. A request is eligible
+    /// for inline execution only when its lane reads zero, so pipelined
+    /// bursts (submit many, wait later) keep flowing through the
+    /// batching scheduler.
     pub inflight_requests: u64,
     /// Number of scheduler lanes this runtime runs
     /// ([`RuntimeConfig::scheduler_lanes`] after clamping); the first
@@ -363,143 +375,14 @@ impl RuntimeStats {
     pub fn lanes(&self) -> &[LaneStats] {
         &self.lane_stats[..(self.scheduler_lanes as usize).clamp(1, MAX_LANES)]
     }
-}
 
-/// Per-lane atomic counters behind [`LaneStats`]. The four reply
-/// classes are the only per-reply counters: a lane's `served` and every
-/// global class total are sums of them, formed at snapshot time.
-#[derive(Default)]
-pub(crate) struct LaneStatsInner {
-    pub(crate) depth: AtomicU64,
-    pub(crate) inflight: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-    pub(crate) solo_requests: AtomicU64,
-    pub(crate) bypassed_requests: AtomicU64,
-    pub(crate) error_replies: AtomicU64,
-    pub(crate) steals: AtomicU64,
-}
-
-impl LaneStatsInner {
-    fn snapshot(&self) -> LaneStats {
-        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
-        let solo_requests = self.solo_requests.load(Ordering::Relaxed);
-        let bypassed_requests = self.bypassed_requests.load(Ordering::Relaxed);
-        let error_replies = self.error_replies.load(Ordering::Relaxed);
-        LaneStats {
-            depth: self.depth.load(Ordering::Relaxed),
-            // relaxed: gauge snapshot for observability; admission
-            // decisions go through the AcqRel CAS in `bypass_try_claim`.
-            inflight: self.inflight.load(Ordering::Relaxed),
-            served: batched_requests + solo_requests + bypassed_requests + error_replies,
-            batched_requests,
-            solo_requests,
-            bypassed_requests,
-            error_replies,
-            steals: self.steals.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Shared atomic counters behind [`RuntimeStats`].
-#[derive(Default)]
-pub(crate) struct StatsInner {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) requests_f32: AtomicU64,
-    pub(crate) requests_f64: AtomicU64,
-    /// Replies sent so far: issues each reply's [`ServeReceipt::seq`].
-    /// The per-class split lives in the lane counters only.
-    pub(crate) served: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) plan_hits: AtomicU64,
-    pub(crate) plan_misses: AtomicU64,
-    pub(crate) sharded_batches: AtomicU64,
-    pub(crate) local_fallbacks: AtomicU64,
-    pub(crate) comm_bytes: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-    pub(crate) rebuilds: AtomicU64,
-    pub(crate) deadline_shed: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) degraded_batches: AtomicU64,
-    pub(crate) recovered_requests: AtomicU64,
-    pub(crate) breaker_trips: AtomicU64,
-    pub(crate) cached_entries: AtomicU64,
-    pub(crate) cached_bytes: AtomicU64,
-    pub(crate) current_linger_us: AtomicU64,
-    /// The inflight gauge (see [`RuntimeStats::inflight_requests`]):
-    /// incremented at admission (either lane), decremented when the
-    /// waiter claims the reply — or when an abandoned slot drops.
-    pub(crate) inflight_requests: AtomicU64,
-    /// Smoothed requests-per-cycle in x16 fixed point; drives the
-    /// adaptive linger window. Lives here (not on the scheduler) so the
-    /// bypass lane's depth-1 inline serves decay it too. Not a public
-    /// counter — snapshots don't report it.
-    pub(crate) ewma_depth_x16: AtomicU64,
-    /// Live lane count (set once at runtime construction; `0`, the
-    /// [`Default`] value, snapshots as a single lane).
-    pub(crate) lane_count: AtomicU64,
-    /// Per-lane counters; only the first `lane_count` entries are live.
-    pub(crate) lane_stats: [LaneStatsInner; MAX_LANES],
-}
-
-impl StatsInner {
-    /// Counters for a runtime with `lanes` scheduler lanes.
-    pub(crate) fn new(lanes: usize) -> Self {
-        let inner = StatsInner::default();
-        inner
-            .lane_count
-            .store(lanes.clamp(1, MAX_LANES) as u64, Ordering::Relaxed);
-        inner
-    }
-
-    /// The per-lane counter block for `lane`.
-    pub(crate) fn lane(&self, lane: usize) -> &LaneStatsInner {
-        &self.lane_stats[lane]
-    }
-
-    fn snapshot(&self) -> RuntimeStats {
-        let lane_stats = std::array::from_fn(|i| self.lane_stats[i].snapshot());
-        let scheduler_lanes = self.lane_count.load(Ordering::Relaxed).max(1);
-        let live = &lane_stats[..scheduler_lanes as usize];
-        let sum = |class: fn(&LaneStats) -> u64| live.iter().map(class).sum();
-        RuntimeStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            requests_f32: self.requests_f32.load(Ordering::Relaxed),
-            requests_f64: self.requests_f64.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: sum(|l| l.batched_requests),
-            solo_requests: sum(|l| l.solo_requests),
-            bypassed_requests: sum(|l| l.bypassed_requests),
-            error_replies: sum(|l| l.error_replies),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            sharded_batches: self.sharded_batches.load(Ordering::Relaxed),
-            local_fallbacks: self.local_fallbacks.load(Ordering::Relaxed),
-            comm_bytes: self.comm_bytes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
-            recovered_requests: self.recovered_requests.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            cached_entries: self.cached_entries.load(Ordering::Relaxed),
-            cached_bytes: self.cached_bytes.load(Ordering::Relaxed),
-            current_linger_us: self.current_linger_us.load(Ordering::Relaxed),
-            // relaxed: gauge snapshot; the release sides pair their own
-            // orderings (see `Slot::take_blocking` and `Slot::drop`).
-            inflight_requests: self.inflight_requests.load(Ordering::Relaxed),
-            scheduler_lanes,
-            lane_steals: sum(|l| l.steals),
-            lane_stats,
-        }
-    }
-}
-
-impl std::fmt::Display for RuntimeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Exhaustive destructure: adding a counter without a table row
-        // is a compile error.
+    /// Every counter and gauge as `(name, kind, value)`, in declaration
+    /// order: the one list `Display`, `to_json` and `to_prometheus`
+    /// render (`lane_stats` renders per lane, through
+    /// [`LaneStats::fields`]). Exhaustive destructure: adding a field
+    /// without a row is a compile error.
+    pub(crate) fn fields(&self) -> [Field; 27] {
+        use MetricKind::{Counter, Gauge};
         let RuntimeStats {
             submitted,
             requests_f32,
@@ -528,59 +411,160 @@ impl std::fmt::Display for RuntimeStats {
             inflight_requests,
             scheduler_lanes,
             lane_steals,
-            lane_stats: _, // rendered per live lane below
+            lane_stats: _,
         } = *self;
+        [
+            ("submitted", Counter, submitted),
+            ("requests_f32", Counter, requests_f32),
+            ("requests_f64", Counter, requests_f64),
+            ("served", Counter, served),
+            ("batches", Counter, batches),
+            ("batched_requests", Counter, batched_requests),
+            ("solo_requests", Counter, solo_requests),
+            ("bypassed_requests", Counter, bypassed_requests),
+            ("error_replies", Counter, error_replies),
+            ("plan_hits", Counter, plan_hits),
+            ("plan_misses", Counter, plan_misses),
+            ("sharded_batches", Counter, sharded_batches),
+            ("local_fallbacks", Counter, local_fallbacks),
+            ("comm_bytes", Counter, comm_bytes),
+            ("evictions", Counter, evictions),
+            ("rebuilds", Counter, rebuilds),
+            ("deadline_shed", Counter, deadline_shed),
+            ("retries", Counter, retries),
+            ("degraded_batches", Counter, degraded_batches),
+            ("recovered_requests", Counter, recovered_requests),
+            ("breaker_trips", Counter, breaker_trips),
+            ("cached_entries", Gauge, cached_entries),
+            ("cached_bytes", Gauge, cached_bytes),
+            ("current_linger_us", Gauge, current_linger_us),
+            ("inflight_requests", Gauge, inflight_requests),
+            ("scheduler_lanes", Gauge, scheduler_lanes),
+            ("lane_steals", Counter, lane_steals),
+        ]
+    }
+}
+
+impl LaneStats {
+    /// This lane's counters and gauges as `(name, kind, value)`, in
+    /// declaration order (see [`RuntimeStats::fields`]).
+    pub(crate) fn fields(&self) -> [Field; 8] {
+        use MetricKind::{Counter, Gauge};
+        let LaneStats {
+            depth,
+            inflight,
+            served,
+            batched_requests,
+            solo_requests,
+            bypassed_requests,
+            error_replies,
+            steals,
+        } = *self;
+        [
+            ("depth", Gauge, depth),
+            ("inflight", Gauge, inflight),
+            ("served", Counter, served),
+            ("batched_requests", Counter, batched_requests),
+            ("solo_requests", Counter, solo_requests),
+            ("bypassed_requests", Counter, bypassed_requests),
+            ("error_replies", Counter, error_replies),
+            ("steals", Counter, steals),
+        ]
+    }
+}
+
+/// Per-lane atomic counters behind [`LaneStats`]. The four reply
+/// classes are the only per-reply counters: a lane's `served` and every
+/// global class total are sums of them, formed at snapshot time.
+#[derive(Default)]
+pub(crate) struct LaneStatsInner {
+    pub(crate) inflight: AtomicU64,
+    pub(crate) batched_requests: AtomicU64,
+    pub(crate) solo_requests: AtomicU64,
+    pub(crate) bypassed_requests: AtomicU64,
+    pub(crate) error_replies: AtomicU64,
+    pub(crate) steals: AtomicU64,
+}
+
+impl LaneStatsInner {
+    /// The lane's counters, with `depth` read off its ring by the caller.
+    fn snapshot(&self, depth: u64) -> LaneStats {
+        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
+        let solo_requests = self.solo_requests.load(Ordering::Relaxed);
+        let bypassed_requests = self.bypassed_requests.load(Ordering::Relaxed);
+        let error_replies = self.error_replies.load(Ordering::Relaxed);
+        LaneStats {
+            depth,
+            // relaxed: gauge snapshot for observability; admission
+            // decisions go through the AcqRel CAS in `bypass_try_claim`.
+            inflight: self.inflight.load(Ordering::Relaxed),
+            served: batched_requests + solo_requests + bypassed_requests + error_replies,
+            batched_requests,
+            solo_requests,
+            bypassed_requests,
+            error_replies,
+            steals: self.steals.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The atomic counters behind [`RuntimeStats`], held in the
+/// [`MetricsHub`]. Only facts no other record implies live here; every
+/// other field of a snapshot is derived in [`Runtime::stats`].
+#[derive(Default)]
+pub(crate) struct StatsInner {
+    pub(crate) requests_f32: AtomicU64,
+    pub(crate) requests_f64: AtomicU64,
+    /// Replies sent so far: issues each reply's [`ServeReceipt::seq`].
+    /// [`RuntimeStats::served`] sums the lane classes instead.
+    pub(crate) served: AtomicU64,
+    pub(crate) batches: AtomicU64,
+    pub(crate) sharded_batches: AtomicU64,
+    pub(crate) local_fallbacks: AtomicU64,
+    pub(crate) comm_bytes: AtomicU64,
+    pub(crate) evictions: AtomicU64,
+    pub(crate) rebuilds: AtomicU64,
+    pub(crate) retries: AtomicU64,
+    pub(crate) degraded_batches: AtomicU64,
+    pub(crate) recovered_requests: AtomicU64,
+    pub(crate) current_linger_us: AtomicU64,
+    /// Smoothed requests-per-cycle in x16 fixed point; drives the
+    /// adaptive linger window. Lives here (not on the scheduler) so the
+    /// bypass lane's depth-1 inline serves decay it too. Not a public
+    /// counter — snapshots don't report it.
+    pub(crate) ewma_depth_x16: AtomicU64,
+    /// Per-lane counters; only the first `scheduler_lanes` entries are
+    /// live.
+    pub(crate) lane_stats: [LaneStatsInner; MAX_LANES],
+}
+
+impl StatsInner {
+    /// The accepted-request counter for `dtype`.
+    pub(crate) fn requests(&self, dtype: DType) -> &AtomicU64 {
+        match dtype {
+            DType::F32 => &self.requests_f32,
+            DType::F64 => &self.requests_f64,
+        }
+    }
+
+    /// The per-lane counter block for `lane`.
+    pub(crate) fn lane(&self, lane: usize) -> &LaneStatsInner {
+        &self.lane_stats[lane]
+    }
+}
+
+impl std::fmt::Display for RuntimeStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "runtime stats")?;
-        for (name, value) in [
-            ("submitted", submitted),
-            ("requests_f32", requests_f32),
-            ("requests_f64", requests_f64),
-            ("served", served),
-            ("batches", batches),
-            ("batched_requests", batched_requests),
-            ("solo_requests", solo_requests),
-            ("bypassed_requests", bypassed_requests),
-            ("error_replies", error_replies),
-            ("plan_hits", plan_hits),
-            ("plan_misses", plan_misses),
-            ("sharded_batches", sharded_batches),
-            ("local_fallbacks", local_fallbacks),
-            ("comm_bytes", comm_bytes),
-            ("evictions", evictions),
-            ("rebuilds", rebuilds),
-            ("deadline_shed", deadline_shed),
-            ("retries", retries),
-            ("degraded_batches", degraded_batches),
-            ("recovered_requests", recovered_requests),
-            ("breaker_trips", breaker_trips),
-            ("cached_entries", cached_entries),
-            ("cached_bytes", cached_bytes),
-            ("current_linger_us", current_linger_us),
-            ("inflight_requests", inflight_requests),
-            ("scheduler_lanes", scheduler_lanes),
-            ("lane_steals", lane_steals),
-        ] {
+        for (name, _, value) in self.fields() {
             writeln!(f, "  {name:<20} {value:>12}")?;
         }
         for (i, lane) in self.lanes().iter().enumerate() {
-            // Exhaustive destructure: adding a lane counter without a
-            // row is a compile error.
-            let LaneStats {
-                depth,
-                inflight,
-                served,
-                batched_requests,
-                solo_requests,
-                bypassed_requests,
-                error_replies,
-                steals,
-            } = *lane;
-            writeln!(
-                f,
-                "  lane {i:<2} depth={depth} inflight={inflight} served={served} \
-                 batched={batched_requests} solo={solo_requests} \
-                 bypassed={bypassed_requests} errors={error_replies} steals={steals}"
-            )?;
+            write!(f, "  lane {i:<2}")?;
+            for (name, _, value) in lane.fields() {
+                write!(f, " {name}={value}")?;
+            }
+            writeln!(f)?;
         }
         Ok(())
     }
@@ -692,16 +676,16 @@ impl<T: Element> Model<T> {
 /// One-shot result slot a request's reply travels through. Reused across
 /// calls by [`Session`], freshly allocated per [`Ticket`].
 ///
-/// The slot also carries the inflight gauge's release side: admission
-/// ([`Slot::admit`]) marks one outstanding count held here, and the
-/// count is released exactly once — when the waiter claims the reply in
-/// [`Slot::take_blocking`], or, for an abandoned [`Ticket`], when the
-/// last `Arc` drops.
+/// The slot also carries the lane inflight gauge's release side:
+/// admission ([`Slot::admit`]) marks one outstanding count held here,
+/// and the count is released exactly once — when the waiter claims the
+/// reply in [`Slot::take_blocking`], or, for an abandoned [`Ticket`],
+/// when the last `Arc` drops.
 pub(crate) struct Slot<T: Element> {
     inner: Mutex<SlotInner<T>>,
     ready: Condvar,
-    /// The shared counters the inflight gauge lives in.
-    stats: Arc<StatsInner>,
+    /// The metrics plane the lane inflight gauges live in.
+    hub: Arc<MetricsHub>,
 }
 
 /// A completed reply: outcome, the recycled buffers, the global serve
@@ -736,7 +720,7 @@ struct SlotInner<T: Element> {
 }
 
 impl<T: Element> Slot<T> {
-    fn new(stats: Arc<StatsInner>) -> Self {
+    fn new(hub: Arc<MetricsHub>) -> Self {
         Slot {
             inner: Mutex::new(SlotInner {
                 result: None,
@@ -745,21 +729,17 @@ impl<T: Element> Slot<T> {
                 lane: 0,
             }),
             ready: Condvar::new(),
-            stats,
+            hub,
         }
     }
 
     /// Marks one admitted request outstanding on this slot, raising the
-    /// global and per-lane inflight gauges — the bypass lane's idleness
-    /// signal. Called once per admission, on whichever lane admits.
+    /// lane's inflight gauge — the bypass lane's idleness signal. Called
+    /// once per admission, on whichever lane admits.
     pub(crate) fn admit(&self, lane: usize) {
-        let mut s = self.inner.lock().unwrap();
-        debug_assert!(s.claimed, "slot admitted twice without a claim");
-        s.claimed = false;
-        s.lane = lane;
-        drop(s);
-        self.stats.inflight_requests.fetch_add(1, Ordering::Relaxed);
-        self.stats
+        self.admit_claimed(lane);
+        self.hub
+            .stats
             .lane(lane)
             .inflight
             .fetch_add(1, Ordering::Relaxed);
@@ -767,17 +747,14 @@ impl<T: Element> Slot<T> {
 
     /// [`Slot::admit`] for a request whose lane-inflight count is
     /// already held by the bypass lane's CAS claim (see
-    /// `Shared::try_bypass`): raises only the global gauge — the claim
-    /// *becomes* this slot's lane count, and the release side
-    /// ([`Slot::take_blocking`] / [`Slot::drop`]) decrements both
-    /// symmetrically.
+    /// `Shared::try_bypass`): raises no gauge — the claim *becomes* this
+    /// slot's lane count, which the release side
+    /// ([`Slot::take_blocking`] / [`Slot::drop`]) returns.
     pub(crate) fn admit_claimed(&self, lane: usize) {
         let mut s = self.inner.lock().unwrap();
         debug_assert!(s.claimed, "slot admitted twice without a claim");
         s.claimed = false;
         s.lane = lane;
-        drop(s);
-        self.stats.inflight_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Deposits a reply. Notifies only when a waiter has registered, so
@@ -813,9 +790,8 @@ impl<T: Element> Slot<T> {
         let lane = s.lane;
         drop(s);
         if release {
-            let prev = self.stats.inflight_requests.fetch_sub(1, Ordering::Relaxed);
-            debug_assert!(prev > 0, "global inflight gauge underflow on claim");
             let prev = self
+                .hub
                 .stats
                 .lane(lane)
                 .inflight
@@ -836,9 +812,8 @@ impl<T: Element> Drop for Slot<T> {
         // this drop runs at most once per slot.
         if let Ok(s) = self.inner.get_mut() {
             if !s.claimed {
-                let prev = self.stats.inflight_requests.fetch_sub(1, Ordering::Relaxed);
-                debug_assert!(prev > 0, "global inflight gauge underflow on slot drop");
                 let prev = self
+                    .hub
                     .stats
                     .lane(s.lane)
                     .inflight
@@ -1114,7 +1089,7 @@ impl Drop for GateEntry<'_> {
 
 /// State shared between the runtime handle, its [`Session`]s, and the
 /// per-lane scheduler threads. Dtype-erased: one set of lanes, one
-/// cache, one stats surface for all traffic. Every serve — a scheduler
+/// cache, one metrics plane for all traffic. Every serve — a scheduler
 /// lane's or the inline bypass lane's — runs against a [`ServeCtx`]
 /// borrowed from here.
 pub(crate) struct Shared {
@@ -1126,15 +1101,15 @@ pub(crate) struct Shared {
     /// closed, the dead lane's pending tickets are failed with
     /// [`KronError::Shutdown`], and no new request is ever admitted.
     pub(crate) poisoned: AtomicBool,
-    pub(crate) stats: Arc<StatsInner>,
     /// The plan cache, shared so clients can pin models, sweep idle
     /// entries, and introspect residency without a scheduler round-trip.
     /// Lock order: the cache lock is never taken while holding an entry
     /// lock.
     pub(crate) cache: Mutex<PlanCache>,
     pub(crate) clock: Clock,
-    /// The observability plane (histograms, registries, flight
-    /// recorder), shared with the cache, health ledger, and fault plane.
+    /// The metrics plane (counters, histograms, registries, flight
+    /// recorder), shared with the cache, health ledger, fault plane, and
+    /// every reply slot.
     pub(crate) hub: Arc<MetricsHub>,
     /// The chaos plane, consulted before every sharded execute.
     pub(crate) plane: FaultPlane,
@@ -1181,7 +1156,7 @@ impl Shared {
         // the slot on admission (`Slot::admit_claimed`) and is released
         // on every non-admitting exit below.
         let lane = self.lane_of_key(T::DTYPE, req.model.shape_key);
-        let lane_inflight = &self.stats.lane(lane).inflight;
+        let lane_inflight = &self.hub.stats.lane(lane).inflight;
         if !bypass_try_claim(lane_inflight) {
             return Some(req);
         }
@@ -1222,13 +1197,9 @@ impl Shared {
         }
         let entry = GateEntry(&handle.gate);
         let now = self.clock.now_us();
-        let dtype_counter = match T::DTYPE {
-            DType::F32 => &self.stats.requests_f32,
-            DType::F64 => &self.stats.requests_f64,
-        };
+        let dtype_counter = self.hub.stats.requests(T::DTYPE);
         for mut req in reqs {
             req.enqueued_us = now;
-            self.stats.submitted.fetch_add(1, Ordering::Relaxed);
             dtype_counter.fetch_add(1, Ordering::Relaxed);
             req.slot.admit(lane);
             self.hub.event(
@@ -1242,23 +1213,8 @@ impl Shared {
             );
             let _ = handle.tx.send(Msg::Request(T::erase(req)));
         }
-        self.stats
-            .lane(lane)
-            .depth
-            .store(handle.tx.len() as u64, Ordering::Relaxed);
         drop(entry);
         Ok(())
-    }
-
-    /// Refreshes the per-lane depth gauges from the rings (a cold-path
-    /// read at snapshot time; the hot path never maintains a counter).
-    fn refresh_depth_gauges(&self) {
-        for (i, lane) in self.lanes.iter().enumerate() {
-            self.stats
-                .lane(i)
-                .depth
-                .store(lane.tx.len() as u64, Ordering::Relaxed);
-        }
     }
 }
 
@@ -1504,7 +1460,6 @@ impl Runtime {
         cfg.max_queue = cfg.max_queue.max(1);
         cfg.cache.max_entries = cfg.cache.max_entries.max(1);
         cfg.scheduler_lanes = cfg.scheduler_lanes.clamp(1, MAX_LANES);
-        let stats = Arc::new(StatsInner::new(cfg.scheduler_lanes));
         let health_gpus = match cfg.backend {
             Backend::SingleNode => 0,
             Backend::Distributed { .. } => cfg.backend.gpus(),
@@ -1535,7 +1490,6 @@ impl Runtime {
         let shared = Arc::new(Shared {
             lanes,
             poisoned: AtomicBool::new(false),
-            stats,
             cache,
             clock: cfg.clock.clone(),
             plane: FaultPlane::new(Arc::clone(&hub)),
@@ -1614,7 +1568,7 @@ impl Runtime {
     ) -> Result<Ticket<T>> {
         validate_request(model, &x)?;
         let y = Matrix::zeros(x.rows(), model.output_cols());
-        let slot = Arc::new(Slot::new(Arc::clone(&self.shared.stats)));
+        let slot = Arc::new(Slot::new(Arc::clone(&self.shared.hub)));
         let req = Request {
             model: Arc::clone(&model.inner),
             x,
@@ -1717,7 +1671,7 @@ impl Runtime {
             .into_iter()
             .map(|(model, x)| {
                 let y = Matrix::zeros(x.rows(), model.output_cols());
-                let slot = Arc::new(Slot::new(Arc::clone(&self.shared.stats)));
+                let slot = Arc::new(Slot::new(Arc::clone(&self.shared.hub)));
                 tickets.push(Ticket {
                     slot: Arc::clone(&slot),
                 });
@@ -1857,7 +1811,7 @@ impl Runtime {
         let capacity = shared.cfg.max_batch_rows;
         let pinned = {
             let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.get_or_create(&model.inner, capacity, limit, &shared.stats)?
+            cache.get_or_create(&model.inner, capacity, limit)?
         };
         // Pre-warm execute (sharded entries only: a local workspace has
         // no lazily-allocated staging or fabric to warm, and no device to
@@ -1898,7 +1852,7 @@ impl Runtime {
     /// disabled.
     pub fn sweep(&self) -> usize {
         let mut cache = self.shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.sweep_idle(&self.shared.stats)
+        cache.sweep_idle()
     }
 
     /// Number of plan-cache entries currently resident across both dtypes
@@ -1939,7 +1893,7 @@ impl Runtime {
     /// [`KronError::Shutdown`]).
     pub fn session<T: ServeElement>(&self) -> Session<T> {
         Session {
-            slot: Arc::new(Slot::new(Arc::clone(&self.shared.stats))),
+            slot: Arc::new(Slot::new(Arc::clone(&self.shared.hub))),
             shared: Arc::clone(&self.shared),
             last_summary: None,
             refs_scratch: Vec::new(),
@@ -1950,8 +1904,58 @@ impl Runtime {
     /// [`RuntimeStats::requests_f32`]/[`RuntimeStats::requests_f64`] for
     /// the split, and [`RuntimeStats::lanes`] for the per-lane view).
     pub fn stats(&self) -> RuntimeStats {
-        self.shared.refresh_depth_gauges();
-        self.shared.stats.snapshot()
+        // Each counter is read from its one source: the hub's atomics, the
+        // lanes' reply classes and inflight gauges, the ring lengths, the
+        // model registry, the outcome histograms, the device-health
+        // ledger, and the plan cache. The registry, cache, and ledger
+        // locks are taken one at a time, never nested (the lookup path
+        // holds the cache lock while it takes the registry lock), and
+        // nothing allocates.
+        let shared = &*self.shared;
+        let (plan_hits, plan_misses) = shared.hub.plan_lookups();
+        let (cached_entries, cached_bytes) = {
+            let cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
+            (cache.len() as u64, cache.resident_bytes() as u64)
+        };
+        let c = &shared.hub.stats;
+        let lane_stats: [LaneStats; MAX_LANES] = std::array::from_fn(|i| {
+            let depth = shared.lanes.get(i).map_or(0, |l| l.tx.len() as u64);
+            c.lane(i).snapshot(depth)
+        });
+        let live = &lane_stats[..shared.lanes.len()];
+        let sum = |class: fn(&LaneStats) -> u64| live.iter().map(class).sum();
+        let requests_f32 = c.requests_f32.load(Ordering::Relaxed);
+        let requests_f64 = c.requests_f64.load(Ordering::Relaxed);
+        RuntimeStats {
+            submitted: requests_f32 + requests_f64,
+            requests_f32,
+            requests_f64,
+            served: sum(|l| l.served),
+            batches: c.batches.load(Ordering::Relaxed),
+            batched_requests: sum(|l| l.batched_requests),
+            solo_requests: sum(|l| l.solo_requests),
+            bypassed_requests: sum(|l| l.bypassed_requests),
+            error_replies: sum(|l| l.error_replies),
+            plan_hits,
+            plan_misses,
+            sharded_batches: c.sharded_batches.load(Ordering::Relaxed),
+            local_fallbacks: c.local_fallbacks.load(Ordering::Relaxed),
+            comm_bytes: c.comm_bytes.load(Ordering::Relaxed),
+            evictions: c.evictions.load(Ordering::Relaxed),
+            rebuilds: c.rebuilds.load(Ordering::Relaxed),
+            deadline_shed: shared.hub.outcome_snapshot(Outcome::Shed).count,
+            retries: c.retries.load(Ordering::Relaxed),
+            degraded_batches: c.degraded_batches.load(Ordering::Relaxed),
+            recovered_requests: c.recovered_requests.load(Ordering::Relaxed),
+            breaker_trips: shared.health.trips(),
+            cached_entries,
+            cached_bytes,
+            current_linger_us: c.current_linger_us.load(Ordering::Relaxed),
+            inflight_requests: sum(|l| l.inflight),
+            scheduler_lanes: shared.lanes.len() as u64,
+            lane_steals: sum(|l| l.steals),
+            lane_stats,
+        }
     }
 
     /// The scheduler lane serving `model`'s traffic: the stable hash of
@@ -1971,10 +1975,9 @@ impl Runtime {
     /// path: snapshotting allocates; recording never does.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let hub = &self.shared.hub;
-        self.shared.refresh_depth_gauges();
         MetricsSnapshot {
             at_us: self.shared.clock.now_us(),
-            stats: self.shared.stats.snapshot(),
+            stats: self.stats(),
             stages: Stage::ALL
                 .iter()
                 .map(|&st| (st, hub.stage_snapshot(st)))

@@ -76,9 +76,7 @@ use crate::fault::{FaultKind, FaultPlane};
 use crate::health::DeviceHealth;
 use crate::metrics::{MetricsHub, Outcome};
 use crate::runtime::sealed::ErasedDtype;
-use crate::runtime::{
-    ErasedRequest, Msg, Reply, Request, RetryPolicy, RuntimeConfig, Shared, StatsInner,
-};
+use crate::runtime::{ErasedRequest, Msg, Reply, Request, RetryPolicy, RuntimeConfig, Shared};
 use crate::trace::{ServeEventKind, StageTimings};
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use crossbeam::sync::atomic::Ordering;
@@ -247,13 +245,12 @@ fn wait_until(clock: &Clock, at_us: u64) {
 /// bookkeeping.
 pub(crate) struct ServeCtx<'a> {
     cache: &'a Mutex<PlanCache>,
-    stats: &'a StatsInner,
     plane: &'a FaultPlane,
     health: &'a DeviceHealth,
     clock: &'a Clock,
-    /// Metrics hub: stage histograms, registries, and the flight
-    /// recorder. Every reply flows through [`ServeCtx::finish`], which
-    /// records into it.
+    /// The metrics plane: counters, stage histograms, registries, and the
+    /// flight recorder. Every reply flows through [`ServeCtx::finish`],
+    /// which records into it.
     hub: &'a MetricsHub,
     cfg: &'a RuntimeConfig,
     /// Clock time when this cycle's linger window closed — the boundary
@@ -283,7 +280,6 @@ impl<'a> ServeCtx<'a> {
     pub(crate) fn new(shared: &'a Shared, lane: usize, window_close_us: u64) -> Self {
         ServeCtx {
             cache: &shared.cache,
-            stats: &shared.stats,
             plane: &shared.plane,
             health: &shared.health,
             clock: &shared.clock,
@@ -316,7 +312,8 @@ impl ServeCtx<'_> {
     /// Device-fault bookkeeping after a failed execute, once the entry's
     /// pin is dropped. For a [`KronError::DeviceFailure`] or
     /// [`KronError::DeviceTimeout`] it blames the device (device metric,
-    /// `Fault` event, breaker ledger, `breaker_trips`) and evicts the
+    /// `Fault` event, and the breaker ledger, whose trips `breaker_trips`
+    /// sums) and evicts the
     /// entry, so the next lookup rebuilds a fresh engine rather than
     /// trust a possibly inconsistent fabric. Returns whether `err` was
     /// such a fault; any other error leaves the entry cached.
@@ -341,11 +338,9 @@ impl ServeCtx<'_> {
                 timeout,
             },
         );
-        if self.health.record_failure(*gpu, now) {
-            self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
+        self.health.record_failure(*gpu, now);
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.evict_failed(dtype, shape_key, capacity, self.stats);
+        cache.evict_failed(dtype, shape_key, capacity);
         true
     }
 
@@ -375,7 +370,8 @@ impl ServeCtx<'_> {
         let capacity = self.capacity(r.x.rows());
         timings.queue_us = r.drained_us.saturating_sub(r.enqueued_us);
         timings.linger_us = self.window_close_us.saturating_sub(r.drained_us);
-        let lane = self.stats.lane(self.lane);
+        let stats = &self.hub.stats;
+        let lane = stats.lane(self.lane);
         let outcome = match &result {
             Ok(()) => {
                 let (counter, outcome) = match class {
@@ -385,9 +381,7 @@ impl ServeCtx<'_> {
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
                 if attempts > 1 {
-                    self.stats
-                        .recovered_requests
-                        .fetch_add(1, Ordering::Relaxed);
+                    stats.recovered_requests.fetch_add(1, Ordering::Relaxed);
                 }
                 outcome
             }
@@ -395,7 +389,6 @@ impl ServeCtx<'_> {
                 deadline_us,
                 now_us,
             }) => {
-                self.stats.deadline_shed.fetch_add(1, Ordering::Relaxed);
                 lane.error_replies.fetch_add(1, Ordering::Relaxed);
                 self.hub.event(
                     self.clock.now_us(),
@@ -411,7 +404,7 @@ impl ServeCtx<'_> {
                 Outcome::Error
             }
         };
-        let seq = self.stats.served.fetch_add(1, Ordering::Relaxed);
+        let seq = stats.served.fetch_add(1, Ordering::Relaxed);
         self.hub.record_timings(&timings, outcome);
         self.hub
             .record_model_serve(T::DTYPE, shape_key, capacity, outcome, timings.total_us());
@@ -523,7 +516,7 @@ impl ServeCtx<'_> {
                 return Some(timings);
             }
             if class == ReplyClass::Batched {
-                self.stats.batches.fetch_add(1, Ordering::Relaxed);
+                self.hub.stats.batches.fetch_add(1, Ordering::Relaxed);
             }
             for &i in live {
                 let r = reqs[i].take().expect("unserved");
@@ -531,12 +524,11 @@ impl ServeCtx<'_> {
             }
             return None;
         }
+        let stats = &self.hub.stats;
         if let Some(g) = grid {
-            self.stats.sharded_batches.fetch_add(1, Ordering::Relaxed);
+            stats.sharded_batches.fetch_add(1, Ordering::Relaxed);
             if let Some(s) = entry.shard_summary(rows) {
-                self.stats
-                    .comm_bytes
-                    .fetch_add(s.comm_bytes, Ordering::Relaxed);
+                stats.comm_bytes.fetch_add(s.comm_bytes, Ordering::Relaxed);
             }
             for gpu in 0..g.gpus() {
                 self.hub.record_device_execute(gpu, timings.exec_us);
@@ -545,7 +537,7 @@ impl ServeCtx<'_> {
                 self.health.record_success(g.gpus(), self.clock.now_us());
             }
             if limit < self.configured_gpus() {
-                self.stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
+                stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
                 self.hub.event(
                     self.clock.now_us(),
                     ServeEventKind::Degrade {
@@ -556,7 +548,7 @@ impl ServeCtx<'_> {
             }
         }
         if class == ReplyClass::Batched {
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            stats.batches.fetch_add(1, Ordering::Relaxed);
         }
         let grid = grid.map(|g| (g.gm, g.gk));
         let mut off = 0;
@@ -633,12 +625,8 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
     // `admit_claimed` — it takes over the claim rather than bumping the
     // lane gauge a second time.
     fn admit<T: ErasedDtype>(ctx: &ServeCtx, r: &Request<T>) {
-        ctx.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        match T::DTYPE {
-            DType::F32 => &ctx.stats.requests_f32,
-            DType::F64 => &ctx.stats.requests_f64,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        let requests = ctx.hub.stats.requests(T::DTYPE);
+        requests.fetch_add(1, Ordering::Relaxed);
         r.slot.admit_claimed(ctx.lane);
     }
     if let Some(deadline_us) = r.deadline_us {
@@ -662,7 +650,7 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
     let plan_start = ctx.clock.now_us();
     let pinned = {
         let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.get_warm(&r.model, ctx.capacity(r.x.rows()), ctx.stats)
+        cache.get_warm(&r.model, ctx.capacity(r.x.rows()))
     };
     let Some(pinned) = pinned else {
         return Some(r);
@@ -674,11 +662,12 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
     admit(ctx, &r);
     // Fold a depth-1 cycle into the shared load signal and republish the
     // linger gauge, exactly as a scheduler cycle would.
-    let ewma = ctx.stats.ewma_depth_x16.load(Ordering::Relaxed);
+    let stats = &ctx.hub.stats;
+    let ewma = stats.ewma_depth_x16.load(Ordering::Relaxed);
     let next = (3 * ewma + 16) / 4;
-    ctx.stats.ewma_depth_x16.store(next, Ordering::Relaxed);
+    stats.ewma_depth_x16.store(next, Ordering::Relaxed);
     if ctx.cfg.adaptive_linger && ctx.cfg.batch_linger_us > 0 {
-        ctx.stats.current_linger_us.store(
+        stats.current_linger_us.store(
             adaptive_linger_us(ctx.cfg.batch_linger_us, next),
             Ordering::Relaxed,
         );
@@ -984,7 +973,7 @@ impl<T: ErasedDtype> TypedLane<T> {
             let pinned = {
                 let model = &self.pending[live[0]].as_ref().expect("unserved").model;
                 let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.get_or_create(model, capacity, limit, ctx.stats)
+                cache.get_or_create(model, capacity, limit)
             };
             let timings = StageTimings {
                 plan_us: ctx.clock.now_us().saturating_sub(plan_start),
@@ -1017,7 +1006,7 @@ impl<T: ErasedDtype> TypedLane<T> {
             ) else {
                 break;
             };
-            ctx.stats.retries.fetch_add(1, Ordering::Relaxed);
+            ctx.hub.stats.retries.fetch_add(1, Ordering::Relaxed);
             ctx.hub.event(
                 ctx.clock.now_us(),
                 ServeEventKind::Retry {
@@ -1043,7 +1032,7 @@ impl<T: ErasedDtype> TypedLane<T> {
 /// configured lane. See the module docs.
 pub(crate) struct Scheduler {
     /// This scheduler's lane index into `shared.lanes` — also the index
-    /// of the per-lane counters it bumps in [`StatsInner`].
+    /// of the per-lane counters it bumps in the metrics plane.
     lane: usize,
     /// The runtime state every lane shares with the runtime handle: the
     /// lanes' rings and gates (work-stealing pops from sibling rings
@@ -1110,12 +1099,11 @@ impl Scheduler {
         if cap == 0 || !self.shared.cfg.adaptive_linger {
             return cap;
         }
-        // The depth signal lives in the shared stats so the inline
-        // bypass lane's depth-1 serves decay it too (see `try_bypass`).
-        adaptive_linger_us(
-            cap,
-            self.shared.stats.ewma_depth_x16.load(Ordering::Relaxed),
-        )
+        // The depth signal lives in the shared metrics plane so the
+        // inline bypass lane's depth-1 serves decay it too (see
+        // `try_bypass`).
+        let ewma = self.shared.hub.stats.ewma_depth_x16.load(Ordering::Relaxed);
+        adaptive_linger_us(cap, ewma)
     }
 
     /// The scheduler loop, panic-contained: each iteration runs under
@@ -1223,6 +1211,7 @@ impl Scheduler {
                     // until the test advances time.
                     let linger_us = self.effective_linger_us();
                     self.shared
+                        .hub
                         .stats
                         .current_linger_us
                         .store(linger_us, Ordering::Relaxed);
@@ -1334,6 +1323,7 @@ impl Scheduler {
             return false;
         }
         self.shared
+            .hub
             .stats
             .lane(self.lane)
             .steals
@@ -1372,17 +1362,15 @@ impl Scheduler {
         // Load signal for the next cycle's linger window (shared with the
         // bypass lane, which folds in depth-1 cycles the scheduler never
         // sees).
-        let ewma = self.shared.stats.ewma_depth_x16.load(Ordering::Relaxed);
-        self.shared
-            .stats
-            .ewma_depth_x16
-            .store((3 * ewma + 16 * total as u64) / 4, Ordering::Relaxed);
+        let ewma_depth_x16 = &self.shared.hub.stats.ewma_depth_x16;
+        let ewma = ewma_depth_x16.load(Ordering::Relaxed);
+        ewma_depth_x16.store((3 * ewma + 16 * total as u64) / 4, Ordering::Relaxed);
 
         // Cycle-boundary idle sweep (a no-op unless the policy sets
         // `max_idle_us`).
         {
             let mut cache = self.shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.sweep_idle(&self.shared.stats);
+            cache.sweep_idle();
         }
 
         // The window closes here: everything drained this cycle spent
@@ -1430,12 +1418,6 @@ impl Scheduler {
         }
         self.f32_lane.clear();
         self.f64_lane.clear();
-        // Republish this lane's depth gauge now the window has drained.
-        self.shared
-            .stats
-            .lane(self.lane)
-            .depth
-            .store(self.rx.len() as u64, Ordering::Relaxed);
     }
 }
 

@@ -6,8 +6,8 @@
 
 use kron_core::Matrix;
 use kron_runtime::{
-    Backend, Clock, FaultPlan, ManualClock, Outcome, Runtime, RuntimeConfig, ServeEventKind, Stage,
-    SubmitOptions,
+    Backend, BreakerPolicy, Clock, FaultPlan, HistogramSnapshot, ManualClock, Outcome, Runtime,
+    RuntimeConfig, ServeEventKind, Stage, SubmitOptions,
 };
 use std::sync::Arc;
 
@@ -253,6 +253,170 @@ fn snapshot_renders_stable_json_and_prometheus_text() {
         assert_eq!(d.metrics.faults, 0);
         assert_eq!(d.metrics.exec_latency.count, 2);
     }
+}
+
+/// Every Prometheus family is one contiguous group: typed once, with
+/// each sample right under its own `# TYPE` line (a histogram's samples
+/// add `_bucket`, `_sum` or `_count`). The device families used to
+/// alternate device by device, splitting both as soon as a runtime had
+/// two GPUs.
+#[test]
+fn prometheus_families_are_contiguous_on_a_multi_gpu_runtime() {
+    let runtime = Runtime::new(RuntimeConfig {
+        max_batch_rows: 32,
+        batch_max_m: 16,
+        backend: Backend::Distributed {
+            gpus: 2,
+            p2p: false,
+        },
+        ..RuntimeConfig::default()
+    });
+    let model = runtime
+        .load_model(model_factors(&[(4, 4), (4, 4)], 13))
+        .unwrap();
+    runtime
+        .execute(&model, seq_matrix(4, model.input_cols(), 80))
+        .unwrap();
+
+    let prom = runtime.metrics_snapshot().to_prometheus();
+    let mut typed: Vec<(&str, &str)> = Vec::new();
+    for line in prom.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl.split_once(' ').expect("# TYPE <family> <kind>");
+            assert!(
+                typed.iter().all(|&(f, _)| f != family),
+                "{family} typed twice:\n{prom}"
+            );
+            typed.push((family, kind));
+            continue;
+        }
+        let sample = line.split(['{', ' ']).next().unwrap_or_default();
+        let &(family, kind) = typed.last().expect("a sample before any # TYPE line");
+        let suffix = sample.strip_prefix(family);
+        let own = suffix == Some("")
+            || (kind == "histogram" && matches!(suffix, Some("_bucket" | "_sum" | "_count")));
+        assert!(own, "`{line}` is not in family {family}:\n{prom}");
+    }
+    // The per-lane reply classes export beside the lane's served total.
+    for class in [
+        "batched_requests",
+        "solo_requests",
+        "bypassed_requests",
+        "error_replies",
+    ] {
+        let family = format!("kron_lane_{class}_total");
+        assert!(
+            typed.contains(&(family.as_str(), "counter")),
+            "missing {family}:\n{prom}"
+        );
+    }
+}
+
+/// Each fact the runtime reports has one source, so the counters that
+/// restate another record agree with it on one snapshot. The traffic
+/// covers a bypass, a batch, a deadline shed, plan misses and hits, and
+/// a scripted device fault that trips a breaker.
+#[test]
+fn counters_agree_with_the_records_they_restate() {
+    let runtime = Runtime::new(RuntimeConfig {
+        max_batch_rows: 32,
+        batch_max_m: 16,
+        // A fixed window holds the linked group below in one batch.
+        batch_linger_us: 20_000,
+        adaptive_linger: false,
+        backend: Backend::Distributed {
+            gpus: 4,
+            p2p: false,
+        },
+        breaker: BreakerPolicy {
+            trip_after: 1,
+            ..BreakerPolicy::default()
+        },
+        ..RuntimeConfig::default()
+    });
+    // 3×3 factors do not shard over a 2×2 grid: the model serves from a
+    // local entry, built by its first request (a plan miss) and found
+    // warm by the second, which the idle runtime serves inline.
+    let local = runtime
+        .load_model(model_factors(&[(3, 3), (3, 3)], 15))
+        .unwrap();
+    for i in 0..2 {
+        runtime
+            .execute(&local, seq_matrix(2, local.input_cols(), 90 + i))
+            .unwrap();
+    }
+    // A shardable model: a linked batch whose first sharded execute
+    // faults on device 0, tripping its breaker before the retry serves
+    // it, and a request whose deadline has already passed.
+    let sharded = runtime
+        .load_model(model_factors(&[(4, 4), (4, 4)], 17))
+        .unwrap();
+    runtime
+        .install_fault_plan(FaultPlan::new().panic_on_batch(0, 0))
+        .unwrap();
+    let batch = runtime
+        .submit_linked(
+            (0..3)
+                .map(|i| (&sharded, seq_matrix(2, sharded.input_cols(), 100 + i)))
+                .collect(),
+        )
+        .unwrap();
+    let shed = runtime
+        .submit_with(
+            &sharded,
+            seq_matrix(2, sharded.input_cols(), 110),
+            SubmitOptions::default().with_deadline_us(0),
+        )
+        .unwrap();
+    for t in batch {
+        t.wait().expect("the fault is retried away");
+    }
+    shed.wait().expect_err("an expired deadline sheds");
+
+    let snap = runtime.metrics_snapshot();
+    let stats = snap.stats;
+    assert!(stats.bypassed_requests >= 1, "stats: {stats}");
+    assert!(stats.batches >= 1, "stats: {stats}");
+    assert!(stats.deadline_shed >= 1, "stats: {stats}");
+    assert!(stats.plan_hits >= 1, "stats: {stats}");
+    assert!(stats.plan_misses >= 1, "stats: {stats}");
+    assert!(stats.breaker_trips >= 1, "stats: {stats}");
+
+    assert_eq!(stats.submitted, stats.requests_f32 + stats.requests_f64);
+    let models = &snap.models;
+    assert_eq!(stats.plan_hits, models.iter().map(|m| m.plan_hits).sum());
+    assert_eq!(
+        stats.plan_misses,
+        models.iter().map(|m| m.plan_misses).sum()
+    );
+    let outcome = |want: Outcome| {
+        snap.outcomes
+            .iter()
+            .find(|(o, _)| *o == want)
+            .map(|(_, h)| *h)
+            .unwrap()
+    };
+    assert_eq!(stats.deadline_shed, outcome(Outcome::Shed).count);
+    let trips: u64 = runtime.device_health().iter().map(|d| d.trips).sum();
+    assert_eq!(stats.breaker_trips, trips);
+    let total = snap
+        .stages
+        .iter()
+        .find(|(s, _)| *s == Stage::Total)
+        .map(|(_, h)| *h)
+        .unwrap();
+    let mut outcomes_sum = HistogramSnapshot::default();
+    for &o in &Outcome::ALL {
+        let h = outcome(o);
+        for (sum, b) in outcomes_sum.buckets.iter_mut().zip(h.buckets) {
+            *sum += b;
+        }
+        outcomes_sum.count += h.count;
+        outcomes_sum.sum_us += h.sum_us;
+    }
+    assert_eq!(total, outcomes_sum);
+    assert_eq!(stats.cached_entries, runtime.cached_entries() as u64);
+    assert_eq!(stats.cached_bytes, runtime.cached_bytes() as u64);
 }
 
 /// Percentile readout walks the log2 buckets and interpolates inside the

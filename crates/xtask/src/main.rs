@@ -15,9 +15,10 @@
 //!    `#[cfg(test)]` regions — a panicking submit path poisons lanes.
 //! 3. **No allocation in zero-alloc functions**: the functions the
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
-//!    slot reply protocol, the ring push/pop, the channel's send and
-//!    receive paths, the scheduler's one execute-and-reply path) must not
-//!    call allocating std constructors.
+//!    metrics plane's per-reply recorders, the slot reply protocol, the
+//!    ring push/pop, the channel's send and receive paths, the
+//!    scheduler's one execute-and-reply path) must not call allocating
+//!    std constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` touching a
 //!    protocol atomic (gate state, bypass claim, seqlock seq, ring
 //!    head/tail, sleeper count, channel sender/receiver counts) must
@@ -54,6 +55,16 @@ const HOT_PATH_FILES: &[&str] = &[
 /// catches the regression at review time, before a gate trips).
 const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
     ("crates/kron-runtime/src/trace.rs", &["record"]),
+    (
+        "crates/kron-runtime/src/metrics.rs",
+        &[
+            "record",
+            "record_timings",
+            "record_model_serve",
+            "record_plan_lookup",
+            "record_device_execute",
+        ],
+    ),
     (
         "crates/kron-runtime/src/scheduler.rs",
         &["finish", "execute_and_reply", "try_bypass"],
