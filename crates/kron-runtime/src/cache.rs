@@ -41,11 +41,13 @@
 //!   threads through [`kron_dist::live_sim_worker_threads`]).
 //! * **Byte budget** (`max_bytes`) — every entry is accounted at its
 //!   [`PlanKey::estimated_bytes`] (workspace + batch staging + engine
-//!   footprint), and LRU eviction also runs until the new entry's
-//!   estimate fits the budget *before* it builds. An entry whose estimate
-//!   alone exceeds the whole budget fails with the documented
-//!   [`KronError::CacheBudgetExceeded`] — no amount of eviction could
-//!   admit it. The resident total is what the
+//!   footprint). A miss first decides the entry's key (`entry_key`:
+//!   sharded, or local when the grid cannot shard the shape), then LRU
+//!   eviction also runs until that key's estimate fits the budget
+//!   *before* the entry builds, and the build makes exactly that key.
+//!   An entry whose estimate alone exceeds the whole budget fails with
+//!   the documented [`KronError::CacheBudgetExceeded`] — no amount of
+//!   eviction could admit it. The resident total is what the
 //!   [`crate::RuntimeStats::cached_bytes`] gauge reads.
 //! * **Idle timeout** (`max_idle_us`) — [`PlanCache::sweep_idle`] evicts
 //!   unpinned entries whose last use is older than the timeout on the
@@ -80,7 +82,7 @@ use crossbeam::sync::atomic::{AtomicUsize, Ordering};
 use fastkron_core::Workspace;
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::ExecSummary;
-use kron_core::{DType, Element, KronError, KronProblem, Matrix, PlanKey, Result};
+use kron_core::{DType, Element, ExecBackend, KronError, KronProblem, Matrix, PlanKey, Result};
 use kron_dist::{CommModel, GpuGrid, ShardedEngine, Watchdog};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -349,15 +351,6 @@ type MapKey = (DType, u64, usize);
 /// through the very subsystem that bounds the cache.
 const EVICTED_KEYS_CAP: usize = 4096;
 
-/// Records an evicted key for later rebuild attribution, resetting the
-/// set at [`EVICTED_KEYS_CAP`] instead of growing forever.
-fn note_evicted(evicted_keys: &mut HashSet<MapKey>, key: MapKey) {
-    if evicted_keys.len() >= EVICTED_KEYS_CAP {
-        evicted_keys.clear();
-    }
-    evicted_keys.insert(key);
-}
-
 /// Dtype-spanning plan/workspace cache keyed by `(dtype, factor-shape
 /// chain, row capacity)`, bounded by a [`CachePolicy`]. See the module
 /// docs for the lifecycle.
@@ -474,25 +467,28 @@ impl PlanCache {
             .collect()
     }
 
-    /// Removes one slot from the map and the byte ledger, recording it
-    /// for rebuild attribution and into the flight recorder. Returns
-    /// whether it was present.
-    fn remove_slot(&mut self, key: MapKey, reason: EvictReason) -> bool {
-        if let Some(slot) = self.entries.remove(&key) {
-            self.total_bytes -= slot.bytes;
-            note_evicted(&mut self.evicted_keys, key);
-            self.hub.event(
-                self.clock.now_us(),
-                ServeEventKind::Eviction {
-                    dtype: key.0,
-                    capacity: key.2 as u32,
-                    reason,
-                },
-            );
-            true
-        } else {
-            false
+    /// Evicts one slot, if present: removes it from the map and the byte
+    /// ledger, counts it in `evictions`, marks its key for rebuild
+    /// attribution (the mark set resets at [`EVICTED_KEYS_CAP`] instead
+    /// of growing forever), and records it on the flight recorder.
+    fn evict(&mut self, key: MapKey, reason: EvictReason) {
+        let Some(slot) = self.entries.remove(&key) else {
+            return;
+        };
+        self.total_bytes -= slot.bytes;
+        self.hub.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        if self.evicted_keys.len() >= EVICTED_KEYS_CAP {
+            self.evicted_keys.clear();
         }
+        self.evicted_keys.insert(key);
+        self.hub.event(
+            self.clock.now_us(),
+            ServeEventKind::Eviction {
+                dtype: key.0,
+                capacity: key.2 as u32,
+                reason,
+            },
+        );
     }
 
     /// Evicts the entry after a device failure, so the next batch of the
@@ -501,43 +497,27 @@ impl PlanCache {
     /// detached from the map and lives until its last pin drops — it is
     /// never handed out again.
     pub(crate) fn evict_failed(&mut self, dtype: DType, shape_key: u64, capacity: usize) {
-        if self.remove_slot((dtype, shape_key, capacity), EvictReason::Failed) {
-            self.hub.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.evict((dtype, shape_key, capacity), EvictReason::Failed);
     }
 
     /// Evicts unpinned entries idle longer than the policy's
     /// `max_idle_us`; returns how many were evicted. A no-op when idle
-    /// eviction is disabled.
+    /// eviction is disabled. Each eviction re-scans the map for the next
+    /// idle entry, so the sweep allocates nothing.
     pub(crate) fn sweep_idle(&mut self) -> usize {
         let Some(max_idle) = self.policy.max_idle_us else {
             return 0;
         };
         let now = self.clock.now_us();
-        let before = self.entries.len();
-        let evicted_keys = &mut self.evicted_keys;
-        let total_bytes = &mut self.total_bytes;
-        let hub = &self.hub;
-        self.entries.retain(|key, slot| {
-            let keep = slot.pinned() || now.saturating_sub(slot.last_used_us) <= max_idle;
-            if !keep {
-                *total_bytes -= slot.bytes;
-                note_evicted(evicted_keys, *key);
-                hub.event(
-                    now,
-                    ServeEventKind::Eviction {
-                        dtype: key.0,
-                        capacity: key.2 as u32,
-                        reason: EvictReason::Idle,
-                    },
-                );
-            }
-            keep
-        });
-        let evicted = before - self.entries.len();
-        if evicted > 0 {
-            let evictions = &self.hub.stats.evictions;
-            evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+        let mut evicted = 0;
+        while let Some(key) = self
+            .entries
+            .iter()
+            .find(|(_, slot)| !slot.pinned() && now.saturating_sub(slot.last_used_us) > max_idle)
+            .map(|(key, _)| *key)
+        {
+            self.evict(key, EvictReason::Idle);
+            evicted += 1;
         }
         evicted
     }
@@ -610,28 +590,26 @@ impl PlanCache {
 
         self.hub
             .record_plan_lookup(T::DTYPE, model.shape_key, capacity, false);
-        // A misconfigured backend (e.g. non-power-of-two grid) fails
-        // every build, forever: surface it before evicting anyone, so a
-        // stream of doomed requests cannot flush healthy entries.
-        self.backend.as_ref().map_err(Clone::clone)?;
-        // Make room *before* building, so live engines never exceed the
-        // entry bound (the new engine's threads only spawn after the
-        // evicted one's joined) and the byte ledger never exceeds the
-        // budget even transiently. The estimate is conservative for a
-        // grid backend whose model later falls back to a (smaller) local
-        // entry; the ledger records the actual built footprint.
-        let estimate = self.estimate_bytes::<T>(model, capacity, eff_limit)?;
+        // Decide the entry, then make room for its footprint *before*
+        // building it, so live engines never exceed the entry bound (the
+        // new engine's threads only spawn after the evicted one's joined)
+        // and the byte ledger never exceeds the budget even transiently.
+        // Deciding first also surfaces a misconfigured backend (e.g. a
+        // non-power-of-two grid), which fails every build forever, before
+        // anyone is evicted — so a stream of doomed requests cannot flush
+        // healthy entries.
+        let (key, grid) = self.entry_key(model, capacity, eff_limit)?;
+        let bytes = key.estimated_bytes();
         if let Some(max_bytes) = self.policy.max_bytes {
-            if estimate > max_bytes {
+            if bytes > max_bytes {
                 return Err(KronError::CacheBudgetExceeded {
-                    required_bytes: estimate,
+                    required_bytes: bytes,
                     max_bytes,
                 });
             }
         }
-        self.make_room(estimate);
-        let built = self.build_entry(model, capacity, eff_limit)?;
-        let bytes = built.key.estimated_bytes();
+        self.make_room(bytes);
+        let built = self.build_entry(key, grid)?;
         if self.evicted_keys.remove(&map_key) {
             self.hub.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
         }
@@ -679,31 +657,33 @@ impl PlanCache {
         Some(PinnedEntry::new(slot))
     }
 
-    /// The prospective [`PlanKey::estimated_bytes`] of an entry for
-    /// `model` at `capacity` rows under this cache's backend — computed
-    /// *before* building, so eviction can make room first. Mirrors
-    /// [`Self::build_entry`] exactly, including the documented
-    /// local-fallback for shapes the grid cannot shard (probed with
-    /// [`kron_dist::DistFastKron::shardable_over`], pure arithmetic), so
-    /// the budget check never rejects a model whose actual entry would
-    /// fit.
-    fn estimate_bytes<T: ErasedDtype>(
+    /// Decides the entry `model` gets at `capacity` rows under effective
+    /// device limit `limit`, before anything is built: returns its
+    /// [`PlanKey`], whose footprint the byte budget checks, and the grid
+    /// the backend offers at that limit (`None` on a single device). The
+    /// key is sharded over that grid when the shape can shard
+    /// ([`kron_dist::DistFastKron::shardable_over`], pure arithmetic),
+    /// with the capacity rounded up to a `GM` multiple so any row count
+    /// ≤ `capacity` can zero-pad and shard. Otherwise it is local: the
+    /// documented fallback for mixed or rectangular factors and
+    /// indivisible `K`.
+    fn entry_key<T: ErasedDtype>(
         &self,
         model: &ModelInner<T>,
         capacity: usize,
         limit: usize,
-    ) -> Result<usize> {
-        if let Some(grid) = self.grid_for_limit(limit)? {
+    ) -> Result<(PlanKey, Option<GpuGrid>)> {
+        let grid = self.grid_for_limit(limit)?;
+        if let Some(grid) = grid {
             let cap = capacity.div_ceil(grid.gm) * grid.gm;
             let problem = KronProblem::new(cap, model.shapes.clone())?;
             if kron_dist::DistFastKron::shardable_over(grid, &problem).is_ok() {
                 let key = PlanKey::sharded(problem, T::DTYPE, self.device.name, grid.gm, grid.gk);
-                return Ok(key.estimated_bytes());
+                return Ok((key, Some(grid)));
             }
-            // build_entry will serve this shape through a local entry.
         }
         let problem = KronProblem::new(capacity, model.shapes.clone())?;
-        Ok(PlanKey::new(problem, T::DTYPE, self.device.name).estimated_bytes())
+        Ok((PlanKey::new(problem, T::DTYPE, self.device.name), grid))
     }
 
     /// Evicts least-recently-used unpinned entries until there is room
@@ -726,8 +706,7 @@ impl PlanCache {
                 .min_by_key(|(_, slot)| slot.last_used_seq)
                 .map(|(key, _)| *key);
             let Some(key) = lru else { break };
-            self.remove_slot(key, EvictReason::Capacity);
-            self.hub.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evict(key, EvictReason::Capacity);
         }
     }
 
@@ -743,64 +722,40 @@ impl PlanCache {
         }
     }
 
+    /// Builds exactly the entry [`Self::entry_key`] decided on: a sharded
+    /// engine over `grid` for a grid key, otherwise one workspace sized
+    /// from the problem shape (the CPU fused path reads no tile plan, so
+    /// no tile search runs). A local entry built where the backend
+    /// offered a `grid` counts as a local fallback.
     fn build_entry<T: ErasedDtype>(
         &self,
-        model: &ModelInner<T>,
-        capacity: usize,
-        limit: usize,
+        key: PlanKey,
+        grid: Option<GpuGrid>,
     ) -> Result<CachedPlan<T>> {
-        let device = &self.device;
-        match self.grid_for_limit(limit)? {
-            Some(grid) => {
-                let comm = match self.backend.as_ref() {
-                    Ok(Some((_, comm))) => comm.clone(),
-                    _ => unreachable!("grid_for_limit returned Some"),
-                };
-                // Round the capacity up so any row count ≤ capacity can
-                // zero-pad to a GM multiple and shard.
-                let cap = capacity.div_ceil(grid.gm) * grid.gm;
-                let problem = KronProblem::new(cap, model.shapes.clone())?;
-                match ShardedEngine::new(device, grid, comm, &problem) {
-                    Ok(mut engine) => {
-                        let clock = self.clock.clone();
-                        engine.set_watchdog(Watchdog::new(
-                            self.watchdog_us,
-                            Box::new(move || clock.now_us()),
-                        ));
-                        Ok(CachedPlan {
-                            key: PlanKey::sharded(problem, T::DTYPE, device.name, grid.gm, grid.gk),
-                            compute: Compute::Sharded(Box::new(engine)),
-                            batch: None,
-                        })
-                    }
-                    Err(KronError::InvalidGrid { .. }) => {
-                        // The grid cannot shard this shape (mixed or
-                        // rectangular factors, indivisible K): serve it
-                        // locally rather than failing.
-                        self.hub
-                            .stats
-                            .local_fallbacks
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.local_entry(model, capacity)
-                    }
-                    Err(other) => Err(other),
-                }
+        let compute = match (key.backend, grid, &self.backend) {
+            (ExecBackend::Grid { .. }, Some(grid), Ok(Some((_, comm)))) => {
+                let mut engine =
+                    ShardedEngine::new(&self.device, grid, comm.clone(), &key.problem)?;
+                let clock = self.clock.clone();
+                engine.set_watchdog(Watchdog::new(
+                    self.watchdog_us,
+                    Box::new(move || clock.now_us()),
+                ));
+                Compute::Sharded(Box::new(engine))
             }
-            None => self.local_entry(model, capacity),
-        }
-    }
-
-    /// A single-device entry: one workspace sized from the problem shape
-    /// (the CPU fused path reads no tile plan, so no tile search runs).
-    fn local_entry<T: ErasedDtype>(
-        &self,
-        model: &ModelInner<T>,
-        capacity: usize,
-    ) -> Result<CachedPlan<T>> {
-        let problem = KronProblem::new(capacity, model.shapes.clone())?;
+            _ => {
+                if grid.is_some() {
+                    self.hub
+                        .stats
+                        .local_fallbacks
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                Compute::Local(Workspace::new(&key.problem))
+            }
+        };
         Ok(CachedPlan {
-            compute: Compute::Local(Workspace::new(&problem)),
-            key: PlanKey::new(problem, T::DTYPE, self.device.name),
+            key,
+            compute,
             batch: None,
         })
     }

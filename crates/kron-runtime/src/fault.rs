@@ -66,8 +66,10 @@ pub struct FaultEvent {
     /// When the event becomes due.
     pub trigger: FaultTrigger,
     /// How many consecutive firing opportunities the event fires on once
-    /// due (clamped to at least 1). `repeat > 1` is how a breaker trip is
-    /// scripted: the same device fails again on each retry.
+    /// due: at least 1, since [`crate::Runtime::install_fault_plan`]
+    /// rejects 0 with [`kron_core::KronError::EmptyDimension`].
+    /// `repeat > 1` is how a breaker trip is scripted: the same device
+    /// fails again on each retry.
     pub repeat: u32,
     /// What the event does.
     pub kind: FaultKind,
@@ -245,13 +247,7 @@ impl FaultPlane {
                 && due(ev.trigger, batch, now_us)
         })?;
         let fired = (st.events[idx].gpu, st.events[idx].kind);
-        st.events[idx].repeat -= 1;
-        if st.events[idx].repeat == 0 {
-            st.events.swap_remove(idx);
-        }
-        if st.events.is_empty() {
-            self.armed.store(false, Ordering::SeqCst);
-        }
+        self.consume(&mut st.events, idx);
         self.hub.event(
             now_us,
             ServeEventKind::FaultInjected {
@@ -275,14 +271,20 @@ impl FaultPlane {
         }) else {
             return false;
         };
-        st.events[idx].repeat -= 1;
-        if st.events[idx].repeat == 0 {
-            st.events.swap_remove(idx);
+        self.consume(&mut st.events, idx);
+        true
+    }
+
+    /// Spends one firing of `events[idx]`: `Vec::remove` keeps the rest
+    /// in script order, and an emptied script disarms the plane.
+    fn consume(&self, events: &mut Vec<FaultEvent>, idx: usize) {
+        events[idx].repeat -= 1;
+        if events[idx].repeat == 0 {
+            events.remove(idx);
         }
-        if st.events.is_empty() {
+        if events.is_empty() {
             self.armed.store(false, Ordering::SeqCst);
         }
-        true
     }
 }
 
@@ -344,6 +346,21 @@ mod tests {
         assert_eq!(plane.pending(), 1);
         // Back on the full grid it fires.
         assert_eq!(plane.next_device_fault(0, 4), Some((3, FaultKind::Panic)));
+    }
+
+    #[test]
+    fn due_events_fire_in_script_order() {
+        let plane = plane();
+        plane.install(
+            FaultPlan::new()
+                .panic_on_batch(0, 0)
+                .panic_on_batch(1, 1)
+                .panic_on_batch(2, 1),
+        );
+        let fired: Vec<usize> = (0..3)
+            .map(|_| plane.next_device_fault(0, 4).expect("due").0)
+            .collect();
+        assert_eq!(fired, [0, 1, 2]);
     }
 
     #[test]

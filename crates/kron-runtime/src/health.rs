@@ -85,6 +85,16 @@ enum State {
     HalfOpen,
 }
 
+impl State {
+    /// Whether an Open breaker's cooldown has elapsed at `now_us`.
+    fn cooled(self, now_us: u64, policy: &BreakerPolicy) -> bool {
+        match self {
+            State::Open { since_us } => now_us.saturating_sub(since_us) >= policy.cooldown_us,
+            State::Closed | State::HalfOpen => false,
+        }
+    }
+}
+
 #[derive(Clone, Copy)]
 struct DeviceState {
     consecutive_failures: u32,
@@ -172,14 +182,7 @@ impl DeviceHealth {
         let n = gpus_used.min(devices.len());
         for (gpu, d) in devices[..n].iter_mut().enumerate() {
             d.consecutive_failures = 0;
-            let closed = match d.state {
-                State::HalfOpen => true,
-                State::Open { since_us } => {
-                    now_us.saturating_sub(since_us) >= self.policy.cooldown_us
-                }
-                State::Closed => false,
-            };
-            if closed {
+            if matches!(d.state, State::HalfOpen) || d.state.cooled(now_us, &self.policy) {
                 d.state = State::Closed;
                 self.hub.event(
                     now_us,
@@ -210,17 +213,15 @@ impl DeviceHealth {
         }
         let mut devices = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         for (gpu, d) in devices.iter_mut().enumerate() {
-            if let State::Open { since_us } = d.state {
-                if now_us.saturating_sub(since_us) >= self.policy.cooldown_us {
-                    d.state = State::HalfOpen;
-                    self.hub.event(
-                        now_us,
-                        ServeEventKind::Breaker {
-                            gpu: gpu as u32,
-                            to: BreakerState::HalfOpen,
-                        },
-                    );
-                }
+            if d.state.cooled(now_us, &self.policy) {
+                d.state = State::HalfOpen;
+                self.hub.event(
+                    now_us,
+                    ServeEventKind::Breaker {
+                        gpu: gpu as u32,
+                        to: BreakerState::HalfOpen,
+                    },
+                );
             }
         }
         let quarantined = |d: &DeviceState| matches!(d.state, State::Open { .. });
@@ -251,15 +252,10 @@ impl DeviceHealth {
                 gpu,
                 consecutive_failures: d.consecutive_failures,
                 state: match d.state {
+                    _ if d.state.cooled(now_us, &self.policy) => BreakerState::HalfOpen,
                     State::Closed => BreakerState::Closed,
+                    State::Open { .. } => BreakerState::Open,
                     State::HalfOpen => BreakerState::HalfOpen,
-                    State::Open { since_us } => {
-                        if now_us.saturating_sub(since_us) >= self.policy.cooldown_us {
-                            BreakerState::HalfOpen
-                        } else {
-                            BreakerState::Open
-                        }
-                    }
                 },
                 trips: d.trips,
                 metrics: self.hub.device_snapshot(gpu),

@@ -360,9 +360,9 @@
 //!   enforces `// SAFETY:` comments on every `unsafe`, bans panics on
 //!   the scheduler/submit hot path, bans allocation inside the
 //!   zero-alloc-gated functions, and requires a `// relaxed:`
-//!   justification on every `Ordering::Relaxed` touching a protocol
-//!   atomic. Exceptions live in `crates/xtask/analyze-allowlist.txt`
-//!   with mandatory reasons.
+//!   justification on every `Ordering::Relaxed` whose statement touches
+//!   a protocol atomic. Exceptions live in
+//!   `crates/xtask/analyze-allowlist.txt` with mandatory reasons.
 //!
 //! New synchronization code on the admission path is expected to arrive
 //! with a model-check suite alongside it (see the ROADMAP invariant).

@@ -738,6 +738,8 @@ impl<T: Element> Slot<T> {
     /// once per admission, on whichever lane admits.
     pub(crate) fn admit(&self, lane: usize) {
         self.admit_claimed(lane);
+        // relaxed: the count publishes no data, and the bypass claim's CAS,
+        // a read-modify-write, reads the latest count under any ordering.
         self.hub
             .stats
             .lane(lane)
@@ -745,10 +747,24 @@ impl<T: Element> Slot<T> {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Returns one admission's count to `lane`'s inflight gauge, once:
+    /// from [`Slot::take_blocking`] or [`Slot::drop`].
+    fn release(&self, lane: usize) {
+        // relaxed: as in `admit` — the count publishes no data, and the
+        // claim CAS reads it in modification order.
+        let prev = self
+            .hub
+            .stats
+            .lane(lane)
+            .inflight
+            .fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(prev > 0, "lane {lane} inflight gauge underflow");
+    }
+
     /// [`Slot::admit`] for a request whose lane-inflight count is
     /// already held by the bypass lane's CAS claim (see
-    /// `Shared::try_bypass`): raises no gauge — the claim *becomes* this
-    /// slot's lane count, which the release side
+    /// [`crate::scheduler::try_bypass`]): raises no gauge — the claim
+    /// *becomes* this slot's lane count, which the release side
     /// ([`Slot::take_blocking`] / [`Slot::drop`]) returns.
     pub(crate) fn admit_claimed(&self, lane: usize) {
         let mut s = self.inner.lock().unwrap();
@@ -790,13 +806,7 @@ impl<T: Element> Slot<T> {
         let lane = s.lane;
         drop(s);
         if release {
-            let prev = self
-                .hub
-                .stats
-                .lane(lane)
-                .inflight
-                .fetch_sub(1, Ordering::Relaxed);
-            debug_assert!(prev > 0, "lane {lane} inflight gauge underflow on claim");
+            self.release(lane);
         }
         reply
     }
@@ -812,13 +822,8 @@ impl<T: Element> Drop for Slot<T> {
         // this drop runs at most once per slot.
         if let Ok(s) = self.inner.get_mut() {
             if !s.claimed {
-                let prev = self
-                    .hub
-                    .stats
-                    .lane(s.lane)
-                    .inflight
-                    .fetch_sub(1, Ordering::Relaxed);
-                debug_assert!(prev > 0, "lane inflight gauge underflow on slot drop");
+                let lane = s.lane;
+                self.release(lane);
             }
         }
     }
@@ -878,6 +883,28 @@ pub(crate) struct Request<T: Element> {
     /// `drained_us - enqueued_us` is the timeline's queue stage.
     pub(crate) drained_us: u64,
     pub(crate) slot: Arc<Slot<T>>,
+}
+
+impl<T: Element> Request<T> {
+    /// A request replying into `slot`; admission sets its clock stamps.
+    pub(crate) fn new(
+        model: &Model<T>,
+        x: Matrix<T>,
+        y: Matrix<T>,
+        opts: SubmitOptions,
+        slot: Arc<Slot<T>>,
+    ) -> Self {
+        Request {
+            model: Arc::clone(&model.inner),
+            x,
+            y,
+            priority: opts.priority,
+            deadline_us: opts.deadline_us,
+            enqueued_us: 0,
+            drained_us: 0,
+            slot,
+        }
+    }
 }
 
 /// A typed request behind the dtype-erased channel: the enum the sealed
@@ -1062,8 +1089,9 @@ impl LaneGate {
 /// suites drive the identical protocol the submit path runs.
 pub(crate) fn bypass_try_claim(lane_inflight: &AtomicU64) -> bool {
     // Acquire on success orders the claim before the idleness-dependent
-    // reads that follow (gate state, cached plan); Relaxed on failure —
-    // a busy lane just means "go batch", no data is read under it.
+    // reads that follow (gate state, cached plan).
+    // relaxed: on failure — a busy lane just means "go batch", and no
+    // data is read under it.
     lane_inflight
         .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
         .is_ok()
@@ -1089,9 +1117,11 @@ impl Drop for GateEntry<'_> {
 
 /// State shared between the runtime handle, its [`Session`]s, and the
 /// per-lane scheduler threads. Dtype-erased: one set of lanes, one
-/// cache, one metrics plane for all traffic. Every serve — a scheduler
-/// lane's or the inline bypass lane's — runs against a [`ServeCtx`]
-/// borrowed from here.
+/// cache, one metrics plane for all traffic. Every request enters
+/// through [`Shared::submit`] (a linked batch through
+/// [`Shared::send_requests`]), and every serve — a scheduler lane's or
+/// the inline bypass lane's ([`crate::scheduler::try_bypass`]) — runs
+/// against a [`ServeCtx`] borrowed from here.
 pub(crate) struct Shared {
     /// The scheduler lanes. Requests hash to a lane by plan identity
     /// (`lane_of(dtype, shape_key)`), so one model's traffic — and any
@@ -1126,54 +1156,18 @@ impl Shared {
         crate::cache::lane_of(dtype, shape_key, self.lanes.len())
     }
 
-    fn send_request<T: ServeElement>(&self, req: Request<T>) -> Result<()> {
-        let lane = self.lane_of_key(T::DTYPE, req.model.shape_key);
-        self.send_requests(lane, std::iter::once(req))
-    }
-
-    /// The inline bypass lane's admission check + engine. Returns the
-    /// request back when it must travel the scheduler channel instead:
-    /// bypass disabled, results already in flight on the request's lane
-    /// (pipelined bursts keep batching), shutdown under way (the send
-    /// path reports it), or a plan that is not warm-local. `None` means
-    /// the request completed inline — served or shed — and its reply
-    /// slot is filled.
-    fn try_bypass<T: ServeElement>(
+    /// Admits one request: inline through the bypass lane when it takes
+    /// the request, otherwise onto its lane's ring (which reports
+    /// [`KronError::Shutdown`] once the runtime stops admitting).
+    fn submit<T: ServeElement>(
         &self,
         req: Request<T>,
         refs_scratch: &mut Vec<*const Matrix<T>>,
-    ) -> Option<Request<T>> {
-        if !self.cfg.inline_bypass {
-            return Some(req);
-        }
-        // The idleness gate, per lane: any admitted-but-unclaimed result
-        // on *this request's lane* means a pipelined client is building
-        // a burst there — keep batching. Eligibility is a CAS *claim*
-        // (0 → 1 on the lane's inflight gauge), not a load: two
-        // concurrent submitters observing an idle lane cannot both race
-        // into the inline path against the same cached entry — exactly
-        // one wins the claim, the other batches. The claim transfers to
-        // the slot on admission (`Slot::admit_claimed`) and is released
-        // on every non-admitting exit below.
+    ) -> Result<()> {
         let lane = self.lane_of_key(T::DTYPE, req.model.shape_key);
-        let lane_inflight = &self.hub.stats.lane(lane).inflight;
-        if !bypass_try_claim(lane_inflight) {
-            return Some(req);
-        }
-        if self.poisoned.load(Ordering::Acquire) || self.lanes[lane].gate.is_closed() {
-            // Fall through to the send path, which reports Shutdown.
-            bypass_release_claim(lane_inflight);
-            return Some(req);
-        }
-        let ctx = ServeCtx::new(self, lane, self.clock.now_us());
-        match crate::scheduler::try_bypass(&ctx, req, refs_scratch) {
-            None => None,
-            Some(req) => {
-                // Not admitted inline (cold/sharded plan): release the
-                // claim; the scheduler send path admits normally.
-                bypass_release_claim(lane_inflight);
-                Some(req)
-            }
+        match crate::scheduler::try_bypass(self, lane, req, refs_scratch) {
+            None => Ok(()),
+            Some(req) => self.send_requests(lane, std::iter::once(req)),
         }
     }
 
@@ -1393,24 +1387,13 @@ impl<T: ServeElement> Session<T> {
                 found: format!("Y {}×{}", y.rows(), y.cols()),
             });
         }
-        let req = Request {
-            model: Arc::clone(&model.inner),
-            x,
-            y,
-            priority: opts.priority,
-            deadline_us: opts.deadline_us,
-            enqueued_us: 0,
-            drained_us: 0,
-            slot: Arc::clone(&self.slot),
-        };
         // The low-latency lane: on an idle runtime with a warm plan the
         // call executes inline on this thread — no channel hop, no
         // linger window, no scheduler wake — and stays allocation-free
         // (the refs scratch is reused across calls). Otherwise the
         // request takes the scheduler channel as before.
-        if let Some(req) = self.shared.try_bypass(req, &mut self.refs_scratch) {
-            self.shared.send_request(req)?;
-        }
+        let req = Request::new(model, x, y, opts, Arc::clone(&self.slot));
+        self.shared.submit(req, &mut self.refs_scratch)?;
         let reply = self.slot.take_blocking();
         if reply.result.is_ok() {
             // Failed replies carry no attribution; keep the last
@@ -1569,30 +1552,15 @@ impl Runtime {
         validate_request(model, &x)?;
         let y = Matrix::zeros(x.rows(), model.output_cols());
         let slot = Arc::new(Slot::new(Arc::clone(&self.shared.hub)));
-        let req = Request {
-            model: Arc::clone(&model.inner),
-            x,
-            y,
-            priority: opts.priority,
-            deadline_us: opts.deadline_us,
-            enqueued_us: 0,
-            drained_us: 0,
-            slot: Arc::clone(&slot),
-        };
         // The low-latency lane: an idle runtime with a warm plan serves
         // the request inline right here (the ticket is already filled
         // when it returns); under load — or cold — the request takes
         // the scheduler channel. The submit path allocates regardless
         // (y, the slot), so a fresh refs scratch costs nothing extra;
         // the allocation-free inline path is `Session::call`.
-        let mut refs_scratch = Vec::new();
-        match self.shared.try_bypass(req, &mut refs_scratch) {
-            None => Ok(Ticket { slot }),
-            Some(req) => {
-                self.shared.send_request(req)?;
-                Ok(Ticket { slot })
-            }
-        }
+        let req = Request::new(model, x, y, opts, Arc::clone(&slot));
+        self.shared.submit(req, &mut Vec::new())?;
+        Ok(Ticket { slot })
     }
 
     /// Synchronous convenience: submit and wait.
@@ -1675,16 +1643,7 @@ impl Runtime {
                 tickets.push(Ticket {
                     slot: Arc::clone(&slot),
                 });
-                Request {
-                    model: Arc::clone(&model.inner),
-                    x,
-                    y,
-                    priority: opts.priority,
-                    deadline_us: opts.deadline_us,
-                    enqueued_us: 0,
-                    drained_us: 0,
-                    slot,
-                }
+                Request::new(model, x, y, opts, slot)
             })
             .collect();
         self.shared.send_requests(lane, reqs.into_iter())?;
@@ -1706,19 +1665,14 @@ impl Runtime {
     /// grid — an out-of-range fault could otherwise never fire and would
     /// stay armed forever, silently defeating the drill.
     pub fn inject_device_fault(&self, gpu: usize) -> Result<()> {
-        if let Backend::Distributed { gpus, .. } = self.shared.cfg.backend {
-            if gpu >= gpus {
-                return Err(KronError::InvalidGrid {
-                    reason: format!("device {gpu} outside a {gpus} GPU machine"),
-                });
-            }
-        }
-        self.shared.plane.push(FaultEvent {
+        let event = FaultEvent {
             gpu,
             trigger: FaultTrigger::OnShardedBatch(self.shared.plane.current_batch()),
             repeat: 1,
             kind: FaultKind::Panic,
-        });
+        };
+        self.check_fault_event(&event)?;
+        self.shared.plane.push(event);
         Ok(())
     }
 
@@ -1736,26 +1690,28 @@ impl Runtime {
     /// [`KronError::EmptyDimension`] when an event has `repeat == 0`.
     pub fn install_fault_plan(&self, plan: FaultPlan) -> Result<()> {
         for event in &plan.events {
-            if event.repeat == 0 {
-                return Err(KronError::EmptyDimension {
-                    what: "fault-plan event repeat count".into(),
-                });
-            }
-            if matches!(event.kind, FaultKind::SchedulerPanic) {
-                continue;
-            }
-            if let Backend::Distributed { gpus, .. } = self.shared.cfg.backend {
-                if event.gpu >= gpus {
-                    return Err(KronError::InvalidGrid {
-                        reason: format!(
-                            "fault-plan device {} outside a {gpus} GPU machine",
-                            event.gpu
-                        ),
-                    });
-                }
-            }
+            self.check_fault_event(event)?;
         }
         self.shared.plane.install(plan);
+        Ok(())
+    }
+
+    /// Validates one fault event: `repeat ≥ 1`, and a device event on a
+    /// distributed runtime names a configured device (device events are
+    /// inert on a single node; a scheduler panic ignores `gpu`).
+    fn check_fault_event(&self, event: &FaultEvent) -> Result<()> {
+        if event.repeat == 0 {
+            return Err(KronError::EmptyDimension {
+                what: "fault-plan event repeat count".into(),
+            });
+        }
+        if let Backend::Distributed { gpus, .. } = self.shared.cfg.backend {
+            if event.gpu >= gpus && event.kind != FaultKind::SchedulerPanic {
+                return Err(KronError::InvalidGrid {
+                    reason: format!("device {} outside a {gpus} GPU machine", event.gpu),
+                });
+            }
+        }
         Ok(())
     }
 

@@ -16,9 +16,10 @@
 //! execute and reply, and on a device fault within the
 //! [`RetryPolicy`] budget back off, shed the members whose deadline
 //! passed meanwhile, and go again on a rebuilt engine. The bypass lane
-//! ([`try_bypass`]) keeps only its hit-only lookup and its admission, then
-//! runs the same step. Every reply, served or failed, leaves through
-//! [`ServeCtx::finish`].
+//! ([`try_bypass`]) owns its whole admission, idleness claim included,
+//! then runs the same step. Every late request is shed by
+//! [`ServeCtx::shed`], every reply leaves through [`ServeCtx::finish`],
+//! and an exiting lane empties its ring through one `drain_ring`.
 //!
 //! ## Sharded lanes, erased queues, typed halves
 //!
@@ -76,7 +77,10 @@ use crate::fault::{FaultKind, FaultPlane};
 use crate::health::DeviceHealth;
 use crate::metrics::{MetricsHub, Outcome};
 use crate::runtime::sealed::ErasedDtype;
-use crate::runtime::{ErasedRequest, Msg, Reply, Request, RetryPolicy, RuntimeConfig, Shared};
+use crate::runtime::{
+    bypass_release_claim, bypass_try_claim, ErasedRequest, Msg, Reply, Request, RetryPolicy,
+    RuntimeConfig, Shared, StatsInner,
+};
 use crate::trace::{ServeEventKind, StageTimings};
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use crossbeam::sync::atomic::Ordering;
@@ -123,6 +127,26 @@ pub fn adaptive_linger_us(cap_us: u64, ewma_depth_x16: u64) -> u64 {
         return 0;
     }
     cap_us * above_one.min(LINGER_SAT_X16) / LINGER_SAT_X16
+}
+
+/// The linger policy: the configured cap, scaled by the smoothed depth
+/// `ewma_depth_x16` when [`RuntimeConfig::adaptive_linger`] is on.
+fn linger_us(cfg: &RuntimeConfig, ewma_depth_x16: u64) -> u64 {
+    if cfg.adaptive_linger {
+        adaptive_linger_us(cfg.batch_linger_us, ewma_depth_x16)
+    } else {
+        cfg.batch_linger_us
+    }
+}
+
+/// Folds one cycle of `depth` requests into the smoothed load signal
+/// (shared, so the bypass lane's depth-1 serves decay it too) and
+/// returns the linger window it now gives.
+fn fold_cycle(stats: &StatsInner, cfg: &RuntimeConfig, depth: u64) -> u64 {
+    let ewma = stats.ewma_depth_x16.load(Ordering::Relaxed);
+    let next = (3 * ewma + 16 * depth) / 4;
+    stats.ewma_depth_x16.store(next, Ordering::Relaxed);
+    linger_us(cfg, next)
 }
 
 /// The effective service priority of a request that has waited
@@ -261,7 +285,7 @@ pub(crate) struct ServeCtx<'a> {
     lane: usize,
 }
 
-/// Which lifetime counter an `Ok` reply lands in: the batched lane
+/// Which lifetime counter a served reply lands in: the batched lane
 /// ([`crate::RuntimeStats::batched_requests`]), the solo lane
 /// ([`crate::RuntimeStats::solo_requests`]), or the inline bypass lane
 /// ([`crate::RuntimeStats::bypassed_requests`]). Error replies count in
@@ -346,8 +370,9 @@ impl ServeCtx<'_> {
 
     /// The single exit point for every request the runtime answers:
     /// completes the timeline (queue and linger legs from the request's
-    /// own stamps), classifies the outcome, bumps exactly one of the
-    /// lane's `batched_requests`/`solo_requests`/`bypassed_requests`/
+    /// own stamps), classifies the outcome (`result` is `Ok(class)` for
+    /// a serve, else the error replied), bumps exactly one of the lane's
+    /// `batched_requests`/`solo_requests`/`bypassed_requests`/
     /// `error_replies` counters, records the stage histograms and the
     /// per-model registry, and fills the reply slot. Those four lane
     /// counters are the only per-class source: a lane's `served` and the
@@ -355,16 +380,14 @@ impl ServeCtx<'_> {
     /// `served == batched + solo + bypassed + error_replies` holds by
     /// construction. The global `served` counter issues the reply's
     /// sequence number.
-    #[allow(clippy::too_many_arguments)]
     fn finish<T: Element>(
         &self,
         mut timings: StageTimings,
         r: Request<T>,
-        result: kron_core::Result<()>,
+        result: kron_core::Result<ReplyClass>,
         summary: Option<gpu_sim::ExecSummary>,
         attempts: u32,
         grid: Option<(usize, usize)>,
-        class: ReplyClass,
     ) {
         let shape_key = r.model.shape_key;
         let capacity = self.capacity(r.x.rows());
@@ -373,7 +396,7 @@ impl ServeCtx<'_> {
         let stats = &self.hub.stats;
         let lane = stats.lane(self.lane);
         let outcome = match &result {
-            Ok(()) => {
+            Ok(class) => {
                 let (counter, outcome) = match class {
                     ReplyClass::Batched => (&lane.batched_requests, Outcome::Ok),
                     ReplyClass::Solo => (&lane.solo_requests, Outcome::Ok),
@@ -409,7 +432,7 @@ impl ServeCtx<'_> {
         self.hub
             .record_model_serve(T::DTYPE, shape_key, capacity, outcome, timings.total_us());
         r.slot.fill(Reply {
-            result,
+            result: result.map(|_| ()),
             x: r.x,
             y: r.y,
             seq,
@@ -418,6 +441,23 @@ impl ServeCtx<'_> {
             grid,
             timings,
         });
+    }
+
+    /// Replies `r` with [`KronError::DeadlineExceeded`]: its `deadline_us`
+    /// passed before `now`, after `attempts` executes.
+    fn shed<T: Element>(
+        &self,
+        r: Request<T>,
+        deadline_us: u64,
+        now: u64,
+        attempts: u32,
+        timings: StageTimings,
+    ) {
+        let err = KronError::DeadlineExceeded {
+            deadline_us,
+            now_us: now,
+        };
+        self.finish(timings, r, Err(err), None, attempts, None);
     }
 
     /// Executes one chunk of same-model requests — the `live` slots of
@@ -520,7 +560,7 @@ impl ServeCtx<'_> {
             }
             for &i in live {
                 let r = reqs[i].take().expect("unserved");
-                self.finish(timings, r, Err(err.clone()), None, attempt, None, class);
+                self.finish(timings, r, Err(err.clone()), None, attempt, None);
             }
             return None;
         }
@@ -563,7 +603,7 @@ impl ServeCtx<'_> {
             }
             off += m;
             let summary = entry.shard_summary(m);
-            self.finish(timings, r, Ok(()), summary, attempt, grid, class);
+            self.finish(timings, r, Ok(class), summary, attempt, grid);
         }
         None
     }
@@ -584,15 +624,26 @@ fn refs_of<'a, T: Element>(
     unsafe { std::slice::from_raw_parts(scratch.as_ptr().cast::<&Matrix<T>>(), scratch.len()) }
 }
 
+/// Takes the request out of `slot` when its deadline passed before
+/// `now`, returning it with that deadline.
+fn take_late<T: Element>(slot: &mut Option<Request<T>>, now: u64) -> Option<(Request<T>, u64)> {
+    let deadline_us = slot.as_ref()?.deadline_us.filter(|&d| d < now)?;
+    Some((slot.take()?, deadline_us))
+}
+
 /// The inline bypass lane: serves one request on the submitting thread,
 /// skipping the channel hop, the linger window, and the scheduler wake.
-/// The caller ([`crate::Runtime::submit_with`] / `Session::call_with`
-/// via their `Shared`) has already established eligibility — bypass
-/// enabled, no outstanding unclaimed results, admission gate open — and
-/// built `ctx` with `window_close_us` stamped *now*.
+/// [`Shared::submit`] offers it every request; `None` means the request
+/// completed inline — served or shed — and its reply slot is filled.
 ///
-/// Completes the request inline in two cases, returning `None` (the
-/// reply slot is filled, admission counters bumped):
+/// The lane must be enabled and idle: an unclaimed result on the
+/// request's `lane` means a pipelined client is building a burst there.
+/// Idleness is a CAS claim ([`bypass_try_claim`]), not a load, so of two
+/// submitters that find the lane idle exactly one wins. The claim
+/// transfers to the slot on admission (`Slot::admit_claimed`) and is
+/// released on every exit that hands the request back, a poisoned
+/// runtime or closed gate included (the send path reports those).
+/// An eligible request completes inline in two cases:
 ///
 /// - an already-expired deadline is shed with
 ///   [`KronError::DeadlineExceeded`] **before** any plan lookup —
@@ -610,42 +661,35 @@ fn refs_of<'a, T: Element>(
 /// into the shared EWMA depth signal so the adaptive linger window
 /// keeps breathing even when every request bypasses.
 pub(crate) fn try_bypass<T: ErasedDtype>(
-    ctx: &ServeCtx,
+    shared: &Shared,
+    lane: usize,
     mut r: Request<T>,
     refs_scratch: &mut Vec<*const Matrix<T>>,
 ) -> Option<Request<T>> {
+    let stats = &shared.hub.stats;
+    let lane_inflight = &stats.lane(lane).inflight;
+    if !shared.cfg.inline_bypass || !bypass_try_claim(lane_inflight) {
+        return Some(r);
+    }
+    if shared.poisoned.load(Ordering::Acquire) || shared.lanes[lane].gate.is_closed() {
+        bypass_release_claim(lane_inflight);
+        return Some(r);
+    }
+    let ctx = ServeCtx::new(shared, lane, shared.clock.now_us());
     let now = ctx.window_close_us;
     // A bypassed request never crosses the channel: enqueue, drain, and
     // window close collapse to one instant, so its queue and linger
     // stages are genuinely zero.
     r.enqueued_us = now;
     r.drained_us = now;
-    // The caller ([`crate::runtime::Shared::try_bypass`]) already holds
-    // the lane's inflight CAS claim, so the slot is admitted with
-    // `admit_claimed` — it takes over the claim rather than bumping the
-    // lane gauge a second time.
-    fn admit<T: ErasedDtype>(ctx: &ServeCtx, r: &Request<T>) {
-        let requests = ctx.hub.stats.requests(T::DTYPE);
-        requests.fetch_add(1, Ordering::Relaxed);
-        r.slot.admit_claimed(ctx.lane);
-    }
-    if let Some(deadline_us) = r.deadline_us {
-        if deadline_us < now {
-            admit(ctx, &r);
-            ctx.finish(
-                StageTimings::default(),
-                r,
-                Err(KronError::DeadlineExceeded {
-                    deadline_us,
-                    now_us: now,
-                }),
-                None,
-                0,
-                None,
-                ReplyClass::Bypass,
-            );
-            return None;
-        }
+    let admit = |r: &Request<T>| {
+        stats.requests(T::DTYPE).fetch_add(1, Ordering::Relaxed);
+        r.slot.admit_claimed(lane);
+    };
+    if let Some(deadline_us) = r.deadline_us.filter(|&d| d < now) {
+        admit(&r);
+        ctx.shed(r, deadline_us, now, 0, StageTimings::default());
+        return None;
     }
     let plan_start = ctx.clock.now_us();
     let pinned = {
@@ -653,24 +697,19 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
         cache.get_warm(&r.model, ctx.capacity(r.x.rows()))
     };
     let Some(pinned) = pinned else {
+        bypass_release_claim(lane_inflight);
         return Some(r);
     };
     let timings = StageTimings {
         plan_us: ctx.clock.now_us().saturating_sub(plan_start),
         ..StageTimings::default()
     };
-    admit(ctx, &r);
-    // Fold a depth-1 cycle into the shared load signal and republish the
-    // linger gauge, exactly as a scheduler cycle would.
-    let stats = &ctx.hub.stats;
-    let ewma = stats.ewma_depth_x16.load(Ordering::Relaxed);
-    let next = (3 * ewma + 16) / 4;
-    stats.ewma_depth_x16.store(next, Ordering::Relaxed);
-    if ctx.cfg.adaptive_linger && ctx.cfg.batch_linger_us > 0 {
-        stats.current_linger_us.store(
-            adaptive_linger_us(ctx.cfg.batch_linger_us, next),
-            Ordering::Relaxed,
-        );
+    admit(&r);
+    // Fold a depth-1 cycle into the shared load signal and republish an
+    // adaptive window, as a scheduler cycle would.
+    let window_us = fold_cycle(stats, ctx.cfg, 1);
+    if ctx.cfg.adaptive_linger {
+        stats.current_linger_us.store(window_us, Ordering::Relaxed);
     }
     let retry = ctx.execute_and_reply(
         pinned,
@@ -737,27 +776,9 @@ impl<T: ErasedDtype> TypedLane<T> {
     /// Admission control: shed requests whose deadline already passed —
     /// before any plan lookup, gather, or execute.
     fn shed_expired(&mut self, now: u64, ctx: &ServeCtx) {
-        for i in 0..self.pending.len() {
-            let expired = self.pending[i]
-                .as_ref()
-                .expect("fresh this cycle")
-                .deadline_us
-                .is_some_and(|d| d < now);
-            if expired {
-                let r = self.pending[i].take().expect("checked above");
-                let deadline_us = r.deadline_us.expect("expired implies a deadline");
-                ctx.finish(
-                    StageTimings::default(),
-                    r,
-                    Err(KronError::DeadlineExceeded {
-                        deadline_us,
-                        now_us: now,
-                    }),
-                    None,
-                    0,
-                    None,
-                    ReplyClass::Batched,
-                );
+        for slot in &mut self.pending {
+            if let Some((r, deadline_us)) = take_late(slot, now) {
+                ctx.shed(r, deadline_us, now, 0, StageTimings::default());
             }
         }
     }
@@ -775,7 +796,6 @@ impl<T: ErasedDtype> TypedLane<T> {
                     None,
                     0,
                     None,
-                    ReplyClass::Batched,
                 );
             }
         }
@@ -901,30 +921,12 @@ impl<T: ErasedDtype> TypedLane<T> {
         base: StageTimings,
     ) {
         let now = ctx.clock.now_us();
-        let pending = &mut self.pending;
         live.retain(|&i| {
-            let expired = pending[i]
-                .as_ref()
-                .expect("unserved")
-                .deadline_us
-                .is_some_and(|d| d < now);
-            if expired {
-                let r = pending[i].take().expect("checked above");
-                let deadline_us = r.deadline_us.expect("expired implies a deadline");
-                ctx.finish(
-                    base,
-                    r,
-                    Err(KronError::DeadlineExceeded {
-                        deadline_us,
-                        now_us: now,
-                    }),
-                    None,
-                    attempts,
-                    None,
-                    ReplyClass::Batched,
-                );
-            }
-            !expired
+            let Some((r, deadline_us)) = take_late(&mut self.pending[i], now) else {
+                return true;
+            };
+            ctx.shed(r, deadline_us, now, attempts, base);
+            false
         });
     }
 
@@ -988,7 +990,7 @@ impl<T: ErasedDtype> TypedLane<T> {
                     // help.
                     for &i in &live {
                         let r = self.pending[i].take().expect("unserved");
-                        ctx.finish(timings, r, Err(err.clone()), None, attempt, None, class);
+                        ctx.finish(timings, r, Err(err.clone()), None, attempt, None);
                     }
                     break;
                 }
@@ -1092,18 +1094,14 @@ impl Scheduler {
         self.f32_lane.pending.len() + self.f64_lane.pending.len()
     }
 
-    /// The linger window for the next batch cycle: the configured cap,
-    /// scaled by smoothed load when adaptation is on.
-    fn effective_linger_us(&self) -> u64 {
-        let cap = self.shared.cfg.batch_linger_us;
-        if cap == 0 || !self.shared.cfg.adaptive_linger {
-            return cap;
+    /// Moves everything queued on this lane's ring into the window,
+    /// dropping a `Shutdown`: the scheduler is already on its way out.
+    fn drain_ring(&mut self) {
+        while let Ok(msg) = self.rx.try_recv() {
+            if let Msg::Request(r) = msg {
+                self.enqueue(r);
+            }
         }
-        // The depth signal lives in the shared metrics plane so the
-        // inline bypass lane's depth-1 serves decay it too (see
-        // `try_bypass`).
-        let ewma = self.shared.hub.stats.ewma_depth_x16.load(Ordering::Relaxed);
-        adaptive_linger_us(cap, ewma)
     }
 
     /// The scheduler loop, panic-contained: each iteration runs under
@@ -1139,13 +1137,7 @@ impl Scheduler {
             lane.gate.begin_close();
         }
         loop {
-            loop {
-                match self.rx.try_recv() {
-                    Ok(Msg::Request(r)) => self.enqueue(r),
-                    Ok(Msg::Shutdown) => {}
-                    Err(_) => break,
-                }
-            }
+            self.drain_ring();
             if self.shared.lanes[self.lane].gate.senders_drained() {
                 break;
             }
@@ -1153,13 +1145,7 @@ impl Scheduler {
         }
         // Final sweep: the gate is drained, so nothing new can appear
         // behind this.
-        loop {
-            match self.rx.try_recv() {
-                Ok(Msg::Request(r)) => self.enqueue(r),
-                Ok(Msg::Shutdown) => {}
-                Err(_) => break,
-            }
-        }
+        self.drain_ring();
         let ctx = ServeCtx::new(&self.shared, self.lane, self.shared.clock.now_us());
         self.f32_lane.fail_all(&ctx);
         self.f64_lane.fail_all(&ctx);
@@ -1209,13 +1195,11 @@ impl Scheduler {
                     // the window up. The window is measured on the
                     // runtime's clock, so a manual clock holds it open
                     // until the test advances time.
-                    let linger_us = self.effective_linger_us();
-                    self.shared
-                        .hub
-                        .stats
-                        .current_linger_us
-                        .store(linger_us, Ordering::Relaxed);
-                    let deadline = (linger_us > 0).then(|| self.shared.clock.now_us() + linger_us);
+                    let stats = &self.shared.hub.stats;
+                    let ewma = stats.ewma_depth_x16.load(Ordering::Relaxed);
+                    let window_us = linger_us(&self.shared.cfg, ewma);
+                    stats.current_linger_us.store(window_us, Ordering::Relaxed);
+                    let deadline = (window_us > 0).then(|| self.shared.clock.now_us() + window_us);
                     while self.pending_len() < self.shared.cfg.max_queue {
                         match self.rx.try_recv() {
                             Ok(Msg::Request(r)) => self.enqueue(r),
@@ -1261,13 +1245,7 @@ impl Scheduler {
             if shutting {
                 // The gate guarantees Shutdown is the channel's final
                 // message, but drain defensively before exiting.
-                loop {
-                    match self.rx.try_recv() {
-                        Ok(Msg::Request(r)) => self.enqueue(r),
-                        Ok(Msg::Shutdown) => {}
-                        Err(_) => break,
-                    }
-                }
+                self.drain_ring();
                 self.serve_pending();
                 return false;
             }
@@ -1362,9 +1340,7 @@ impl Scheduler {
         // Load signal for the next cycle's linger window (shared with the
         // bypass lane, which folds in depth-1 cycles the scheduler never
         // sees).
-        let ewma_depth_x16 = &self.shared.hub.stats.ewma_depth_x16;
-        let ewma = ewma_depth_x16.load(Ordering::Relaxed);
-        ewma_depth_x16.store((3 * ewma + 16 * total as u64) / 4, Ordering::Relaxed);
+        fold_cycle(&self.shared.hub.stats, &self.shared.cfg, total as u64);
 
         // Cycle-boundary idle sweep (a no-op unless the policy sets
         // `max_idle_us`).

@@ -7,7 +7,8 @@ use kron_core::shuffle::kron_matmul_shuffle;
 use kron_core::{assert_matrices_close, KronError, KronProblem, Matrix};
 use kron_dist::DistFastKron;
 use kron_runtime::{
-    Backend, BreakerPolicy, BreakerState, Clock, FaultPlan, Runtime, RuntimeConfig,
+    Backend, BreakerPolicy, BreakerState, Clock, FaultEvent, FaultKind, FaultPlan, FaultTrigger,
+    Runtime, RuntimeConfig,
 };
 
 fn seq_matrix(rows: usize, cols: usize, start: usize) -> Matrix<f64> {
@@ -155,6 +156,51 @@ fn fault_on_single_node_backend_is_inert() {
     let expected = kron_matmul_shuffle(&x, &refs).unwrap();
     let y = runtime.execute(&model, x).unwrap();
     assert_matrices_close(&y, &expected, "single-node serve with armed fault");
+}
+
+#[test]
+fn fault_scripts_are_validated_whole_before_anything_installs() {
+    let event = |gpu, repeat, kind| FaultEvent {
+        gpu,
+        trigger: FaultTrigger::AtTimeUs(u64::MAX),
+        repeat,
+        kind,
+    };
+    let out_of_range = |err: KronError| match err {
+        KronError::InvalidGrid { reason } => reason.contains("device 4 outside a 4 GPU machine"),
+        _ => false,
+    };
+    let runtime = dist_runtime(4);
+    // An event that fires zero times is a malformed script.
+    let err = runtime
+        .install_fault_plan(FaultPlan::new().event(event(0, 0, FaultKind::Panic)))
+        .unwrap_err();
+    assert!(matches!(err, KronError::EmptyDimension { .. }), "{err:?}");
+    // A device outside the machine could never fire. The plan is
+    // rejected whole: its valid leading events install nothing.
+    let plan = FaultPlan::new()
+        .panic_on_batch(0, 0)
+        .stall_on_batch(3, 1, 100)
+        .panic_on_batch(4, 2);
+    assert!(out_of_range(runtime.install_fault_plan(plan).unwrap_err()));
+    assert_eq!(runtime.pending_fault_events(), 0);
+    // A scheduler panic ignores `gpu`, so any value is accepted.
+    runtime
+        .install_fault_plan(FaultPlan::new().event(event(4, 1, FaultKind::SchedulerPanic)))
+        .unwrap();
+    assert_eq!(runtime.pending_fault_events(), 1);
+    // The one-shot injector applies the same device check.
+    assert!(out_of_range(runtime.inject_device_fault(4).unwrap_err()));
+    assert_eq!(runtime.pending_fault_events(), 1);
+    runtime.install_fault_plan(FaultPlan::new()).unwrap();
+
+    // Device faults are inert on a single node, so any device is accepted.
+    let single = Runtime::new(RuntimeConfig::default());
+    single
+        .install_fault_plan(FaultPlan::new().panic_on_batch(1_000, 0))
+        .unwrap();
+    single.inject_device_fault(1_000).unwrap();
+    assert_eq!(single.pending_fault_events(), 2);
 }
 
 /// Every `KronError` variant has a stable, self-describing `Display`

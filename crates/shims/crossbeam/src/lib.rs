@@ -136,6 +136,8 @@ pub mod queue {
                 let diff = seq as isize - pos as isize;
                 if diff == 0 {
                     // Slot is free for this lap; try to claim it.
+                    // relaxed: the CAS only reserves index `pos`; the slot's
+                    // `seq` (Acquire above, Release below) orders the value.
                     match self.tail.compare_exchange_weak(
                         pos,
                         pos.wrapping_add(1),
@@ -175,6 +177,8 @@ pub mod queue {
                 let seq = slot.seq.load(Ordering::Acquire);
                 let diff = seq as isize - pos.wrapping_add(1) as isize;
                 if diff == 0 {
+                    // relaxed: the CAS only reserves index `pos`; the slot's
+                    // `seq` (Acquire above, Release below) orders the value.
                     match self.head.compare_exchange_weak(
                         pos,
                         pos.wrapping_add(1),

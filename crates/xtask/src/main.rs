@@ -16,14 +16,15 @@
 //! 3. **No allocation in zero-alloc functions**: the functions the
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
 //!    metrics plane's per-reply recorders, the slot reply protocol, the
-//!    ring push/pop, the channel's send and receive paths, the
-//!    scheduler's one execute-and-reply path) must not call allocating
-//!    std constructors.
-//! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` touching a
-//!    protocol atomic (gate state, bypass claim, seqlock seq, ring
-//!    head/tail, sleeper count, channel sender/receiver counts) must
-//!    carry a `// relaxed:` justification on the same or a nearby
-//!    preceding line.
+//!    ring push/pop, the channel's send and receive paths, the submit
+//!    path, and the scheduler's shed and execute-and-reply paths) must
+//!    not call allocating std constructors.
+//! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` in a statement
+//!    touching a protocol atomic (gate state, bypass claim, seqlock seq,
+//!    ring head/tail, sleeper count, channel sender/receiver counts) must
+//!    carry a `// relaxed:` justification inside that statement or up to
+//!    two lines above it. The rule reads the whole statement, not the
+//!    line, because rustfmt splits long chains and argument lists.
 //!
 //! Exceptions live in `crates/xtask/analyze-allowlist.txt` as
 //! `file|line-substring|reason` triples — reviewable, greppable, and
@@ -67,13 +68,21 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/kron-runtime/src/scheduler.rs",
-        &["finish", "execute_and_reply", "try_bypass"],
+        &[
+            "finish",
+            "shed",
+            "execute_and_reply",
+            "try_bypass",
+            "fold_cycle",
+        ],
     ),
     (
         "crates/kron-runtime/src/runtime.rs",
         &[
+            "submit",
             "admit",
             "admit_claimed",
+            "release",
             "fill",
             "take_blocking",
             "try_enter",
@@ -243,6 +252,13 @@ fn zero_alloc_fns(rel: &str) -> &'static [&'static str] {
         .unwrap_or(&[])
 }
 
+/// Whether a line's code ends a statement for rule 4's walk back: it
+/// ends in `;`, `{` or `}`, or it has no code.
+fn ends_statement(code: &str) -> bool {
+    let code = code.trim();
+    code.is_empty() || code.ends_with([';', '{', '}'])
+}
+
 /// The rule-4 protocol atomics named for file `rel`.
 fn relaxed_atoms(rel: &str) -> &'static [&'static str] {
     RELAXED_PROTOCOL_ATOMICS
@@ -313,11 +329,21 @@ fn check_file(rel: &str, scan: &FileScan, allow: &Allowlist, violations: &mut Ve
         }
 
         if !relaxed_atoms.is_empty() && line.code.contains("Ordering::Relaxed") {
+            // The statement this ordering sits in, rejoined across the
+            // lines rustfmt split it over.
+            let mut first = idx;
+            while first > 0 && !ends_statement(&scan.lines[first - 1].code) {
+                first -= 1;
+            }
+            let statement: String = scan.lines[first..=idx]
+                .iter()
+                .map(|l| l.code.trim())
+                .collect();
             let touches_protocol_atomic = relaxed_atoms.iter().any(|id| {
-                line.code.contains(&format!("{id}.")) || line.code.contains(&format!("self.{id}"))
+                statement.contains(&format!("{id}.")) || statement.contains(&format!("self.{id}"))
             });
             let annotated =
-                (idx.saturating_sub(2)..=idx).any(|i| scan.lines[i].comment.contains("relaxed:"));
+                (first.saturating_sub(2)..=idx).any(|i| scan.lines[i].comment.contains("relaxed:"));
             if touches_protocol_atomic && !annotated && !waived(&line.raw) {
                 violations.push(Violation {
                     file: rel.to_string(),
@@ -579,6 +605,32 @@ mod tests {
         let counter = violations_in(
             "crates/kron-runtime/src/trace.rs",
             "fn f(r: &R) { r.hits.fetch_add(1, Ordering::Relaxed); }\n",
+        );
+        assert!(counter.is_empty(), "{counter:?}");
+    }
+
+    #[test]
+    fn bare_relaxed_rule_reads_the_whole_rustfmt_split_statement() {
+        let rel = "crates/kron-runtime/src/runtime.rs";
+        let chain = "    self.hub\n        .inflight\n        .fetch_add(1, Ordering::Relaxed);\n";
+        let bad = violations_in(rel, &format!("fn f(&self) {{\n{chain}}}\n"));
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(
+            bad[0].contains(":4:") && bad[0].contains("bare-relaxed"),
+            "{bad:?}"
+        );
+
+        // A note above the statement's first line clears it.
+        let good = violations_in(
+            rel,
+            &format!("fn f(&self) {{\n    // relaxed: a gauge; it publishes no data.\n{chain}}}\n"),
+        );
+        assert!(good.is_empty(), "{good:?}");
+
+        // The walk back stops at the previous statement's end.
+        let counter = violations_in(
+            rel,
+            "fn f(&self) {\n    let n = self.inflight.load(Ordering::Acquire);\n    self.hits\n        .fetch_add(n, Ordering::Relaxed);\n}\n",
         );
         assert!(counter.is_empty(), "{counter:?}");
     }

@@ -4,9 +4,11 @@
 //! `#[cfg(test)]` / `#[test]` item extents and named-function body
 //! extents — built on brace depth over the code channel.
 //!
-//! Deliberately not a full parser: the workspace's style (rustfmt'd,
-//! one item per line) makes line granularity exact in practice, and the
-//! allowlist absorbs any corner the heuristics miss.
+//! Deliberately not a full parser. Most rules read one line at a time,
+//! but rustfmt splits long method chains and argument lists over
+//! several lines, so a rule that must see a whole statement (the
+//! `Relaxed` rule) rejoins the lines it spans. The allowlist absorbs any
+//! corner the heuristics miss.
 
 use std::collections::HashSet;
 
