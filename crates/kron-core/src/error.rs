@@ -38,8 +38,8 @@ pub enum KronError {
         reason: String,
     },
     /// A simulated device failed (panicked) during a sharded execution.
-    /// The batch that was executing fails with this error; the engine and
-    /// the fabric stay consistent, so later batches are unaffected.
+    /// The batch that was executing fails with this error; the engine
+    /// stays consistent, so later batches are unaffected.
     DeviceFailure {
         /// Linear id of the device that failed.
         gpu: usize,
@@ -65,12 +65,11 @@ pub enum KronError {
         /// The scheduler's clock when it shed the request.
         now_us: u64,
     },
-    /// A simulated device failed to report completion within the
-    /// watchdog budget during a sharded execution — the bounded verdict
-    /// for a hung (or injected slow) device. The batch's result must be
-    /// discarded; the engine's fabric stays balanced, but the serving
-    /// runtime evicts and rebuilds the entry like a
-    /// [`KronError::DeviceFailure`].
+    /// A simulated device stalled past the watchdog budget during a
+    /// sharded execution — the bounded verdict for a hung (or injected
+    /// slow) device. The batch's result must be discarded; the engine
+    /// stays usable, but the serving runtime evicts and rebuilds the
+    /// entry like a [`KronError::DeviceFailure`].
     DeviceTimeout {
         /// Linear id of the device that missed the watchdog deadline.
         gpu: usize,

@@ -200,8 +200,8 @@ impl fmt::Display for KronProblem {
 /// simulated devices (§5 of the paper's SUMMA-style partitioning).
 ///
 /// Plans for the same problem on different backends are **not**
-/// interchangeable — a sharded plan owns per-device blocks, a fabric, and
-/// a communication schedule a single-device plan has no use for — so this
+/// interchangeable — a sharded plan owns per-device blocks and a
+/// communication schedule a single-device plan has no use for — so this
 /// is part of [`PlanKey`] and any plan cache keyed on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
@@ -283,16 +283,15 @@ impl PlanKey {
     ///
     /// * **workspace** — the fused path's two ping-pong intermediate
     ///   buffers (`2 · max_intermediate_elems`, zero for single-factor
-    ///   chains); under a device grid, the per-device `local`/`next`
-    ///   blocks tile the same two intermediates plus up to four more
-    ///   intermediates' worth of pre-seeded and circulating exchange-part
-    ///   buffers (the engine seeds `4·(GK−1)` parts per worker so
-    ///   exchanges never allocate in steady state),
+    ///   chains); under a device grid, six intermediates' worth: the
+    ///   engine's device-major `local`/`next` blocks tile two of them,
+    ///   and the other four are headroom that a ledger counting buffer
+    ///   capacity would remove,
     /// * **staging** — the row-stacked batch input/output buffers
     ///   (`m · (K + L)`),
     ///
     /// all scaled by the dtype's element width. It is an accounting
-    /// estimate (plans, channels, and thread stacks are not counted), so
+    /// estimate (plans and small per-entry state are not counted), so
     /// budgets should treat it as a sizing signal, not an allocator
     /// ledger.
     pub fn estimated_bytes(&self) -> usize {
@@ -305,10 +304,10 @@ impl PlanKey {
         let workspace = match self.backend {
             // Two ping-pong buffers.
             ExecBackend::SingleDevice => 2 * intermediates,
-            // Per-device local/next blocks tile 2 intermediates across the
-            // grid; the seeded exchange freelists (4·(GK−1) parts of
-            // 1/GK of a block per worker) plus in-flight parts bound
-            // another 4.
+            // The engine's local/next blocks tile 2 intermediates across
+            // the grid. The other 4 are headroom, kept so that byte-budget
+            // admission does not move; counting capacity in the ledger
+            // removes them.
             ExecBackend::Grid { .. } => 6 * p.m * p.max_intermediate_cols(),
         };
         let staging = p.m * (p.input_cols() + p.output_cols());

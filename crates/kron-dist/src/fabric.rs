@@ -84,59 +84,6 @@ impl CommModel {
     }
 }
 
-/// Messages one mailbox of a [`Fabric`] holds. In Algorithm 2 a device
-/// sends each row peer one part per relocation round and receives every
-/// peer's part before its next round, so it runs at most one round ahead
-/// of a peer: two parts in flight per pair. The buffers peers hand back
-/// after placing a part obey the same bound, and a new execute starts
-/// only after every device reported the last one done.
-pub(crate) const MAILBOX_DEPTH: usize = 2;
-
-/// Point-to-point mailbox fabric for functional distributed runs: one
-/// bounded crossbeam channel per ordered GPU pair, holding
-/// `MAILBOX_DEPTH` (2) messages. A send into a full mailbox waits until
-/// its receiver pops, so a caller must keep each pair's traffic within
-/// that depth, as Algorithm 2's rounds do.
-pub struct Fabric<M> {
-    grid: GpuGrid,
-    senders: Vec<crossbeam::channel::Sender<M>>,
-    receivers: Vec<crossbeam::channel::Receiver<M>>,
-}
-
-impl<M: Send> Fabric<M> {
-    /// Creates the mailboxes for `grid`.
-    pub fn new(grid: GpuGrid) -> Self {
-        let n = grid.gpus();
-        let mut senders = Vec::with_capacity(n * n);
-        let mut receivers = Vec::with_capacity(n * n);
-        for _ in 0..n * n {
-            let (s, r) = crossbeam::channel::bounded(MAILBOX_DEPTH);
-            senders.push(s);
-            receivers.push(r);
-        }
-        Fabric {
-            grid,
-            senders,
-            receivers,
-        }
-    }
-
-    /// The grid this fabric connects.
-    pub fn grid(&self) -> GpuGrid {
-        self.grid
-    }
-
-    /// Sender handle for messages `src → dst`.
-    pub fn sender(&self, src: usize, dst: usize) -> crossbeam::channel::Sender<M> {
-        self.senders[src * self.grid.gpus() + dst].clone()
-    }
-
-    /// Receiver handle for messages `src → dst`.
-    pub fn receiver(&self, src: usize, dst: usize) -> crossbeam::channel::Receiver<M> {
-        self.receivers[src * self.grid.gpus() + dst].clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,17 +107,5 @@ mod tests {
         let t1 = m.send_time(150_000_000_000 / 100, 1); // 1% of a second of data
         assert!((t1 - (5e-6 + 0.01)).abs() < 1e-9);
         assert!(CommModel::p2p(&V100).alpha < m.alpha);
-    }
-
-    #[test]
-    fn fabric_routes_messages() {
-        let grid = GpuGrid::for_gpus(4).unwrap();
-        let fabric: Fabric<u32> = Fabric::new(grid);
-        fabric.sender(0, 3).send(42).unwrap();
-        fabric.sender(3, 0).send(7).unwrap();
-        assert_eq!(fabric.receiver(0, 3).recv().unwrap(), 42);
-        assert_eq!(fabric.receiver(3, 0).recv().unwrap(), 7);
-        // No cross-talk.
-        assert!(fabric.receiver(0, 1).try_recv().is_err());
     }
 }

@@ -174,8 +174,8 @@ impl DistFastKron {
 
     /// Cheap shardability check: `Ok(())` when `problem` can shard over
     /// this engine's grid, the [`KronError::InvalidGrid`] reason
-    /// otherwise. Pure arithmetic — no engine, threads, or buffers are
-    /// built, so this is the right probe for schedulers and tests.
+    /// otherwise. Pure arithmetic — no engine or device blocks are built,
+    /// so this is the right probe for schedulers and tests.
     ///
     /// # Errors
     /// [`KronError::InvalidGrid`] with the violated constraint.
@@ -195,9 +195,9 @@ impl DistFastKron {
     }
 
     /// Builds a caller-owned, reusable [`ShardedEngine`] for `problem` —
-    /// the planning-free entry point: persistent simulated-GPU workers,
-    /// pre-allocated blocks and exchange buffers, callable many times with
-    /// zero steady-state allocations. `problem.m` is the row capacity.
+    /// the planning-free entry point: every simulated GPU's block is
+    /// allocated once, and the engine is callable many times with zero
+    /// steady-state allocations. `problem.m` is the row capacity.
     ///
     /// # Errors
     /// [`KronError::InvalidGrid`] when `problem` cannot shard over this
@@ -212,7 +212,7 @@ impl DistFastKron {
     /// # Errors
     /// Shape errors as in [`Self::execute`].
     pub fn comm_volume_elements(&self, problem: &KronProblem) -> Result<u64> {
-        let s = self.shape(&problem.clone())?;
+        let s = self.shape(problem)?;
         let k = problem.input_cols();
         if self.grid.gk == 1 {
             return Ok(0);
@@ -224,9 +224,10 @@ impl DistFastKron {
             / self.grid.gk as u64)
     }
 
-    /// Functional distributed execution: one OS thread per simulated GPU,
-    /// crossbeam channels for `Send`/`Recv`, the real Algorithm 2 control
-    /// flow. Returns the gathered `M × K` result.
+    /// Functional distributed execution: the real Algorithm 2 control
+    /// flow, with every simulated GPU stepped in lockstep and each
+    /// relocation round copying blocks between devices. Returns the
+    /// gathered `M × K` result.
     ///
     /// This is the one-shot convenience over [`Self::workspace`]: it
     /// builds a throwaway [`ShardedEngine`] per call. Servers should hold

@@ -4,21 +4,20 @@
 //! paper).
 //!
 //! * [`fabric`] — the machine model: a SUMMA-style `{GM, GK}` grid of
-//!   simulated GPUs, point-to-point messaging over OS threads and bounded
-//!   crossbeam channels sized from Algorithm 2's per-round traffic
-//!   (standing in for NCCL over NVLink 2), and an α–β communication-time
-//!   model.
+//!   simulated GPUs and an α–β communication-time model standing in for
+//!   NCCL over NVLink 2.
 //! * [`fastkron`] — Algorithm 2: each GPU performs
 //!   `Nlocal = ⌊log_P TGK⌋` *local* sliced multiplications before one
 //!   all-to-all relocation round (`StoreGPUTile`), cutting communication
 //!   volume by `Nlocal` versus per-iteration exchanges. Functionally
-//!   executable (threads) and analytically timeable.
+//!   executable and analytically timeable.
 //! * [`engine`] — [`ShardedEngine`], the serving-grade form of Algorithm 2:
-//!   persistent simulated-device threads, caller-owned batch buffers, and
-//!   recycled exchange buffers, so a warmed engine executes with **zero
-//!   allocations** and a faulted device fails its batch cleanly instead of
-//!   hanging the fabric. Built via [`DistFastKron::workspace`]; this is
-//!   what `kron-runtime`'s `Distributed` backend serves through.
+//!   the simulated devices are plain state stepped in lockstep on the
+//!   caller's thread, each exchange is one copy pass between device
+//!   blocks, and every block is allocated once, so a warmed engine
+//!   executes with **zero allocations** and a faulted device fails its
+//!   batch cleanly. Built via [`DistFastKron::workspace`]; this is what
+//!   `kron-runtime`'s `Distributed` backend serves through.
 //! * [`baselines`] — the two rival distributed systems of §6.3: CTF
 //!   (distributed shuffle: GEMM + distributed transpose every iteration)
 //!   and DISTAL (distributed FTMMT: fused contraction, but still one
@@ -32,6 +31,6 @@ pub mod fabric;
 pub mod fastkron;
 
 pub use baselines::{CtfEngine, DistalEngine};
-pub use engine::{live_sim_worker_threads, ShardedEngine, Watchdog};
+pub use engine::{ShardedEngine, Watchdog};
 pub use fabric::{CommModel, GpuGrid};
 pub use fastkron::DistFastKron;

@@ -30,15 +30,13 @@
 //!
 //! ## Bounded lifecycle
 //!
-//! Left unbounded, a many-model deployment leaks: every `Distributed`
-//! entry pins `GM·GK` parked simulated-device threads plus per-device
-//! buffers forever. [`CachePolicy`] bounds the cache three ways:
+//! Left unbounded, a many-model deployment leaks: every entry holds its
+//! workspace or engine buffers (a `Distributed` entry, every simulated
+//! device's blocks) forever. [`CachePolicy`] bounds the cache three ways:
 //!
 //! * **LRU capacity** (`max_entries`) — before building an entry that
 //!   would exceed the bound, the least-recently-used unpinned entry is
-//!   evicted, so the number of live engines never exceeds the bound (the
-//!   lifecycle tests assert this by counting live simulated-device
-//!   threads through [`kron_dist::live_sim_worker_threads`]).
+//!   evicted, so the number of live engines never exceeds the bound.
 //! * **Byte budget** (`max_bytes`) — every entry is accounted at its
 //!   [`PlanKey::estimated_bytes`] (workspace + batch staging + engine
 //!   footprint). A miss first decides the entry's key (`entry_key`:
@@ -54,9 +52,8 @@
 //!   runtime's [`Clock`]; the scheduler sweeps at the start of every
 //!   serve cycle, and [`crate::Runtime::sweep`] does it on demand.
 //!
-//! Dropping an entry's last reference tears its state down synchronously:
-//! a `Sharded` entry's [`kron_dist::ShardedEngine`] joins all `GM·GK`
-//! worker threads in its `Drop`.
+//! Dropping an entry's last reference frees its state synchronously, a
+//! `Sharded` entry's [`kron_dist::ShardedEngine`] blocks included.
 //!
 //! ## Pinning
 //!
@@ -108,8 +105,8 @@ pub(crate) fn lane_of(dtype: DType, shape_key: u64, lanes: usize) -> usize {
 
 /// Bounds on the plan cache's resident entries (and therefore on live
 /// engines, workspaces, staging buffers, and — under the `Distributed`
-/// backend — parked simulated-device threads). One policy spans every
-/// dtype the runtime serves.
+/// backend — simulated-device blocks). One policy spans every dtype the
+/// runtime serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachePolicy {
     /// Maximum resident entries. When a build would exceed this, the
@@ -371,7 +368,7 @@ pub struct PlanCache {
     total_bytes: usize,
     /// Watchdog budget installed on every engine this cache builds: a
     /// device stalled past this many clock microseconds fails its batch
-    /// with [`KronError::DeviceTimeout`] instead of hanging the fabric.
+    /// with [`KronError::DeviceTimeout`] instead of hanging the batch.
     watchdog_us: u64,
     /// Metrics plane evictions, rebuilds, local fallbacks, and per-model
     /// plan lookups are recorded into. A standalone cache gets its own
@@ -492,8 +489,8 @@ impl PlanCache {
     }
 
     /// Evicts the entry after a device failure, so the next batch of the
-    /// shape rebuilds a fresh engine instead of trusting a possibly
-    /// inconsistent fabric. Unconditional: a pinned (in-flight) entry is
+    /// shape rebuilds a fresh engine instead of reusing the one that
+    /// failed. Unconditional: a pinned (in-flight) entry is
     /// detached from the map and lives until its last pin drops — it is
     /// never handed out again.
     pub(crate) fn evict_failed(&mut self, dtype: DType, shape_key: u64, capacity: usize) {
@@ -592,8 +589,9 @@ impl PlanCache {
             .record_plan_lookup(T::DTYPE, model.shape_key, capacity, false);
         // Decide the entry, then make room for its footprint *before*
         // building it, so live engines never exceed the entry bound (the
-        // new engine's threads only spawn after the evicted one's joined)
-        // and the byte ledger never exceeds the budget even transiently.
+        // new engine allocates only after the evicted one's memory is
+        // freed) and the byte ledger never exceeds the budget even
+        // transiently.
         // Deciding first also surfaces a misconfigured backend (e.g. a
         // non-power-of-two grid), which fails every build forever, before
         // anyone is evicted — so a stream of doomed requests cannot flush

@@ -133,8 +133,8 @@
 //!   GPU count) fails every request with the documented
 //!   [`kron_core::KronError::InvalidGrid`]. A device that panics
 //!   mid-batch fails only that batch with
-//!   [`kron_core::KronError::DeviceFailure`] — the fabric stays balanced,
-//!   later batches re-plan on a fresh engine.
+//!   [`kron_core::KronError::DeviceFailure`]; later batches re-plan on a
+//!   fresh engine.
 //!
 //! Both backends run the same microkernel
 //! ([`fastkron_core::sliced_multiply_rows_into`]), so on integer-valued
@@ -157,7 +157,7 @@
 //!   [`kron_core::KronError::CacheBudgetExceeded`]), and ages idle ones
 //!   out (`max_idle_us`, swept each scheduler cycle and via
 //!   [`Runtime::sweep`]). All three bounds span both dtypes. Evicting a
-//!   `Distributed` entry joins its `GM·GK` simulated-device threads
+//!   `Distributed` entry frees its simulated devices' blocks
 //!   synchronously. In-flight batches pin their entry, and
 //!   [`Runtime::pin_model`] gives clients the same RAII pin to keep a hot
 //!   model resident; [`RuntimeStats`] counts `evictions`/`rebuilds` and

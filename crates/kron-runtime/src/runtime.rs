@@ -153,8 +153,8 @@ pub struct RuntimeConfig {
     /// timeout), spanning both dtypes. The default is unbounded —
     /// production deployments serving many model shapes should set
     /// [`CachePolicy::max_entries`] and/or [`CachePolicy::max_bytes`],
-    /// since every cached `Distributed` entry pins `GM·GK` parked worker
-    /// threads plus its buffers.
+    /// since every cached entry holds its buffers (a `Distributed` entry,
+    /// every simulated device's blocks) until evicted.
     pub cache: CachePolicy,
     /// The clock deadlines, queue ages, idle ages, and linger windows are
     /// measured on. [`Clock::real`] (the default) in production;
@@ -1770,8 +1770,8 @@ impl Runtime {
             cache.get_or_create(&model.inner, capacity, limit)?
         };
         // Pre-warm execute (sharded entries only: a local workspace has
-        // no lazily-allocated staging or fabric to warm, and no device to
-        // fault). Zero input — the output is discarded.
+        // no lazily-allocated staging to warm, and no device to fault).
+        // Zero input — the output is discarded.
         let warm_result = {
             let mut guard = pinned.lock();
             match <T as sealed::ErasedDtype>::plan_mut(&mut guard) {

@@ -339,7 +339,7 @@ impl ServeCtx<'_> {
     /// `Fault` event, and the breaker ledger, whose trips `breaker_trips`
     /// sums) and evicts the
     /// entry, so the next lookup rebuilds a fresh engine rather than
-    /// trust a possibly inconsistent fabric. Returns whether `err` was
+    /// reuse the one that failed. Returns whether `err` was
     /// such a fault; any other error leaves the entry cached.
     pub(crate) fn device_fault(
         &self,

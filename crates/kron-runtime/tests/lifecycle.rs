@@ -1,11 +1,10 @@
 //! Plan-cache lifecycle contract, made deterministic by the manual
 //! clock: LRU eviction order under a bounded cache, idle-timeout
-//! eviction, engine-thread teardown on eviction (counted through
-//! `kron_dist::live_sim_worker_threads`), pinned-entry survival,
-//! re-warm after eviction, and single-device entries that build on any
-//! device model — with every served result still checked against the
-//! shuffle oracle, so a rebuilt engine is proven correct, not just
-//! present.
+//! eviction, sharded entries releasing their bytes on eviction,
+//! pinned-entry survival, re-warm after eviction, and single-device
+//! entries that build on any device model — with every served result
+//! still checked against the shuffle oracle, so a rebuilt engine is
+//! proven correct, not just present.
 
 use gpu_sim::device::V100;
 use kron_core::naive::kron_matmul_naive;
@@ -15,10 +14,6 @@ use kron_runtime::{
     Backend, CachePolicy, Clock, ManualClock, Model, Runtime, RuntimeConfig, ServeElement,
 };
 use std::sync::Arc;
-
-/// `live_sim_worker_threads` is process-global, so tests that assert on
-/// it must not overlap with other engine-creating tests in this binary.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// An integer-valued matrix of either dtype, so every path is exact.
 fn seq_matrix<T: Element>(rows: usize, cols: usize, start: usize) -> Matrix<T> {
@@ -151,9 +146,7 @@ fn idle_timeout_eviction_via_the_test_clock() {
 }
 
 #[test]
-fn eviction_joins_engine_worker_threads() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let base = kron_dist::live_sim_worker_threads();
+fn eviction_releases_evicted_entry_bytes() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 16,
         batch_max_m: 8,
@@ -168,42 +161,31 @@ fn eviction_joins_engine_worker_threads() {
         },
         ..RuntimeConfig::default()
     });
-    // Both shardable over the {2,2} grid: each entry pins GM·GK = 4
-    // simulated-device threads.
+    // Both shardable over the {2,2} grid.
     let fa = model_factors(&[(4, 4), (4, 4)], 1);
     let fb = model_factors(&[(8, 8), (8, 8)], 2);
     let a = runtime.load_model(fa.clone()).unwrap();
     let b = runtime.load_model(fb.clone()).unwrap();
 
     serve_checked(&runtime, &a, &fa, "sharded A");
-    assert_eq!(kron_dist::live_sim_worker_threads(), base + 4);
+    let bytes_a = runtime.cached_bytes();
 
-    // Serving B evicts A under the capacity-1 bound; A's engine must have
-    // joined all 4 workers before B's spawned (never exceeds the bound).
+    // Serving B evicts A under the capacity-1 bound.
     serve_checked(&runtime, &b, &fb, "sharded B evicts A");
-    assert_eq!(
-        kron_dist::live_sim_worker_threads(),
-        base + 4,
-        "evicted engine must join its GM*GK workers"
-    );
     let stats = runtime.stats();
     assert_eq!(stats.evictions, 1, "stats: {stats:?}");
     assert_eq!(stats.cached_entries, 1, "stats: {stats:?}");
 
-    // A full rotation back: rebuild works, still bounded.
+    // A full rotation back: rebuild works, and the ledger holds exactly
+    // A's bytes again, so neither eviction leaked its entry's bytes.
     serve_checked(&runtime, &a, &fa, "sharded A re-warms");
-    assert_eq!(kron_dist::live_sim_worker_threads(), base + 4);
+    assert_eq!(runtime.cached_bytes(), bytes_a);
     assert_eq!(runtime.stats().rebuilds, 1);
-
-    // Shutdown tears the last engine down too.
     runtime.shutdown();
-    assert_eq!(kron_dist::live_sim_worker_threads(), base);
 }
 
 #[test]
 fn capacity_bound_holds_while_serving_more_shapes_than_entries() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let base = kron_dist::live_sim_worker_threads();
     const MAX_ENTRIES: usize = 2;
     const GPUS: usize = 4;
     let runtime = Runtime::new(RuntimeConfig {
@@ -240,14 +222,8 @@ fn capacity_bound_holds_while_serving_more_shapes_than_entries() {
                 &factor_sets[i],
                 &format!("round {round} model {i}"),
             );
-            // The lifecycle acceptance bound: live engines (counted by
-            // worker threads) never exceed max_entries.
-            let live = kron_dist::live_sim_worker_threads() - base;
-            assert!(
-                live <= MAX_ENTRIES * GPUS,
-                "round {round} model {i}: {live} live workers exceeds the \
-                 {MAX_ENTRIES}-entry bound"
-            );
+            // The lifecycle acceptance bound: live engines never exceed
+            // max_entries.
             assert!(runtime.cached_entries() <= MAX_ENTRIES);
         }
     }
@@ -257,13 +233,10 @@ fn capacity_bound_holds_while_serving_more_shapes_than_entries() {
     assert!(stats.evictions >= 6, "stats: {stats:?}");
     assert!(stats.rebuilds >= 4, "stats: {stats:?}");
     runtime.shutdown();
-    assert_eq!(kron_dist::live_sim_worker_threads(), base);
 }
 
 #[test]
 fn pinned_entry_survives_eviction_pressure_until_released() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let base = kron_dist::live_sim_worker_threads();
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 16,
         batch_max_m: 8,
@@ -287,7 +260,7 @@ fn pinned_entry_survives_eviction_pressure_until_released() {
 
     // Pin A: builds (and pre-warms) its sharded engine.
     let pin = runtime.pin_model(&a).unwrap();
-    assert_eq!(kron_dist::live_sim_worker_threads(), base + 4);
+    assert_eq!(runtime.cached_entries(), 1);
     let misses_after_pin = runtime.stats().plan_misses;
 
     // Rotate other shapes through the capacity-1 cache. The pinned entry
@@ -318,7 +291,6 @@ fn pinned_entry_survives_eviction_pressure_until_released() {
     let evictions_after_unpin = runtime.stats().evictions;
     assert!(evictions_after_unpin >= 4, "stats: {:?}", runtime.stats());
     runtime.shutdown();
-    assert_eq!(kron_dist::live_sim_worker_threads(), base);
 }
 
 #[test]

@@ -228,8 +228,8 @@ fn steady_state_sharded_serving_is_allocation_free() {
     let mut x = seq_matrix(4, model.input_cols(), 3);
     let mut y = Matrix::zeros(4, model.output_cols());
 
-    // Warmup: plan the sharded engine, spawn its device threads, grow the
-    // channel queues, and let the exchange buffers reach circulation.
+    // Warmup: build the sharded engine (every device block is allocated
+    // once, at construction) and the entry's staging buffers.
     for _ in 0..16 {
         (x, y) = session.call(&model, x, y).unwrap();
     }

@@ -362,7 +362,7 @@ fn device_fault_surfaces_when_retry_disabled() {
     }
     assert!(failures >= 1);
 
-    // The very next batch succeeds (fresh engine, balanced fabric) — no
+    // The very next batch succeeds (fresh engine) — no
     // hang, no residue, and nothing counted as a retry.
     let y = runtime.execute(&model, x).unwrap();
     assert_matrices_close(&y, &expected, "post-fault batch");

@@ -2,8 +2,7 @@
 //!
 //! Provides `crossbeam::channel::{bounded, Sender, Receiver}` with
 //! clonable ends, plus `queue::ArrayQueue` — the surfaces used by the
-//! simulated multi-GPU fabric (as its NCCL stand-in) and the serving
-//! runtime's sharded admission lanes.
+//! serving runtime's sharded admission lanes.
 //!
 //! One channel flavor: [`channel::bounded`], a lock-free bounded MPMC
 //! ring ([`queue::ArrayQueue`], Vyukov's algorithm) with condvar-assisted
@@ -11,9 +10,7 @@
 //! fast path (they only touch the condvar mutex when a receiver has
 //! registered itself as sleeping), so N submitter threads scale without
 //! serializing on admission. The ring is preallocated at construction —
-//! sends never allocate, preserving zero-alloc steady-state serving. The
-//! fabric's traffic per GPU pair is fixed by its protocol, so its
-//! mailboxes are rings sized from that bound.
+//! sends never allocate, preserving zero-alloc steady-state serving.
 
 #![deny(missing_docs)]
 

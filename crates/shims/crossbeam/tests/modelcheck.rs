@@ -9,8 +9,8 @@
 //!
 //! The suites drive the *production* `ArrayQueue` and channel code (not
 //! simplified replicas) through every schedule within the preemption
-//! bound. That channel is the one flavor behind both the serving
-//! runtime's admission lanes and kron-dist's fabric mailboxes.
+//! bound. That channel is the one flavor behind the serving runtime's
+//! admission lanes.
 //! Mutation-validation tests re-introduce a historical bug shape (a
 //! dropped sleeper-handshake fence) and assert the checker still catches
 //! it — if these fail, the checker has gone blind.

@@ -1,7 +1,7 @@
 //! Distributed Kron-Matmul on a simulated 8-GPU fabric: functional
-//! execution over real threads + channels, verification against the
-//! single-device engine, and the communication-volume comparison against
-//! the CTF/DISTAL models.
+//! execution with the simulated GPUs stepped in lockstep, verification
+//! against the single-device engine, and the communication-volume
+//! comparison against the CTF/DISTAL models.
 //!
 //! Run with `cargo run --release --example multi_gpu`.
 
@@ -27,7 +27,7 @@ fn main() {
         grid.gm, grid.gk
     );
 
-    // Functional distributed run (threads + channels) vs single-device.
+    // Functional distributed run (lockstep devices) vs single-device.
     let y_dist = engine.execute(&x, &refs).expect("distributed run");
     let y_single = fastkron::kron::algorithm::kron_matmul_fastkron(&x, &refs).expect("single run");
     assert_matrices_close(&y_dist, &y_single, "distributed == single");

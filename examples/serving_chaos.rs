@@ -45,15 +45,13 @@ fn health_line(runtime: &Runtime) -> String {
 }
 
 fn main() {
-    // Injected device faults are *caught* panics on the simulated device
-    // threads; keep their default backtrace spew out of the drill's
-    // narrative (anything panicking elsewhere still reports normally).
+    // Injected device faults are *caught* panics in a simulated device's
+    // step; keep their default backtrace spew out of the drill's
+    // narrative (any other panic still reports normally).
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let on_sim_device = std::thread::current()
-            .name()
-            .is_some_and(|n| n.starts_with("kron-sim-gpu"));
-        if !on_sim_device {
+        let injected = info.payload().downcast_ref::<&str>() == Some(&"injected device fault");
+        if !injected {
             default_hook(info);
         }
     }));

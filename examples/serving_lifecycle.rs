@@ -22,8 +22,8 @@ fn factors_for(shapes: &[(usize, usize)], seed: usize) -> Vec<Matrix<f32>> {
 fn main() {
     // A bounded (dtype-erased) runtime over the simulated 4-GPU machine:
     // at most TWO resident plan-cache entries (each `Distributed` entry
-    // pins GM·GK parked device threads, so the bound is also a
-    // thread/memory bound), at most 64 MiB of accounted execution state
+    // holds every simulated device's blocks, so the bound is also a
+    // memory bound), at most 64 MiB of accounted execution state
     // (workspace + staging + engine blocks, across every dtype served),
     // entries idle > 50 ms age out, and the linger window adapts to load
     // under a 200 us cap.
@@ -62,10 +62,6 @@ fn main() {
     // Pin the hot model: model 0 stays resident (and pre-warmed) however
     // hard the rotation churns the other entries.
     let _pin = runtime.pin_model(&models[0]).expect("pin hot model");
-    println!(
-        "pinned model 0; live simulated-device threads: {}",
-        live_sim_worker_threads()
-    );
 
     // The runtime is dtype-erased: an f64 model joins the same rotation,
     // competing for the same two cache slots and the same byte budget as
@@ -77,8 +73,8 @@ fn main() {
 
     // Rotate traffic across all five shapes (four f32 + one f64). The
     // cache can hold only two entries, so the unpinned models churn
-    // (evict + rebuild) while model 0 rides its pin; the worker-thread
-    // count and the accounted bytes stay bounded throughout.
+    // (evict + rebuild) while model 0 rides its pin; the entry count and
+    // the accounted bytes stay bounded throughout.
     for round in 0..3 {
         for (i, model) in models.iter().enumerate() {
             let m = 2 + (round + i) % 6;
@@ -104,15 +100,13 @@ fn main() {
         assert_eq!(y.cols(), model_f64.output_cols());
         let s = runtime.stats();
         println!(
-            "round {round}: entries={} (~{} KiB) evictions={} rebuilds={} hits/misses={}/{} \
-             live-threads={}",
+            "round {round}: entries={} (~{} KiB) evictions={} rebuilds={} hits/misses={}/{}",
             s.cached_entries,
             s.cached_bytes / 1024,
             s.evictions,
             s.rebuilds,
             s.plan_hits,
             s.plan_misses,
-            live_sim_worker_threads(),
         );
     }
 
@@ -143,12 +137,6 @@ fn main() {
         s.current_linger_us,
     );
 
-    // Shutdown drains and joins every engine: no simulated-device thread
-    // survives the runtime.
     drop(_pin);
     runtime.shutdown();
-    println!(
-        "after shutdown: live simulated-device threads = {}",
-        live_sim_worker_threads()
-    );
 }

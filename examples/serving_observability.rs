@@ -95,13 +95,12 @@ fn event_line(e: &ServeEvent) -> String {
 }
 
 fn main() {
-    // Keep the injected device panic's backtrace out of the tour.
+    // Keep the injected device panic's backtrace out of the tour (any
+    // other panic still reports normally).
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let on_sim_device = std::thread::current()
-            .name()
-            .is_some_and(|n| n.starts_with("kron-sim-gpu"));
-        if !on_sim_device {
+        let injected = info.payload().downcast_ref::<&str>() == Some(&"injected device fault");
+        if !injected {
             default_hook(info);
         }
     }));

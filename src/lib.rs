@@ -41,7 +41,7 @@ pub mod prelude {
     pub use kron_core::{
         assert_matrices_close, ExecBackend, FactorShape, KronProblem, Matrix, PlanKey,
     };
-    pub use kron_dist::{live_sim_worker_threads, DistFastKron, GpuGrid, ShardedEngine};
+    pub use kron_dist::{DistFastKron, GpuGrid, ShardedEngine};
     pub use kron_runtime::{
         adaptive_linger_us, aged_priority, Backend, BreakerPolicy, BreakerState, CachePolicy,
         Clock, DeviceHealthReport, DeviceMetricsSnapshot, EvictReason, FaultEvent, FaultKind,
