@@ -237,65 +237,24 @@ impl<T: Element> KronPlan<T> {
         self.stages.len()
     }
 
-    fn check_operands(&self, x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<()> {
-        if factors.len() != self.problem.num_factors() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{} factors", self.problem.num_factors()),
-                found: format!("{} factors", factors.len()),
-            });
-        }
-        for (i, (f, s)) in factors.iter().zip(self.problem.factors.iter()).enumerate() {
-            if f.rows() != s.p || f.cols() != s.q {
-                return Err(KronError::ShapeMismatch {
-                    expected: format!("factor {} of shape {s}", i + 1),
-                    found: format!("{}×{}", f.rows(), f.cols()),
-                });
-            }
-        }
-        if x.rows() != self.problem.m || x.cols() != self.problem.input_cols() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("X {}×{}", self.problem.m, self.problem.input_cols()),
-                found: format!("X {}×{}", x.rows(), x.cols()),
-            });
-        }
-        Ok(())
-    }
-
     /// Allocates a fused-path [`Workspace`] sized for the planned problem.
     ///
     /// [`Self::execute`] creates one per call; callers running the plan
-    /// repeatedly should create the workspace once and use
-    /// [`Self::execute_with`] so no execution ever allocates intermediates.
+    /// repeatedly should create the workspace once and call
+    /// [`Workspace::execute_into`] on it, so no execution ever allocates.
     pub fn workspace(&self) -> Workspace<T> {
         Workspace::new(&self.problem)
     }
 
     /// Computes `Y = X · (F1 ⊗ … ⊗ FN)` on the fused execution path
-    /// ([`crate::exec`]): zero intermediate allocations after workspace
-    /// creation, no transpose pass, row-tile parallel. Tiling choices in
-    /// the plan do not affect values.
+    /// ([`crate::exec`]) with a fresh [`Self::workspace`]: no transpose
+    /// pass, and every host thread on a large enough problem. Tiling
+    /// choices in the plan do not affect values.
     ///
     /// # Errors
     /// Shape mismatches between the operands and the planned problem.
     pub fn execute(&self, x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-        let mut workspace = self.workspace();
-        self.execute_with(&mut workspace, x, factors)
-    }
-
-    /// Like [`Self::execute`], reusing a caller-held [`Workspace`] so the
-    /// whole call is allocation-free except for the result matrix.
-    ///
-    /// # Errors
-    /// Shape mismatches between the operands and the planned problem (the
-    /// workspace must come from [`Self::workspace`] on the same plan).
-    pub fn execute_with(
-        &self,
-        workspace: &mut Workspace<T>,
-        x: &Matrix<T>,
-        factors: &[&Matrix<T>],
-    ) -> Result<Matrix<T>> {
-        self.check_operands(x, factors)?;
-        workspace.execute(x, factors)
+        self.workspace().execute(x, factors)
     }
 
     /// Computes the result by running every planned thread block through
@@ -306,7 +265,13 @@ impl<T: Element> KronPlan<T> {
     /// # Errors
     /// Shape mismatches between the operands and the planned problem.
     pub fn execute_emulated(&self, x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-        self.check_operands(x, factors)?;
+        self.problem.check_factors(factors)?;
+        if x.rows() != self.problem.m || x.cols() != self.problem.input_cols() {
+            return Err(KronError::ShapeMismatch {
+                expected: format!("X {}×{}", self.problem.m, self.problem.input_cols()),
+                found: format!("X {}×{}", x.rows(), x.cols()),
+            });
+        }
         let mut y = x.clone();
         for stage in &self.stages {
             if stage.fused {

@@ -42,32 +42,38 @@
 //!    block in registers, so each column's `RK` results go out as one
 //!    contiguous store.
 //!
-//! Rows of the problem are independent, so the whole factor chain is
-//! parallelized by partitioning rows into tiles and running each tile's
-//! *entire* chain on one thread — one dispatch per execute, not one per
-//! factor, with each thread ping-ponging inside its own disjoint slice of
-//! the workspace buffers. Dispatch goes to the process-wide persistent
-//! [`rayon::ThreadPool`] (workers parked on a channel), so an execute costs
-//! one task handoff per tile, never a thread spawn.
+//! Rows of the problem are independent, and so are the slices of one row
+//! within a step. Every execute therefore runs on a `(row groups, slice
+//! groups)` grid, and every grid runs one step function: one factor step
+//! for a range of rows over a range of slices. Only the dispatch differs,
+//! and it goes to the process-wide persistent [`rayon::ThreadPool`]
+//! (workers parked on a channel), so a dispatch costs task handoffs, never
+//! a thread spawn:
 //!
-//! When the problem has fewer rows than the host has threads (the paper's
-//! Table 3/4 small-M shapes), row tiles alone cannot use the machine. The
-//! **wide mode** then splits the *slice range within each row* across
-//! threads as well: every factor step becomes one pool broadcast over a
-//! `rows × column-groups` grid, with the broadcast's completion acting as
-//! the inter-step barrier. Each task computes slices `[s_lo, s_hi)` of its
-//! row and scatters to the same `q·S + s` output columns the serial path
-//! uses, so the two modes are numerically identical (pinned by a proptest).
+//! - **One slice group.** Each row tile threads its rows through the whole
+//!   chain as one pool task, ping-ponging inside its own rows of the
+//!   workspace buffers: one dispatch per execute, not one per factor. A
+//!   `1 × 1` grid runs that loop on the calling thread and dispatches
+//!   nothing.
+//! - **Several slice groups.** When the problem has fewer rows than the
+//!   host has threads (the paper's Table 3/4 small-M shapes), row tiles
+//!   alone cannot use the machine. Each factor step is then one pool
+//!   broadcast over the grid, whose completion is the inter-step barrier.
+//!
+//! Each task scatters its slices `[s_lo, s_hi)` to the same `q·S + s`
+//! output columns whatever the grid, so every grid gives the same bits
+//! (pinned by `tests/wide_split.rs` and `tests/exact_order.rs`).
 
 use kron_core::{Element, KronError, KronProblem, Matrix, Result};
 use rayon::ThreadPool;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Slice-block edge of the register tile: the microkernel computes [`RK`]
 /// consecutive slices per accumulator tile (one 256-bit `f32` vector, or
 /// two `f64` ones, per factor column once the SIMD tile transposes its
-/// block), and the wide mode aligns its slice-range splits to multiples of
-/// it so interior tiles stay full and take the SIMD tile.
+/// block), and a grid with several slice groups aligns its slice splits to
+/// multiples of it so interior tiles stay full and take the SIMD tile.
 pub const RK: usize = 8;
 
 /// Widest accumulator row of the register tile, in bytes: 16 `f32` or 8
@@ -107,29 +113,9 @@ pub struct Workspace<T> {
     stride: usize,
     buf_a: Vec<T>,
     buf_b: Vec<T>,
-    /// Forced `(row_groups, col_groups)` decomposition; `None` auto-selects
-    /// from the pool width and problem size.
+    /// Pinned `(row_groups, col_groups)` grid; `None` chooses one per
+    /// execute from the pool width and problem size.
     partition: Option<(usize, usize)>,
-}
-
-/// How one execute is decomposed across the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecMode {
-    /// One thread runs the whole chain.
-    Serial,
-    /// Rows are cut into this many tiles; each tile runs its entire chain
-    /// on one pool task (no inter-step synchronization).
-    RowTiles(usize),
-    /// Every factor step broadcasts a `row_groups × col_groups` task grid,
-    /// splitting the slice range within each row; the broadcast return is
-    /// the inter-step barrier. This is what lets `M < threads` problems
-    /// use the whole host.
-    Wide {
-        /// Row-range groups (≤ rows).
-        row_groups: usize,
-        /// Slice-range groups per row.
-        col_groups: usize,
-    },
 }
 
 impl<T: Element> Workspace<T> {
@@ -160,14 +146,17 @@ impl<T: Element> Workspace<T> {
         &self.problem
     }
 
-    /// Pins the parallel decomposition to `(row_groups, col_groups)`
-    /// instead of auto-selecting from the host's thread count: `(1, 1)`
-    /// forces the serial path, `(r, 1)` forces `r` row tiles, and
-    /// `(r, c)` with `c > 1` forces the wide (column-splitting) mode.
+    /// Pins the `(row_groups, col_groups)` grid every execute runs on,
+    /// instead of choosing it from the host's thread count and the
+    /// problem size. `(1, 1)` runs the chain on the calling thread; `(r,
+    /// 1)` cuts the rows into `r` tiles that each run the whole chain as
+    /// one pool task; with `c > 1`, each factor step is one pool broadcast
+    /// over `r` row groups times `c` slice groups. `r` is clamped to
+    /// `1..=rows` and `c` to at least 1. Every grid gives the same bits.
     ///
     /// Intended for tests and benchmarks that must exercise a specific
-    /// mode regardless of the machine they run on; `None` restores
-    /// auto-selection.
+    /// grid regardless of the machine they run on; `None` restores the
+    /// automatic choice.
     pub fn set_partition(&mut self, partition: Option<(usize, usize)>) {
         self.partition = partition;
     }
@@ -183,7 +172,8 @@ impl<T: Element> Workspace<T> {
     }
 
     /// Computes `Y = X · (F1 ⊗ … ⊗ FN)` into caller-provided storage —
-    /// the fully allocation-free entry point.
+    /// the fully allocation-free entry point. `X` and `Y` must have
+    /// exactly the planned `problem.m` rows.
     ///
     /// # Errors
     /// Shape mismatches between the operands and the workspace's problem.
@@ -193,9 +183,14 @@ impl<T: Element> Workspace<T> {
         factors: &[&Matrix<T>],
         y: &mut Matrix<T>,
     ) -> Result<()> {
-        self.validate(x, factors, y)?;
-        self.run(x.as_slice(), factors, y.as_mut_slice(), self.problem.m);
-        Ok(())
+        let m = self.problem.m;
+        if x.rows() != m || y.rows() != m {
+            return Err(KronError::ShapeMismatch {
+                expected: format!("X and Y with {m} rows"),
+                found: format!("{} and {} rows", x.rows(), y.rows()),
+            });
+        }
+        self.execute_rows(x, factors, y, m)
     }
 
     /// Computes the first `rows` rows of `Y = X · (F1 ⊗ … ⊗ FN)`, where
@@ -217,91 +212,73 @@ impl<T: Element> Workspace<T> {
         y: &mut Matrix<T>,
         rows: usize,
     ) -> Result<()> {
-        self.validate_factors(factors)?;
-        if rows > self.problem.m {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("at most {} rows (workspace capacity)", self.problem.m),
-                found: format!("{rows} rows"),
-            });
+        self.problem.check_factors(factors)?;
+        self.problem.check_rows(x, y, rows)?;
+        if rows > 0 {
+            self.run(x.as_slice(), factors, y.as_mut_slice(), rows);
         }
-        if x.rows() < rows || x.cols() != self.problem.input_cols() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("X with ≥{} rows × {}", rows, self.problem.input_cols()),
-                found: format!("X {}×{}", x.rows(), x.cols()),
-            });
-        }
-        if y.rows() < rows || y.cols() != self.problem.output_cols() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("Y with ≥{} rows × {}", rows, self.problem.output_cols()),
-                found: format!("Y {}×{}", y.rows(), y.cols()),
-            });
-        }
-        if rows == 0 {
-            return Ok(());
-        }
-        self.run(x.as_slice(), factors, y.as_mut_slice(), rows);
         Ok(())
     }
 
-    /// Dispatches `rows` rows over the selected execution mode. `x`/`y`
-    /// are full row-major buffers with strides `input_cols()` and
-    /// `output_cols()`.
+    /// Runs `rows ≥ 1` rows on this execute's grid. `x`/`y` are full
+    /// row-major buffers with strides `input_cols()` and `output_cols()`,
+    /// already checked to hold `rows` rows.
     fn run(&mut self, x: &[T], factors: &[&Matrix<T>], y: &mut [T], rows: usize) {
-        let k0 = self.problem.input_cols();
-        let l = self.problem.output_cols();
-        let stride = self.stride;
-
-        // Execution order: last factor first (Algorithm 1 line 5).
-        let chain = Chain { factors, k0 };
-
-        match self.mode(rows) {
-            ExecMode::Serial => run_tile(
-                chain,
-                TileBuffers {
-                    x,
-                    y,
-                    a: &mut self.buf_a,
-                    b: &mut self.buf_b,
-                    stride,
-                    rows,
-                    l,
-                },
-            ),
-            ExecMode::RowTiles(tiles) => {
-                run_row_tiles(
-                    chain,
-                    x,
-                    y,
-                    &mut self.buf_a,
-                    &mut self.buf_b,
-                    stride,
-                    rows,
-                    l,
-                    tiles,
-                );
+        let (row_groups, col_groups) = self.grid(rows);
+        let exec = Exec {
+            factors,
+            x: x.as_ptr(),
+            y: y.as_mut_ptr(),
+            a: self.buf_a.as_mut_ptr(),
+            b: self.buf_b.as_mut_ptr(),
+            k0: self.problem.input_cols(),
+            l: self.problem.output_cols(),
+            stride: self.stride,
+        };
+        let rows_per = rows.div_ceil(row_groups);
+        let row_tasks = rows.div_ceil(rows_per);
+        let tile = |t: usize| t * rows_per..rows.min((t + 1) * rows_per);
+        // SAFETY: `X`, `Y` and both buffers hold `rows` rows at their
+        // strides, and `x`, `y` and `self` stay borrowed until the
+        // broadcast has returned, after all of its tasks. Row tiles are
+        // disjoint, so no two tasks read or write one row.
+        if col_groups == 1 {
+            if row_tasks == 1 {
+                unsafe { exec.chain(0..rows) }
+            } else {
+                ThreadPool::global().broadcast(row_tasks, &|t| unsafe { exec.chain(tile(t)) });
             }
-            ExecMode::Wide {
-                row_groups,
-                col_groups,
-            } => self.run_wide(chain, x, y, rows, l, row_groups, col_groups),
+            return;
+        }
+        let pool = ThreadPool::global();
+        let mut k_in = exec.k0;
+        for (i, f) in factors.iter().rev().enumerate() {
+            let slices = k_in / f.rows();
+            // Slice chunks are multiples of RK so interior tiles stay full.
+            let chunk = slices.div_ceil(col_groups).div_ceil(RK) * RK;
+            let col_tasks = slices.div_ceil(chunk);
+            pool.broadcast(row_tasks * col_tasks, &|t| {
+                let s = t % col_tasks * chunk;
+                let rows = tile(t / col_tasks);
+                // SAFETY: as above. Within a step, tasks only read the
+                // step's source, which is not its destination, and their
+                // (row tile, slice range) pairs are disjoint, so no two
+                // write one element. The broadcast's return orders this
+                // step's writes before the next step's reads.
+                unsafe { exec.step(i, f, k_in, rows, s..slices.min(s + chunk)) }
+            });
+            k_in = slices * f.cols();
         }
     }
 
-    /// Picks the decomposition for an execute over `rows` rows.
-    fn mode(&self, rows: usize) -> ExecMode {
+    /// The `(row_groups, col_groups)` grid for an execute of `rows ≥ 1`
+    /// rows: the pinned partition, clamped, if there is one. Otherwise
+    /// `(1, 1)` below `MIN_PAR_FLOPS` or on one thread, `(threads, 1)`
+    /// when there are at least as many rows as threads, and `(rows,
+    /// threads / rows)` when there are fewer.
+    fn grid(&self, rows: usize) -> (usize, usize) {
         if let Some((r, c)) = self.partition {
-            let r = r.clamp(1, rows.max(1));
-            let c = c.max(1);
-            return if r * c <= 1 {
-                ExecMode::Serial
-            } else if c == 1 {
-                ExecMode::RowTiles(r)
-            } else {
-                ExecMode::Wide {
-                    row_groups: r,
-                    col_groups: c,
-                }
-            };
+            return (r.clamp(1, rows), c.max(1));
         }
         // The global pool caches its width; querying available_parallelism
         // directly would allocate (it reads cgroup quota files), breaking
@@ -310,138 +287,12 @@ impl<T: Element> Workspace<T> {
         // FLOPs for the rows actually executing, not the full capacity.
         let flops = (self.problem.flops() / self.problem.m as u64) * rows as u64;
         if threads <= 1 || flops < MIN_PAR_FLOPS {
-            ExecMode::Serial
+            (1, 1)
         } else if rows >= threads {
-            ExecMode::RowTiles(threads)
+            (threads, 1)
         } else {
-            let col_groups = threads / rows;
-            if col_groups <= 1 {
-                ExecMode::RowTiles(rows)
-            } else {
-                ExecMode::Wide {
-                    row_groups: rows,
-                    col_groups,
-                }
-            }
+            (rows, threads / rows)
         }
-    }
-
-    /// Wide mode: one pool broadcast per factor step over a
-    /// `row_groups × col_groups` grid, each task computing the slice range
-    /// `[s_lo, s_hi)` of its rows. The broadcast's completion is the
-    /// barrier that lets the next step consume this step's output.
-    #[allow(clippy::too_many_arguments)]
-    fn run_wide(
-        &mut self,
-        chain: Chain<'_, T>,
-        x: &[T],
-        y: &mut [T],
-        rows: usize,
-        l: usize,
-        row_groups: usize,
-        col_groups: usize,
-    ) {
-        let stride = self.stride;
-        let n = chain.factors.len();
-        let pool = ThreadPool::global();
-        let mut k_in = chain.k0;
-        let mut cur = self.buf_a.as_mut_ptr();
-        let mut nxt = self.buf_b.as_mut_ptr();
-        for (step, f) in chain.factors.iter().rev().enumerate() {
-            let (p, q) = (f.rows(), f.cols());
-            debug_assert!(p > 0 && k_in.is_multiple_of(p));
-            let slices = k_in / p;
-            let k_out = slices * q;
-            let first = step == 0;
-            let last = step + 1 == n;
-            let (src, src_stride) = if first {
-                (x.as_ptr(), chain.k0)
-            } else {
-                (cur as *const T, stride)
-            };
-            // Mirrors `run_tile`'s buffer selection: the first step fills
-            // `cur`, middle steps write `nxt` and swap, the last streams
-            // into `Y`.
-            let (dst, dst_stride) = if last {
-                (y.as_mut_ptr(), l)
-            } else if first {
-                (cur, stride)
-            } else {
-                (nxt, stride)
-            };
-
-            let rows_per = rows.div_ceil(row_groups);
-            let row_tasks = rows.div_ceil(rows_per);
-            // Column chunks are multiples of RK so interior tiles stay full.
-            let s_chunk = slices.div_ceil(col_groups).div_ceil(RK) * RK;
-            let col_tasks = slices.div_ceil(s_chunk);
-
-            let srcp = ConstPtr(src);
-            let dstp = MutPtr(dst);
-            let f_data = f.as_slice();
-            pool.broadcast(row_tasks * col_tasks, &|t| {
-                let rg = t / col_tasks;
-                let cg = t % col_tasks;
-                let r0 = rg * rows_per;
-                let nr = rows_per.min(rows - r0);
-                let s_lo = cg * s_chunk;
-                let s_hi = (s_lo + s_chunk).min(slices);
-                for r in r0..r0 + nr {
-                    // SAFETY: tasks partition the (row, slice-range) grid
-                    // disjointly; reads from `src` are shared, writes go to
-                    // output columns `q·S + s` with `s ∈ [s_lo, s_hi)`,
-                    // which no other task touches. The broadcast barrier
-                    // sequences this step's writes before the next step's
-                    // reads.
-                    unsafe {
-                        let x_row =
-                            std::slice::from_raw_parts(srcp.ptr().add(r * src_stride), k_in);
-                        let out_row = dstp.ptr().add(r * dst_stride);
-                        sliced_multiply_row_range(x_row, f_data, p, q, slices, s_lo, s_hi, out_row);
-                    }
-                }
-            });
-
-            if !first && !last {
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-            k_in = k_out;
-        }
-    }
-
-    fn validate_factors(&self, factors: &[&Matrix<T>]) -> Result<()> {
-        if factors.len() != self.problem.num_factors() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{} factors", self.problem.num_factors()),
-                found: format!("{} factors", factors.len()),
-            });
-        }
-        for (i, (f, s)) in factors.iter().zip(self.problem.factors.iter()).enumerate() {
-            if f.rows() != s.p || f.cols() != s.q {
-                return Err(KronError::ShapeMismatch {
-                    expected: format!("factor {} of shape {s}", i + 1),
-                    found: format!("{}×{}", f.rows(), f.cols()),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn validate(&self, x: &Matrix<T>, factors: &[&Matrix<T>], y: &Matrix<T>) -> Result<()> {
-        self.validate_factors(factors)?;
-        if x.rows() != self.problem.m || x.cols() != self.problem.input_cols() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("X {}×{}", self.problem.m, self.problem.input_cols()),
-                found: format!("X {}×{}", x.rows(), x.cols()),
-            });
-        }
-        if y.rows() != self.problem.m || y.cols() != self.problem.output_cols() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("Y {}×{}", self.problem.m, self.problem.output_cols()),
-                found: format!("Y {}×{}", y.rows(), y.cols()),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -478,7 +329,7 @@ impl<T> Default for PackPanel<T> {
 /// may exceed the logical widths `k_in` / `k_in/P·Q`). `panel` is unused
 /// (see [`PackPanel`]).
 ///
-/// Numerically identical to the fused path's serial row loop: it runs the
+/// Numerically identical to the fused path on every grid: it runs the
 /// same microkernel ([`RK`]` × W` register tiles, the SIMD tile on full
 /// blocks where the build has one, with the [`fused_output_col`]
 /// epilogue), so engines layered on it agree bit-for-bit with every
@@ -571,179 +422,87 @@ pub fn kron_matmul_fused<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> R
     Workspace::new(&problem).execute(x, factors)
 }
 
-/// The factor chain one execute runs, shared read-only across row tiles.
-#[derive(Clone, Copy)]
-struct Chain<'a, T> {
-    /// Factors in Kronecker-product order (`F1` first); iterated in
-    /// reverse, as Algorithm 1 prescribes.
+/// What one execute touches: the factor chain, and base pointers and row
+/// strides of `X`, `Y` and the two workspace buffers, from which each task
+/// rebuilds its own rows.
+struct Exec<'a, T> {
+    /// Factors in Kronecker-product order (`F1` first); the chain runs
+    /// them in reverse, as Algorithm 1 prescribes.
     factors: &'a [&'a Matrix<T>],
-    /// Input columns (`∏Pᵢ`).
+    x: *const T,
+    y: *mut T,
+    a: *mut T,
+    b: *mut T,
+    /// Row stride of `X` (`∏Pᵢ`).
     k0: usize,
-}
-
-/// One row tile's disjoint slices of every buffer an execute touches.
-struct TileBuffers<'a, T> {
-    /// This tile's rows of `X` (row stride `k0`).
-    x: &'a [T],
-    /// This tile's rows of `Y` (row stride `l`).
-    y: &'a mut [T],
-    /// This tile's slice of ping-pong buffer A (row stride `stride`).
-    a: &'a mut [T],
-    /// This tile's slice of ping-pong buffer B (row stride `stride`).
-    b: &'a mut [T],
-    /// Row stride of the ping-pong buffers.
-    stride: usize,
-    /// Rows in this tile.
-    rows: usize,
-    /// Output columns (`∏Qᵢ`).
+    /// Row stride of `Y` (`∏Qᵢ`).
     l: usize,
-}
-
-/// Shared read pointer a pool task may dereference; disjointness of the
-/// written regions is the caller's (documented) obligation.
-#[derive(Clone, Copy)]
-struct ConstPtr<T>(*const T);
-// SAFETY: tasks only read through the pointer while the owning broadcast
-// keeps the buffer borrowed.
-unsafe impl<T: Send + Sync> Send for ConstPtr<T> {}
-unsafe impl<T: Send + Sync> Sync for ConstPtr<T> {}
-
-impl<T> ConstPtr<T> {
-    /// Accessor (rather than field access) so closures capture the Sync
-    /// wrapper, not the raw pointer field (edition-2021 disjoint capture).
-    fn ptr(self) -> *const T {
-        self.0
-    }
-}
-
-/// Mutable base pointer a pool task writes disjoint regions through.
-#[derive(Clone, Copy)]
-struct MutPtr<T>(*mut T);
-// SAFETY: see `ConstPtr`; every dispatch site partitions the written
-// ranges disjointly across tasks.
-unsafe impl<T: Send + Sync> Send for MutPtr<T> {}
-unsafe impl<T: Send + Sync> Sync for MutPtr<T> {}
-
-impl<T> MutPtr<T> {
-    /// See [`ConstPtr::ptr`].
-    fn ptr(self) -> *mut T {
-        self.0
-    }
-}
-
-/// Cuts `rows` into `tiles` contiguous blocks and runs each block's entire
-/// factor chain as one task on the persistent pool. Each task reconstructs
-/// its disjoint slices of `X`, `Y`, and both ping-pong buffers from base
-/// pointers (the closure is shared across workers, so sequential
-/// `split_at_mut` handoff is not possible).
-#[allow(clippy::too_many_arguments)]
-fn run_row_tiles<T: Element>(
-    chain: Chain<'_, T>,
-    x: &[T],
-    y: &mut [T],
-    buf_a: &mut [T],
-    buf_b: &mut [T],
+    /// Row stride of both buffers.
     stride: usize,
-    rows: usize,
-    l: usize,
-    tiles: usize,
-) {
-    let rows_per_tile = rows.div_ceil(tiles);
-    let tasks = rows.div_ceil(rows_per_tile);
-    let xp = ConstPtr(x.as_ptr());
-    let yp = MutPtr(y.as_mut_ptr());
-    let ap = MutPtr(buf_a.as_mut_ptr());
-    let bp = MutPtr(buf_b.as_mut_ptr());
-    let k0 = chain.k0;
-    ThreadPool::global().broadcast(tasks, &|t| {
-        let r0 = t * rows_per_tile;
-        let nr = rows_per_tile.min(rows - r0);
-        // SAFETY: tile `t` owns rows [r0, r0+nr), a range no other task
-        // touches, so the reconstructed slices are disjoint; the broadcast
-        // blocks until every task finishes, keeping the borrows alive.
-        unsafe {
-            run_tile(
-                chain,
-                TileBuffers {
-                    x: std::slice::from_raw_parts(xp.ptr().add(r0 * k0), nr * k0),
-                    y: std::slice::from_raw_parts_mut(yp.ptr().add(r0 * l), nr * l),
-                    a: std::slice::from_raw_parts_mut(ap.ptr().add(r0 * stride), nr * stride),
-                    b: std::slice::from_raw_parts_mut(bp.ptr().add(r0 * stride), nr * stride),
-                    stride,
-                    rows: nr,
-                    l,
-                },
-            );
+}
+
+// SAFETY: an `Exec` is shared only by the tasks of `Workspace::run`, which
+// keeps the borrows its pointers come from alive until every task has
+// finished. Through it, tasks read the factors and `x` (hence `T: Sync`)
+// and write `T` values through `y`, `a` and `b` (hence `T: Send`), each
+// task to elements no other task reads or writes during that step; the
+// strides are plain values.
+unsafe impl<T: Send + Sync> Sync for Exec<'_, T> {}
+
+impl<T: Element> Exec<'_, T> {
+    /// Threads `rows` through the whole chain, one full-width step after
+    /// another.
+    ///
+    /// # Safety
+    /// As [`Self::step`], for every step.
+    unsafe fn chain(&self, rows: Range<usize>) {
+        let mut k_in = self.k0;
+        for (i, f) in self.factors.iter().rev().enumerate() {
+            let slices = k_in / f.rows();
+            self.step(i, f, k_in, rows.clone(), 0..slices);
+            k_in = slices * f.cols();
         }
-    });
-}
+    }
 
-/// Runs the entire factor chain for one row tile: step 0 reads from `X`,
-/// the final step writes into `Y`, everything between ping-pongs through
-/// the two workspace slices. No allocation anywhere in here.
-fn run_tile<T: Element>(chain: Chain<'_, T>, bufs: TileBuffers<'_, T>) {
-    let TileBuffers {
-        x,
-        y,
-        a,
-        b,
-        stride,
-        rows,
-        l,
-    } = bufs;
-    let n = chain.factors.len();
-    let (mut cur, mut nxt) = (a, b);
-    let mut k_in = chain.k0;
-    for (step, f) in chain.factors.iter().rev().enumerate() {
+    /// Factor step `i` of the chain (factor `f`, input width `k_in`) for
+    /// `rows`, over the slices `s`: output columns `q·S + s` of those rows.
+    /// Step 0 reads `X` and the last step writes `Y`; step `i` in between
+    /// writes buffer A when `i` is even and B when it is odd, and reads
+    /// what step `i − 1` wrote.
+    ///
+    /// # Safety
+    /// `f` and `k_in` must be step `i`'s factor and input width, the
+    /// source and destination must hold `rows` at their strides, `s` must
+    /// lie within the step's `k_in / P` slices, and until this returns no
+    /// other thread may write the rows it reads or touch the elements it
+    /// writes.
+    #[inline(always)]
+    unsafe fn step(
+        &self,
+        i: usize,
+        f: &Matrix<T>,
+        k_in: usize,
+        rows: Range<usize>,
+        s: Range<usize>,
+    ) {
         let (p, q) = (f.rows(), f.cols());
-        debug_assert!(p > 0 && k_in.is_multiple_of(p));
-        let slices = k_in / p;
-        let k_out = slices * q;
-        let f_data = f.as_slice();
-        let first = step == 0;
-        let last = step + 1 == n;
-        for r in 0..rows {
-            // Distinct source/destination buffers in every arm, so the
-            // borrows never alias.
-            match (first, last) {
-                (true, true) => sliced_multiply_row(
-                    &x[r * chain.k0..r * chain.k0 + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut y[r * l..r * l + k_out],
-                ),
-                (true, false) => sliced_multiply_row(
-                    &x[r * chain.k0..r * chain.k0 + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut cur[r * stride..r * stride + k_out],
-                ),
-                (false, true) => sliced_multiply_row(
-                    &cur[r * stride..r * stride + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut y[r * l..r * l + k_out],
-                ),
-                (false, false) => sliced_multiply_row(
-                    &cur[r * stride..r * stride + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut nxt[r * stride..r * stride + k_out],
-                ),
-            }
+        debug_assert!(k_in.is_multiple_of(p));
+        let buf = |j: usize| if j.is_multiple_of(2) { self.a } else { self.b };
+        let (src, src_stride) = if i == 0 {
+            (self.x, self.k0)
+        } else {
+            (buf(i - 1).cast_const(), self.stride)
+        };
+        let (dst, dst_stride) = if i + 1 == self.factors.len() {
+            (self.y, self.l)
+        } else {
+            (buf(i), self.stride)
+        };
+        for r in rows {
+            let x_row = std::slice::from_raw_parts(src.add(r * src_stride), k_in);
+            let out = dst.add(r * dst_stride);
+            sliced_multiply_row_range(x_row, f.as_slice(), p, q, k_in / p, s.start, s.end, out);
         }
-        if !first && !last {
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        k_in = k_out;
     }
 }
 
@@ -767,7 +526,7 @@ fn sliced_multiply_row<T: Element>(
 
 /// The slice-range form of [`sliced_multiply_row`]: computes only slices
 /// `[s_lo, s_hi)`, writing output columns `q·S + s` for `s` in that range.
-/// This is the unit the wide execution mode hands to each pool task —
+/// This is the unit a grid with several slice groups hands each task —
 /// several tasks write *interleaved but disjoint* columns of the same row,
 /// which is why `out` is a raw base pointer rather than `&mut [T]`.
 ///
@@ -1181,7 +940,7 @@ mod tests {
 
     #[test]
     fn above_parallel_threshold_matches_oracle() {
-        // Big enough that row_tiles() > 1 on multi-core hosts.
+        // Big enough for a parallel grid on multi-core hosts.
         let problem = KronProblem::uniform(32, 8, 3).unwrap();
         assert!(problem.flops() >= MIN_PAR_FLOPS);
         check_problem(&problem, 9);

@@ -100,21 +100,14 @@ impl<'a, T: Element> FusedKernel<'a, T> {
 
     /// Runs block `(0, 0)` in address-only mode, returning its counters.
     pub fn trace_block(&self, tracer: &mut Tracer) -> KernelStats {
-        let before = tracer.stats;
+        // Count this block alone, then put back what the tracer held.
+        let before = std::mem::take(&mut tracer.stats);
         let src: GlobalSrc<'_, T> = GlobalSrc::Zeros;
         let mut dst: GlobalDst<'_, T> = GlobalDst::Discard;
         self.run_block(0, 0, src, &mut dst, &mut Some(tracer));
-        let mut after = tracer.stats;
-        after.flops -= before.flops;
-        after.smem_load_transactions -= before.smem_load_transactions;
-        after.smem_store_transactions -= before.smem_store_transactions;
-        after.smem_load_ideal -= before.smem_load_ideal;
-        after.smem_store_ideal -= before.smem_store_ideal;
-        after.gmem_load_sectors -= before.gmem_load_sectors;
-        after.gmem_store_sectors -= before.gmem_store_sectors;
-        after.gmem_useful_bytes -= before.gmem_useful_bytes;
-        after.barriers -= before.barriers;
-        after
+        let block = tracer.stats;
+        tracer.stats += before;
+        block
     }
 
     /// Executes one thread block.

@@ -129,21 +129,14 @@ impl<'a, T: Element> SlicedMultiplyKernel<'a, T> {
     /// Runs block `(0, 0, 0)` in address-only mode and returns its
     /// counters (scale by the grid size for launch totals).
     pub fn trace_block(&self, tracer: &mut Tracer) -> KernelStats {
-        let before = tracer.stats;
+        // Count this block alone, then put back what the tracer held.
+        let before = std::mem::take(&mut tracer.stats);
         let src: GlobalSrc<'_, T> = GlobalSrc::Zeros;
         let mut dst: GlobalDst<'_, T> = GlobalDst::Discard;
         self.run_block(0, 0, 0, src, &mut dst, &mut Some(tracer));
-        let mut delta = tracer.stats;
-        delta.flops -= before.flops;
-        delta.smem_load_transactions -= before.smem_load_transactions;
-        delta.smem_store_transactions -= before.smem_store_transactions;
-        delta.smem_load_ideal -= before.smem_load_ideal;
-        delta.smem_store_ideal -= before.smem_store_ideal;
-        delta.gmem_load_sectors -= before.gmem_load_sectors;
-        delta.gmem_store_sectors -= before.gmem_store_sectors;
-        delta.gmem_useful_bytes -= before.gmem_useful_bytes;
-        delta.barriers -= before.barriers;
-        delta
+        let block = tracer.stats;
+        tracer.stats += before;
+        block
     }
 
     /// Executes one thread block `(bx, by, bz)`.

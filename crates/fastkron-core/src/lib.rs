@@ -21,9 +21,11 @@
 //!   per column; tails, and builds without those features, run a plain
 //!   scalar tile with the same FMA order, so results are bit-identical
 //!   (`tests/exact_order.rs`, on a native and a
-//!   `RUSTFLAGS="-C target-cpu=x86-64"` build). Row tiles run in
-//!   parallel, each threading its *entire* factor chain through its own
-//!   disjoint slice of the workspace.
+//!   `RUSTFLAGS="-C target-cpu=x86-64"` build). Every execute runs one
+//!   step function over a `(row groups, slice groups)` grid: with one
+//!   slice group, each row tile threads its *entire* factor chain through
+//!   its own rows of the workspace as one pool task; with several, each
+//!   factor step is one pool broadcast over the grid.
 //! * [`algorithm`] — the straightforward per-step functional reference for
 //!   a single sliced multiply ([`algorithm::sliced_multiply`]); the full
 //!   chain ([`algorithm::kron_matmul_fastkron`]) now runs on the fused

@@ -136,8 +136,11 @@ fn check_rows_into<T: Element>() {
     }
 }
 
-/// Two- and three-factor chains through a [`Workspace`] under serial,
-/// row-tile and wide partitions.
+/// Two- and three-factor chains through a [`Workspace`] under every kind
+/// of grid: `1 × 1`, row tiles (more tiles than rows at `(4, 1)`, which
+/// clamps) and several slice groups. Under each, a full execute and the
+/// serving entry point, `execute_rows` on 2 of the 3 rows, must match the
+/// reference, and the latter must leave the third row of `Y` untouched.
 fn check_chains<T: Element>() {
     let chains: [&[(usize, usize)]; 10] = [
         &[(16, 16), (8, 8)],
@@ -151,8 +154,18 @@ fn check_chains<T: Element>() {
         &[(8, 8), (8, 8), (8, 8)],
         &[(32, 32), (16, 45)],
     ];
-    let partitions = [(1, 1), (2, 1), (3, 1), (2, 3), (1, 4), (3, 2)];
+    let partitions = [
+        (1, 1),
+        (2, 1),
+        (3, 1),
+        (4, 1),
+        (2, 2),
+        (2, 3),
+        (1, 4),
+        (3, 2),
+    ];
     let m = 3;
+    let sentinel = T::from_f64(7.5);
     for (ci, shapes) in chains.iter().enumerate() {
         let problem = KronProblem::new(
             m,
@@ -170,6 +183,7 @@ fn check_chains<T: Element>() {
         let refs: Vec<&Matrix<T>> = factors.iter().collect();
         let x = matrix::<T>(m, problem.input_cols(), ci as u64 + 900);
         let want = reference_chain(&x, &factors);
+        let l = problem.output_cols();
         for &partition in &partitions {
             let mut ws = Workspace::new(&problem);
             ws.set_partition(Some(partition));
@@ -177,6 +191,19 @@ fn check_chains<T: Element>() {
             assert!(
                 y.as_slice() == want.as_slice(),
                 "{} {problem} partition {partition:?}: not the reference FMA order",
+                T::DTYPE,
+            );
+            let mut part = Matrix::from_vec(m, l, vec![sentinel; m * l]).expect("sized data");
+            ws.execute_rows(&x, &refs, &mut part, 2)
+                .expect("valid operands");
+            assert!(
+                part.as_slice()[..2 * l] == want[..2 * l],
+                "{} {problem} partition {partition:?}, 2 rows: not the reference FMA order",
+                T::DTYPE,
+            );
+            assert!(
+                part.row(2).iter().all(|&v| v == sentinel),
+                "{} {problem} partition {partition:?}, 2 rows: wrote row 2",
                 T::DTYPE,
             );
         }

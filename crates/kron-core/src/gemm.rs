@@ -30,12 +30,11 @@ pub fn gemm<T: Element>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
 
 /// Computes `C = A × B` into caller-provided storage, allocating nothing.
 ///
-/// `c` is overwritten (it is zeroed first, then accumulated into); reusing
-/// one output matrix across calls is what the fused execution path's
-/// workspace is built on. The inner loop is branch-free: unlike
-/// [`gemm_sparse`], zero elements of `A` are multiplied like any other —
-/// on dense operands the removed compare/branch per `A` element is pure
-/// savings.
+/// `c` is overwritten (it is zeroed first, then accumulated into), so one
+/// output matrix can be reused across calls. The inner loop is
+/// branch-free: zero elements of `A` are multiplied like any other, since
+/// on dense operands a compare and branch per `A` element costs more than
+/// the multiplies it would skip.
 ///
 /// # Errors
 /// Returns [`KronError::ShapeMismatch`] when `A.cols() != B.rows()` or `c`
@@ -96,68 +95,6 @@ pub fn gemm_into<T: Element>(a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T>) ->
             .for_each(body);
     }
     Ok(())
-}
-
-/// Sparsity-aware `C = A × B`: skips zero elements of `A` entirely.
-///
-/// This is the old [`gemm`] hot loop with its `aval == 0` branch. On dense
-/// operands the branch costs more than the skipped FMAs save, so the dense
-/// path dropped it; keep using this variant when `A` is structurally sparse
-/// (e.g. selection or padding matrices, identity-heavy factor chains).
-///
-/// # Errors
-/// Returns [`KronError::ShapeMismatch`] when `A.cols() != B.rows()`.
-pub fn gemm_sparse<T: Element>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
-    if a.cols() != b.rows() {
-        return Err(KronError::ShapeMismatch {
-            expected: format!("B with {} rows", a.cols()),
-            found: format!("B with {} rows", b.rows()),
-        });
-    }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    if n == 0 || m == 0 {
-        return Ok(c);
-    }
-
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-
-    let body = |(row_block_idx, c_chunk): (usize, &mut [T])| {
-        let r0 = row_block_idx * BLOCK;
-        let r1 = (r0 + BLOCK).min(m);
-        let rows_here = r1 - r0;
-        for kb in (0..k).step_by(BLOCK) {
-            let k1 = (kb + BLOCK).min(k);
-            for r in 0..rows_here {
-                let a_row = &a_data[(r0 + r) * k..(r0 + r) * k + k];
-                let c_row = &mut c_chunk[r * n..(r + 1) * n];
-                for kk in kb..k1 {
-                    let aval = a_row[kk];
-                    if aval == T::ZERO {
-                        continue;
-                    }
-                    let b_row = &b_data[kk * n..(kk + 1) * n];
-                    for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cv = aval.mul_add(*bv, *cv);
-                    }
-                }
-            }
-        }
-    };
-
-    if m >= PAR_ROW_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(BLOCK * n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice()
-            .chunks_mut(BLOCK * n)
-            .enumerate()
-            .for_each(body);
-    }
-    Ok(c)
 }
 
 /// Naive triple-loop `C = A × B`; the oracle for [`gemm`] itself.
@@ -247,21 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_variant_matches_dense() {
-        // Heavy zero content so the skip branch actually fires.
-        let mut a = arb_matrix(70, 40, 8);
-        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-            if i % 3 != 0 {
-                *v = 0.0;
-            }
-        }
-        let b = arb_matrix(40, 23, 9);
-        assert_eq!(gemm_sparse(&a, &b).unwrap(), gemm(&a, &b).unwrap());
-        let bad = Matrix::<f64>::zeros(41, 2);
-        assert!(gemm_sparse(&a, &bad).is_err());
-    }
-
-    #[test]
     fn gemm_into_reuses_storage() {
         let a = arb_matrix(9, 12, 10);
         let b = arb_matrix(12, 7, 11);
@@ -294,7 +216,6 @@ mod tests {
         let b = Matrix::<f64>::zeros(4, 0);
         let c = gemm(&a, &b).unwrap();
         assert_eq!((c.rows(), c.cols()), (3, 0));
-        assert_eq!(gemm_sparse(&a, &b).unwrap().cols(), 0);
         let empty_a = Matrix::<f64>::zeros(0, 4);
         let wide_b = arb_matrix(4, 5, 16);
         assert_eq!(gemm(&empty_a, &wide_b).unwrap().rows(), 0);

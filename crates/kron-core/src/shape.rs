@@ -2,6 +2,7 @@
 //! engine and by the performance model.
 
 use crate::error::{KronError, Result};
+use crate::{Element, Matrix};
 use std::fmt;
 
 /// Shape of one Kronecker factor `Fᵢ` (`Pᵢ` rows × `Qᵢ` columns).
@@ -104,6 +105,56 @@ impl KronProblem {
     /// Columns of the result, `∏ᵢ Qᵢ`.
     pub fn output_cols(&self) -> usize {
         self.factors.iter().map(|f| f.q).product()
+    }
+
+    /// Checks that `factors` has this problem's factor count and shapes,
+    /// in Kronecker-product order. Every engine that executes a planned
+    /// problem calls this before touching its operands.
+    ///
+    /// # Errors
+    /// [`KronError::ShapeMismatch`] naming the count, or the first factor
+    /// whose shape differs.
+    pub fn check_factors<T: Element>(&self, factors: &[&Matrix<T>]) -> Result<()> {
+        if factors.len() != self.factors.len() {
+            return Err(KronError::ShapeMismatch {
+                expected: format!("{} factors", self.factors.len()),
+                found: format!("{} factors", factors.len()),
+            });
+        }
+        for (i, (f, s)) in factors.iter().zip(&self.factors).enumerate() {
+            if f.rows() != s.p || f.cols() != s.q {
+                return Err(KronError::ShapeMismatch {
+                    expected: format!("factor {} of shape {s}", i + 1),
+                    found: format!("{}×{}", f.rows(), f.cols()),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the operands of an execute of the first `rows` rows, where
+    /// `m` is the planned row capacity: `rows ≤ m`, and `x` and `y` each
+    /// hold at least `rows` rows of `∏Pᵢ` and `∏Qᵢ` columns. Rows past
+    /// `rows` are neither read nor written, so taller operands pass.
+    ///
+    /// # Errors
+    /// [`KronError::ShapeMismatch`] naming the capacity or the operand.
+    pub fn check_rows<T: Element>(&self, x: &Matrix<T>, y: &Matrix<T>, rows: usize) -> Result<()> {
+        if rows > self.m {
+            return Err(KronError::ShapeMismatch {
+                expected: format!("at most {} rows (the planned capacity)", self.m),
+                found: format!("{rows} rows"),
+            });
+        }
+        for (name, op, cols) in [("X", x, self.input_cols()), ("Y", y, self.output_cols())] {
+            if op.rows() < rows || op.cols() != cols {
+                return Err(KronError::ShapeMismatch {
+                    expected: format!("{name} with ≥{rows} rows × {cols}"),
+                    found: format!("{name} {}×{}", op.rows(), op.cols()),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Largest intermediate column count across iterations (line 3 of
@@ -365,6 +416,46 @@ mod tests {
         ));
         assert!(KronProblem::new(0, vec![FactorShape::square(2)]).is_err());
         assert!(KronProblem::new(4, vec![FactorShape::new(0, 2)]).is_err());
+    }
+
+    fn is_shape_mismatch(r: Result<()>) -> bool {
+        matches!(r, Err(KronError::ShapeMismatch { .. }))
+    }
+
+    #[test]
+    fn check_factors_rejects_count_and_shape() {
+        // F1: 2×3, F2: 4×5.
+        let p = KronProblem::new(4, vec![FactorShape::new(2, 3), FactorShape::new(4, 5)]).unwrap();
+        let (f1, f2) = (Matrix::<f32>::zeros(2, 3), Matrix::<f32>::zeros(4, 5));
+        p.check_factors(&[&f1, &f2]).unwrap();
+        assert!(is_shape_mismatch(p.check_factors(&[&f1])));
+        assert!(is_shape_mismatch(p.check_factors(&[&f1, &f2, &f2])));
+        // Swapped order: both shapes exist, but not in these positions.
+        assert!(is_shape_mismatch(p.check_factors(&[&f2, &f1])));
+        let transposed = Matrix::<f32>::zeros(5, 4);
+        let err = p.check_factors(&[&f1, &transposed]).unwrap_err();
+        assert!(err.to_string().contains("factor 2 of shape 4×5"), "{err}");
+    }
+
+    #[test]
+    fn check_rows_rejects_capacity_height_and_width() {
+        // Capacity 4 rows; K = 2·4 = 8 input and L = 3·5 = 15 output columns.
+        let p = KronProblem::new(4, vec![FactorShape::new(2, 3), FactorShape::new(4, 5)]).unwrap();
+        let m = |rows, cols| Matrix::<f64>::zeros(rows, cols);
+        let (x, y) = (m(4, 8), m(4, 15));
+        p.check_rows(&x, &y, 4).unwrap();
+        // More rows than the capacity, even with operands that tall.
+        assert!(is_shape_mismatch(p.check_rows(&m(5, 8), &m(5, 15), 5)));
+        // X or Y with fewer rows than requested.
+        assert!(is_shape_mismatch(p.check_rows(&m(2, 8), &y, 3)));
+        assert!(is_shape_mismatch(p.check_rows(&x, &m(2, 15), 3)));
+        // X or Y with the wrong width, tall enough.
+        assert!(is_shape_mismatch(p.check_rows(&m(4, 9), &y, 2)));
+        assert!(is_shape_mismatch(p.check_rows(&x, &m(4, 8), 2)));
+        // Accepted: rows == 0 (any height, right widths), and operands
+        // holding more rows than the call executes.
+        p.check_rows(&m(0, 8), &m(0, 15), 0).unwrap();
+        p.check_rows(&m(9, 8), &m(6, 15), 3).unwrap();
     }
 
     #[test]

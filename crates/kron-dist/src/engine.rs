@@ -258,43 +258,11 @@ impl<T: Element> ShardedEngine<T> {
         y: &mut Matrix<T>,
         rows: usize,
     ) -> Result<()> {
-        if factors.len() != self.problem.num_factors() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{} factors", self.problem.num_factors()),
-                found: format!("{} factors", factors.len()),
-            });
-        }
-        for (i, (f, s)) in factors.iter().zip(self.problem.factors.iter()).enumerate() {
-            if f.rows() != s.p || f.cols() != s.q {
-                return Err(KronError::ShapeMismatch {
-                    expected: format!("factor {} of shape {s}", i + 1),
-                    found: format!("{}×{}", f.rows(), f.cols()),
-                });
-            }
-        }
-        if rows > self.problem.m {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("at most {} rows (engine capacity)", self.problem.m),
-                found: format!("{rows} rows"),
-            });
-        }
+        self.problem.check_factors(factors)?;
+        self.problem.check_rows(x, y, rows)?;
         if !rows.is_multiple_of(self.grid.gm) {
             return Err(KronError::InvalidGrid {
                 reason: format!("{rows} rows not divisible by GM = {}", self.grid.gm),
-            });
-        }
-        let k = self.problem.input_cols();
-        if x.rows() < rows || x.cols() != k {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("X with ≥{rows} rows × {k}"),
-                found: format!("X {}×{}", x.rows(), x.cols()),
-            });
-        }
-        let l = self.problem.output_cols();
-        if y.rows() < rows || y.cols() != l {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("Y with ≥{rows} rows × {l}"),
-                found: format!("Y {}×{}", y.rows(), y.cols()),
             });
         }
         if rows == 0 {
@@ -305,7 +273,7 @@ impl<T: Element> ShardedEngine<T> {
         if let Some((gpu, stall_us)) = self.pending_stall.take() {
             self.hold_for_stall(gpu, stall_us)?;
         }
-        let gk = self.grid.gk;
+        let (k, gk) = (self.problem.input_cols(), self.grid.gk);
         let (tgm, tgk) = (rows / self.grid.gm, self.shape.tgk);
         let slot = self.shape.tgm * tgk;
         // Offset of row `r` of device `d`'s block in the caller's X and Y,
