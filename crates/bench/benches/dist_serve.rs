@@ -183,7 +183,6 @@ fn main() {
     let dist_rt = Runtime::new(RuntimeConfig {
         max_batch_rows: SCALED_M,
         batch_max_m: SCALED_M,
-        max_queue: 64,
         backend: Backend::Distributed {
             gpus: GPUS,
             p2p: false,
@@ -193,7 +192,6 @@ fn main() {
     let single_rt = Runtime::new(RuntimeConfig {
         max_batch_rows: SCALED_M,
         batch_max_m: SCALED_M,
-        max_queue: 64,
         ..RuntimeConfig::default()
     });
 

@@ -200,7 +200,6 @@ fn run_multi_producer(scheduler_lanes: usize) -> MultiProducerResult {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 256,
         batch_max_m: 32,
-        max_queue: 2048,
         batch_linger_us: 300,
         scheduler_lanes,
         // Scheduler-path only: with producers keeping every lane busy the
@@ -471,7 +470,6 @@ fn main() {
     let config = RuntimeConfig {
         max_batch_rows: 256,
         batch_max_m: 32,
-        max_queue: 2048,
         // Linger briefly so bursts coalesce even when the submitting
         // thread and the scheduler contend for the same core.
         batch_linger_us: 300,

@@ -400,26 +400,17 @@ pub fn sliced_multiply_rows_into<T: Element>(
 /// [`Workspace`] instead and pay the buffer allocation once.
 ///
 /// # Errors
-/// Shape errors when `X.cols() != ∏Pᵢ` or `factors` is empty.
+/// [`KronError::NoFactors`] when `factors` is empty, and
+/// [`KronError::ShapeMismatch`] when `X.cols() != ∏Pᵢ`.
 pub fn kron_matmul_fused<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-    if factors.is_empty() {
-        return Err(KronError::NoFactors);
-    }
     let shapes = factors
         .iter()
         .map(|f| kron_core::FactorShape::new(f.rows(), f.cols()))
         .collect();
     let problem = KronProblem::new(x.rows().max(1), shapes)?;
-    if x.cols() != problem.input_cols() {
-        return Err(KronError::ShapeMismatch {
-            expected: format!("X with ∏Pᵢ = {} cols", problem.input_cols()),
-            found: format!("X with {} cols", x.cols()),
-        });
-    }
-    if x.rows() == 0 {
-        return Ok(Matrix::zeros(0, problem.output_cols()));
-    }
-    Workspace::new(&problem).execute(x, factors)
+    let mut y = Matrix::zeros(x.rows(), problem.output_cols());
+    Workspace::new(&problem).execute_rows(x, factors, &mut y, x.rows())?;
+    Ok(y)
 }
 
 /// What one execute touches: the factor chain, and base pointers and row
@@ -1053,10 +1044,24 @@ mod tests {
     fn convenience_wrapper_validates() {
         let x = Matrix::<f64>::zeros(2, 9);
         let f = Matrix::<f64>::identity(2);
-        assert!(kron_matmul_fused(&x, &[&f, &f]).is_err());
-        assert!(kron_matmul_fused::<f64>(&x, &[]).is_err());
+        assert!(matches!(
+            kron_matmul_fused(&x, &[&f, &f]),
+            Err(KronError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            kron_matmul_fused::<f64>(&x, &[]),
+            Err(KronError::NoFactors)
+        ));
         let ok = seq_matrix(2, 4, 0);
         assert!(kron_matmul_fused(&ok, &[&f, &f]).is_ok());
+        // Zero rows: the width is still checked, and a right width gives
+        // a 0 × ∏Qᵢ result.
+        assert!(matches!(
+            kron_matmul_fused(&Matrix::<f64>::zeros(0, 9), &[&f, &f]),
+            Err(KronError::ShapeMismatch { .. })
+        ));
+        let empty = kron_matmul_fused(&Matrix::<f64>::zeros(0, 4), &[&f, &f]).unwrap();
+        assert_eq!((empty.rows(), empty.cols()), (0, 4));
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl AutoTuner {
         }
     }
 
-    /// The cost model used for scoring.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Tunes the unfused sliced-multiply kernel for one iteration shape.
     ///
     /// # Errors

@@ -93,11 +93,6 @@ impl<T: Element> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[inline(always)]
     pub fn row(&self, r: usize) -> &[T] {
@@ -125,45 +120,6 @@ impl<T: Element> Matrix<T> {
         }
         Ok(Matrix {
             data: self.data,
-            rows,
-            cols,
-        })
-    }
-
-    /// Borrows the matrix under a different shape with the same element
-    /// count — the zero-copy, zero-move sibling of [`Matrix::reshape`] for
-    /// when the matrix must stay usable afterwards (the fused execution
-    /// path reshapes workspace buffers this way every factor step).
-    ///
-    /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if the element count differs.
-    pub fn reshaped_view(&self, rows: usize, cols: usize) -> Result<MatrixView<'_, T>> {
-        if rows * cols != self.data.len() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{} elements", self.data.len()),
-                found: format!("{rows}×{cols} = {}", rows * cols),
-            });
-        }
-        Ok(MatrixView {
-            data: &self.data,
-            rows,
-            cols,
-        })
-    }
-
-    /// Mutable sibling of [`Matrix::reshaped_view`].
-    ///
-    /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if the element count differs.
-    pub fn reshaped_view_mut(&mut self, rows: usize, cols: usize) -> Result<MatrixViewMut<'_, T>> {
-        if rows * cols != self.data.len() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{} elements", self.data.len()),
-                found: format!("{rows}×{cols} = {}", rows * cols),
-            });
-        }
-        Ok(MatrixViewMut {
-            data: &mut self.data,
             rows,
             cols,
         })
@@ -205,150 +161,6 @@ impl<T: Element> Matrix<T> {
         self.data
             .iter()
             .fold(0.0_f64, |acc, v| acc.max(v.to_f64().abs()))
-    }
-
-    /// Frobenius norm, widened to f64.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|v| {
-                let x = v.to_f64();
-                x * x
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-}
-
-/// A borrowed row-major matrix: somebody else's buffer viewed under a
-/// shape. Produced by [`Matrix::reshaped_view`]; lets algorithms reinterpret
-/// a buffer (e.g. `M×K` as `(M·K/P)×P`) without moving or copying it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatrixView<'a, T> {
-    data: &'a [T],
-    rows: usize,
-    cols: usize,
-}
-
-impl<'a, T: Element> MatrixView<'a, T> {
-    /// Wraps an existing row-major buffer under a shape.
-    ///
-    /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn new(rows: usize, cols: usize, data: &'a [T]) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{rows}×{cols} = {} elements", rows * cols),
-                found: format!("{} elements", data.len()),
-            });
-        }
-        Ok(MatrixView { data, rows, cols })
-    }
-
-    /// Number of rows.
-    #[inline(always)]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline(always)]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The underlying row-major buffer.
-    #[inline(always)]
-    pub fn as_slice(&self) -> &'a [T] {
-        self.data
-    }
-
-    /// Borrow row `r` as a slice.
-    #[inline(always)]
-    pub fn row(&self, r: usize) -> &'a [T] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies the viewed data into an owned [`Matrix`].
-    pub fn to_matrix(&self) -> Matrix<T> {
-        Matrix {
-            data: self.data.to_vec(),
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-}
-
-impl<T: Element> Index<(usize, usize)> for MatrixView<'_, T> {
-    type Output = T;
-    #[inline(always)]
-    fn index(&self, (r, c): (usize, usize)) -> &T {
-        debug_assert!(r < self.rows && c < self.cols);
-        &self.data[r * self.cols + c]
-    }
-}
-
-/// Mutable sibling of [`MatrixView`], produced by
-/// [`Matrix::reshaped_view_mut`].
-#[derive(Debug)]
-pub struct MatrixViewMut<'a, T> {
-    data: &'a mut [T],
-    rows: usize,
-    cols: usize,
-}
-
-impl<'a, T: Element> MatrixViewMut<'a, T> {
-    /// Wraps an existing mutable row-major buffer under a shape.
-    ///
-    /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn new(rows: usize, cols: usize, data: &'a mut [T]) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("{rows}×{cols} = {} elements", rows * cols),
-                found: format!("{} elements", data.len()),
-            });
-        }
-        Ok(MatrixViewMut { data, rows, cols })
-    }
-
-    /// Number of rows.
-    #[inline(always)]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline(always)]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The underlying row-major buffer.
-    #[inline(always)]
-    pub fn as_slice(&self) -> &[T] {
-        self.data
-    }
-
-    /// Mutable access to the underlying row-major buffer.
-    #[inline(always)]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data
-    }
-
-    /// Mutably borrow row `r` as a slice.
-    #[inline(always)]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Reborrows as an immutable [`MatrixView`].
-    pub fn as_view(&self) -> MatrixView<'_, T> {
-        MatrixView {
-            data: self.data,
-            rows: self.rows,
-            cols: self.cols,
-        }
     }
 }
 
@@ -440,48 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn reshaped_view_borrows_without_copy() {
-        let m = Matrix::<f64>::from_fn(2, 6, |r, c| (r * 6 + c) as f64);
-        let v = m.reshaped_view(4, 3).unwrap();
-        assert_eq!((v.rows(), v.cols()), (4, 3));
-        assert_eq!(v[(1, 0)], 3.0);
-        assert_eq!(v.row(3), &[9.0, 10.0, 11.0]);
-        // Same backing storage, not a copy.
-        assert!(std::ptr::eq(v.as_slice(), m.as_slice()));
-        assert_eq!(v.to_matrix(), m.clone().reshape(4, 3).unwrap());
-        assert!(m.reshaped_view(5, 3).is_err());
-    }
-
-    #[test]
-    fn reshaped_view_mut_writes_through() {
-        let mut m = Matrix::<f32>::zeros(2, 6);
-        {
-            let mut v = m.reshaped_view_mut(3, 4).unwrap();
-            assert_eq!((v.rows(), v.cols()), (3, 4));
-            v.row_mut(2)[1] = 7.0;
-            assert_eq!(v.as_view()[(2, 1)], 7.0);
-            assert_eq!(v.as_slice().len(), 12);
-        }
-        assert_eq!(m[(1, 3)], 7.0);
-        assert!(m.reshaped_view_mut(5, 3).is_err());
-    }
-
-    #[test]
-    fn view_construction_validates_length() {
-        let buf = [1.0f64, 2.0, 3.0, 4.0];
-        let v = MatrixView::new(2, 2, &buf).unwrap();
-        assert_eq!(v[(1, 1)], 4.0);
-        assert!(MatrixView::new(3, 2, &buf).is_err());
-        let mut buf2 = [0.0f64; 4];
-        let mv = MatrixViewMut::new(2, 2, &mut buf2).unwrap();
-        assert_eq!(mv.rows(), 2);
-        assert!(MatrixViewMut::new(1, 3, &mut buf2).is_err());
-    }
-
-    #[test]
     fn norms() {
         let m = Matrix::<f64>::from_vec(1, 3, vec![3.0, -4.0, 0.0]).unwrap();
         assert_eq!(m.max_abs(), 4.0);
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 }

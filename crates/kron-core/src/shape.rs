@@ -206,15 +206,6 @@ impl KronProblem {
             .sum()
     }
 
-    /// Total element reads+writes of intermediates across iterations,
-    /// `Σ_f M · (K_in(f) + K_out(f))` — the `O(M Σᵢ Q^{N-i} P^i)` term the
-    /// paper attributes the transpose/fusion savings to.
-    pub fn intermediate_accesses(&self) -> u64 {
-        self.iterations()
-            .map(|it| self.m as u64 * (it.input_cols as u64 + it.output_cols as u64))
-            .sum()
-    }
-
     /// FLOPs of the naive algorithm (materialize `⊗Fᵢ` then GEMM):
     /// `2·M·∏Pᵢ·∏Qᵢ` — the `O(M·Pᴺ·Qᴺ)` the paper contrasts against.
     pub fn naive_flops(&self) -> u64 {
@@ -522,13 +513,6 @@ mod tests {
     fn naive_flops_dominate() {
         let p = KronProblem::uniform(16, 8, 4).unwrap();
         assert!(p.naive_flops() > p.flops());
-    }
-
-    #[test]
-    fn intermediate_accesses_uniform() {
-        let p = KronProblem::uniform(4, 4, 2).unwrap();
-        // Two iterations, each reading M*16 and writing M*16.
-        assert_eq!(p.intermediate_accesses(), 2 * 4 * (16 + 16));
     }
 
     #[test]

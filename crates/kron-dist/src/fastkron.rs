@@ -241,14 +241,11 @@ impl DistFastKron {
             .map(|f| kron_core::FactorShape::new(f.rows(), f.cols()))
             .collect();
         let problem = KronProblem::new(x.rows(), shapes)?;
-        if x.cols() != problem.input_cols() {
-            return Err(KronError::ShapeMismatch {
-                expected: format!("X with {} cols", problem.input_cols()),
-                found: format!("{} cols", x.cols()),
-            });
-        }
-        let mut engine = self.workspace::<T>(&problem)?;
         let mut y = Matrix::zeros(problem.m, problem.output_cols());
+        // Operands first, so a wrong `X` is a shape error even on a
+        // problem the grid cannot shard.
+        problem.check_rows(x, &y, problem.m)?;
+        let mut engine = self.workspace::<T>(&problem)?;
         engine.execute_rows(x, factors, &mut y, problem.m)?;
         Ok(y)
     }
@@ -392,5 +389,17 @@ mod tests {
         // Non-square factors.
         let p3 = KronProblem::new(8, vec![kron_core::FactorShape::new(4, 2); 4]).unwrap();
         assert!(engine.simulate::<f32>(&p3).is_err());
+        // A wrong-width X is a shape error, whether or not the grid can
+        // shard the problem (M = 7 cannot be split over GM).
+        let f = Matrix::<f32>::identity(4);
+        let two = DistFastKron::new(&V100, 2).unwrap();
+        assert!(matches!(
+            two.execute(&Matrix::<f32>::zeros(4, 63), &[&f; 3]),
+            Err(KronError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            engine.execute(&Matrix::<f32>::zeros(7, 255), &[&f; 4]),
+            Err(KronError::ShapeMismatch { .. })
+        ));
     }
 }

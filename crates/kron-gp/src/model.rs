@@ -81,20 +81,6 @@ impl<T: Element> SkiGp<T> {
         let mut apply = |v: &Matrix<T>| self.apply_kernel(v);
         batched_cg(&mut apply, b, max_iters, tol)
     }
-
-    /// Count of Kron-Matmul FLOPs one kernel application costs (used by
-    /// the timing study).
-    pub fn kron_flops(&self, batch: usize) -> u64 {
-        kron_core::KronProblem::new(
-            batch,
-            self.factors
-                .iter()
-                .map(|f| kron_core::FactorShape::new(f.rows(), f.cols()))
-                .collect(),
-        )
-        .map(|p| p.flops())
-        .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -180,11 +166,5 @@ mod tests {
     fn rejects_wrong_rhs_width() {
         let (gp, _) = small_model(6);
         assert!(gp.solve(&Matrix::<f64>::zeros(2, 5), 10, 1e-8).is_err());
-    }
-
-    #[test]
-    fn kron_flops_positive() {
-        let (gp, _) = small_model(5);
-        assert!(gp.kron_flops(16) > 0);
     }
 }

@@ -348,10 +348,16 @@ type MapKey = (DType, u64, usize);
 /// through the very subsystem that bounds the cache.
 const EVICTED_KEYS_CAP: usize = 4096;
 
+/// Watchdog budget installed on every engine this cache builds, in
+/// microseconds on the runtime's clock (2 s): a device stalled past it
+/// fails its batch with [`KronError::DeviceTimeout`] instead of hanging
+/// the batch.
+const WATCHDOG_US: u64 = 2_000_000;
+
 /// Dtype-spanning plan/workspace cache keyed by `(dtype, factor-shape
 /// chain, row capacity)`, bounded by a [`CachePolicy`]. See the module
 /// docs for the lifecycle.
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     device: DeviceSpec,
     backend: BackendState,
     policy: CachePolicy,
@@ -366,47 +372,24 @@ pub struct PlanCache {
     /// Sum of every resident slot's `bytes` — the budget's ledger, which
     /// the `cached_bytes` gauge reads.
     total_bytes: usize,
-    /// Watchdog budget installed on every engine this cache builds: a
-    /// device stalled past this many clock microseconds fails its batch
-    /// with [`KronError::DeviceTimeout`] instead of hanging the batch.
-    watchdog_us: u64,
     /// Metrics plane evictions, rebuilds, local fallbacks, and per-model
-    /// plan lookups are recorded into. A standalone cache gets its own
-    /// private hub.
+    /// plan lookups are recorded into.
     hub: Arc<MetricsHub>,
 }
 
 impl PlanCache {
     /// Creates an empty cache building entries for `backend`, bounded by
-    /// `policy`, with idle ages measured on `clock`. `device` models the
-    /// simulated GPUs of sharded entries and names every [`PlanKey`]'s
-    /// device. An invalid distributed configuration (e.g. a
-    /// non-power-of-two GPU count) is captured here and surfaces as the
-    /// documented [`KronError::InvalidGrid`] on every subsequent request.
-    pub fn new(
+    /// `policy`, with idle ages measured on `clock`, recording into the
+    /// runtime's metrics `hub`. `device` models the simulated GPUs of
+    /// sharded entries and names every [`PlanKey`]'s device. An invalid
+    /// distributed configuration (e.g. a non-power-of-two GPU count) is
+    /// captured here and surfaces as the documented
+    /// [`KronError::InvalidGrid`] on every subsequent request.
+    pub(crate) fn new(
         device: DeviceSpec,
         backend: &Backend,
         policy: CachePolicy,
         clock: Clock,
-        watchdog_us: u64,
-    ) -> Self {
-        Self::with_hub(
-            device,
-            backend,
-            policy,
-            clock,
-            watchdog_us,
-            Arc::new(MetricsHub::new(0)),
-        )
-    }
-
-    /// [`Self::new`], recording into the runtime's shared metrics `hub`.
-    pub(crate) fn with_hub(
-        device: DeviceSpec,
-        backend: &Backend,
-        policy: CachePolicy,
-        clock: Clock,
-        watchdog_us: u64,
         hub: Arc<MetricsHub>,
     ) -> Self {
         let backend = match backend {
@@ -429,7 +412,6 @@ impl PlanCache {
             evicted_keys: HashSet::new(),
             use_seq: 0,
             total_bytes: 0,
-            watchdog_us: watchdog_us.max(1),
             hub,
         }
     }
@@ -437,11 +419,6 @@ impl PlanCache {
     /// Number of cached entries (across both dtypes).
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Estimated bytes resident across every cached entry (the
@@ -735,10 +712,7 @@ impl PlanCache {
                 let mut engine =
                     ShardedEngine::new(&self.device, grid, comm.clone(), &key.problem)?;
                 let clock = self.clock.clone();
-                engine.set_watchdog(Watchdog::new(
-                    self.watchdog_us,
-                    Box::new(move || clock.now_us()),
-                ));
+                engine.set_watchdog(Watchdog::new(WATCHDOG_US, Box::new(move || clock.now_us())));
                 Compute::Sharded(Box::new(engine))
             }
             _ => {
@@ -807,8 +781,12 @@ mod tests {
         ModelInner::build(id, factors).unwrap()
     }
 
+    fn hub() -> Arc<MetricsHub> {
+        Arc::new(MetricsHub::new(0))
+    }
+
     fn cache(policy: CachePolicy, clock: Clock) -> PlanCache {
-        PlanCache::new(V100.clone(), &Backend::SingleNode, policy, clock, 2_000_000)
+        PlanCache::new(V100.clone(), &Backend::SingleNode, policy, clock, hub())
     }
 
     #[test]
@@ -944,7 +922,7 @@ mod tests {
                 &grid,
                 CachePolicy::default(),
                 Clock::manual(),
-                2_000_000,
+                hub(),
             );
             drop(c.get_or_create(&a, 8, limit).unwrap());
             c.resident_bytes()
@@ -961,7 +939,7 @@ mod tests {
                 max_bytes: Some(budget),
             },
             Clock::manual(),
-            2_000_000,
+            hub(),
         );
         drop(cache.get_or_create(&a, 8, 1).unwrap());
         drop(cache.get_or_create(&b, 8, 1).unwrap());
@@ -1004,6 +982,6 @@ mod tests {
             }
             other => panic!("expected CacheBudgetExceeded, got {other:?}"),
         }
-        assert!(cache.is_empty(), "nothing was built or leaked");
+        assert!(cache.len() == 0, "nothing was built or leaked");
     }
 }

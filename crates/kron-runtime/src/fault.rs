@@ -42,10 +42,9 @@ pub enum FaultKind {
     /// with [`kron_core::KronError::DeviceFailure`].
     Panic,
     /// The target device parks for `stall_us` of clock time at batch
-    /// start. Within the runtime's watchdog budget
-    /// ([`crate::RuntimeConfig::device_watchdog_us`]) this is a latency
-    /// blip; past it, the batch fails with the bounded
-    /// [`kron_core::KronError::DeviceTimeout`].
+    /// start. Within the runtime's watchdog budget (2 s on the runtime's
+    /// clock) this is a latency blip; past it, the batch fails with the
+    /// bounded [`kron_core::KronError::DeviceTimeout`].
     Stall {
         /// How long the device stalls, in clock microseconds.
         stall_us: u64,

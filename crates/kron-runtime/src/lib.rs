@@ -241,8 +241,8 @@
 //!   probe succeeds. Observable via [`Runtime::device_health`] and the
 //!   `breaker_trips` counter.
 //! * **Engine watchdog** — a device that *hangs* (rather than fails) is
-//!   bounded by [`RuntimeConfig::device_watchdog_us`]: the sharded
-//!   engine's coordinator converts the stall into
+//!   bounded by a 2 s budget on the runtime's clock: past it, the sharded
+//!   engine converts the stall into
 //!   [`kron_core::KronError::DeviceTimeout`], which then feeds the same
 //!   retry/breaker machinery.
 //! * **Scheduler panic containment** — the scheduler loop runs under
@@ -392,7 +392,7 @@ mod trace;
 #[cfg(all(test, kron_loom))]
 mod modelcheck_tests;
 
-pub use cache::{CachePolicy, PlanCache};
+pub use cache::CachePolicy;
 pub use clock::{Clock, ManualClock};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTrigger};
 pub use health::{BreakerPolicy, BreakerState, DeviceHealthReport};

@@ -21,7 +21,7 @@ use crate::clock::Clock;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlane, FaultTrigger};
 use crate::health::{BreakerPolicy, DeviceHealth, DeviceHealthReport};
 use crate::metrics::{Field, MetricKind, MetricsHub, MetricsSnapshot, ModelStats, Outcome, Stage};
-use crate::scheduler::{arm_scripted_fault, Scheduler, ServeCtx};
+use crate::scheduler::{arm_scripted_fault, Scheduler, ServeCtx, WINDOW};
 use crate::trace::{ServeEvent, ServeEventKind, StageTimings};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use gpu_sim::device::{DeviceSpec, V100};
@@ -124,9 +124,6 @@ pub struct RuntimeConfig {
     /// batching; larger requests are served solo (they already saturate
     /// the fused path on their own). Clamped to `max_batch_rows`.
     pub batch_max_m: usize,
-    /// Maximum requests drained from the queue per scheduling cycle (the
-    /// batch window), across both dtypes.
-    pub max_queue: usize,
     /// Upper bound on how long the scheduler lingers after the first
     /// request of a cycle to let more requests arrive and coalesce
     /// (microseconds; `0` disables lingering). Trades per-request latency
@@ -174,11 +171,6 @@ pub struct RuntimeConfig {
     /// Per-device circuit breaker quarantining repeatedly-failing devices
     /// (see [`BreakerPolicy`] and [`Runtime::device_health`]).
     pub breaker: BreakerPolicy,
-    /// Watchdog budget for a hung simulated device, in microseconds on
-    /// the runtime's clock: a sharded execute whose device stalls longer
-    /// fails with the bounded [`KronError::DeviceTimeout`] instead of
-    /// hanging the scheduler.
-    pub device_watchdog_us: u64,
     /// The low-latency lane (on by default): when the runtime is idle —
     /// no admitted request has an unclaimed result — and the request's
     /// plan is warm, local, and at full device width, `submit` and
@@ -210,7 +202,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             max_batch_rows: 256,
             batch_max_m: 32,
-            max_queue: 1024,
             batch_linger_us: 0,
             adaptive_linger: true,
             priority_aging_us: 1_000,
@@ -220,7 +211,6 @@ impl Default for RuntimeConfig {
             backend: Backend::SingleNode,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
-            device_watchdog_us: 2_000_000,
             inline_bypass: true,
             scheduler_lanes: 1,
         }
@@ -1440,7 +1430,6 @@ impl Runtime {
     pub fn new(mut cfg: RuntimeConfig) -> Self {
         cfg.max_batch_rows = cfg.max_batch_rows.max(1);
         cfg.batch_max_m = cfg.batch_max_m.min(cfg.max_batch_rows);
-        cfg.max_queue = cfg.max_queue.max(1);
         cfg.cache.max_entries = cfg.cache.max_entries.max(1);
         cfg.scheduler_lanes = cfg.scheduler_lanes.clamp(1, MAX_LANES);
         let health_gpus = match cfg.backend {
@@ -1448,21 +1437,19 @@ impl Runtime {
             Backend::Distributed { .. } => cfg.backend.gpus(),
         };
         let hub = Arc::new(MetricsHub::new(health_gpus));
-        let cache = Mutex::new(PlanCache::with_hub(
+        let cache = Mutex::new(PlanCache::new(
             cfg.device.clone(),
             &cfg.backend,
             cfg.cache,
             cfg.clock.clone(),
-            cfg.device_watchdog_us,
             Arc::clone(&hub),
         ));
         // Each lane's ring holds 2× the drain window, so producers only
         // feel backpressure (a spin in `send`) when a lane is more than
         // one full window behind — at which point siblings are stealing.
-        let ring_capacity = cfg.max_queue.saturating_mul(2).max(64);
         let lanes = (0..cfg.scheduler_lanes)
             .map(|_| {
-                let (tx, rx) = bounded(ring_capacity);
+                let (tx, rx) = bounded(2 * WINDOW);
                 LaneHandle {
                     tx,
                     rx,
@@ -1499,11 +1486,6 @@ impl Runtime {
     /// Starts a runtime with [`RuntimeConfig::default`].
     pub fn with_defaults() -> Self {
         Runtime::new(RuntimeConfig::default())
-    }
-
-    /// The configuration this runtime is running with (after clamping).
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.shared.cfg
     }
 
     /// Registers a factor set to serve requests against. The model is
@@ -1601,8 +1583,8 @@ impl Runtime {
     /// picks the group up the outcome is uniform — timely and every
     /// member executes, or late and every member is shed with
     /// [`KronError::DeadlineExceeded`]. A group too wide for one drain
-    /// window (more requests than `max_queue`, or arriving as a window
-    /// fills) is served across consecutive windows like any linked
+    /// window (more than the window's 1024 requests, or arriving as a
+    /// window fills) is served across consecutive windows like any linked
     /// batch, and a deadline that expires *between* those windows sheds
     /// only the not-yet-served remainder — size deadline budgets to
     /// cover the whole group's service time.

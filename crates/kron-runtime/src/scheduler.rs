@@ -104,6 +104,10 @@ const MANUAL_POLL: Duration = Duration::from_micros(200);
 /// is a real condvar wait).
 const STEAL_POLL: Duration = Duration::from_micros(500);
 
+/// The drain window: the most requests one scheduling cycle takes off a
+/// lane's ring, across both dtypes. Each lane's ring holds two windows.
+pub(crate) const WINDOW: usize = 1024;
+
 /// Saturation depth for the adaptive linger, in x16 fixed point: once the
 /// smoothed per-cycle queue depth reaches 9 requests (1 + 8), the linger
 /// sits at its cap.
@@ -1190,7 +1194,7 @@ impl Scheduler {
                 Msg::Request(r) => {
                     self.enqueue(r);
                     // Batch window: drain whatever is queued right now, up
-                    // to the configured cycle size; optionally linger (per
+                    // to `WINDOW` requests; optionally linger (per
                     // the adaptive policy) to let concurrent clients top
                     // the window up. The window is measured on the
                     // runtime's clock, so a manual clock holds it open
@@ -1200,7 +1204,7 @@ impl Scheduler {
                     let window_us = linger_us(&self.shared.cfg, ewma);
                     stats.current_linger_us.store(window_us, Ordering::Relaxed);
                     let deadline = (window_us > 0).then(|| self.shared.clock.now_us() + window_us);
-                    while self.pending_len() < self.shared.cfg.max_queue {
+                    while self.pending_len() < WINDOW {
                         match self.rx.try_recv() {
                             Ok(Msg::Request(r)) => self.enqueue(r),
                             Ok(Msg::Shutdown) => {

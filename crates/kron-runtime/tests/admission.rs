@@ -4,12 +4,14 @@
 //! past fresh high-priority traffic, tighter deadlines serve first at
 //! equal priority, mixed f32/f64 traffic shares one window and one
 //! priority order through the erased runtime, linked batches inherit one
-//! deadline atomically, and the linger window adapts to load.
+//! deadline atomically, the linger window adapts to load, and a full
+//! drain window closes without lingering.
 
 use kron_core::shuffle::kron_matmul_shuffle;
 use kron_core::{assert_matrices_close, KronError, Matrix};
 use kron_runtime::{Clock, ManualClock, Runtime, RuntimeConfig, SubmitOptions};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Pumps virtual time forward until the runtime has served `target`
 /// requests. The scheduler computes its linger deadline from virtual
@@ -559,6 +561,65 @@ fn fixed_linger_reports_the_cap() {
     let y = ticket.wait().unwrap();
     assert_matrices_close(&y, &oracle(&x, &factors), "fixed-linger request");
     assert_eq!(runtime.stats().current_linger_us, 750);
+}
+
+/// The drain window holds at most 1024 requests: a window that fills
+/// closes at once, however long the linger it opened with, and the
+/// overflow waits in the next window.
+#[test]
+fn window_cap_closes_a_full_window_without_lingering() {
+    let clock = Clock::manual();
+    let time = clock.manual_handle().unwrap();
+    time.set_us(1_000);
+    let runtime = Runtime::new(RuntimeConfig {
+        // One batch can take a whole window, so the batch count shows
+        // how many windows served the first 1024.
+        max_batch_rows: 1024,
+        batch_linger_us: 10_000,
+        adaptive_linger: false,
+        clock,
+        ..RuntimeConfig::default()
+    });
+    let factors = model_factors(&[(2, 2), (2, 2)], 3);
+    let model = runtime.load_model(factors.clone()).unwrap();
+    let xs: Vec<Matrix<f64>> = (0..1032)
+        .map(|i| seq_matrix(1, model.input_cols(), i))
+        .collect();
+    let tickets = runtime
+        .submit_linked(xs.iter().map(|x| (&model, x.clone())).collect())
+        .unwrap();
+
+    // The first window fills to the cap and is served with virtual time
+    // standing still: it never lingered.
+    let start = Instant::now();
+    while runtime.stats().served < 1024 {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "a full window never closed: served {}",
+            runtime.stats().served
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(time.now_us(), 1_000);
+    // Waiting on the served tickets orders the next read after their
+    // batch was counted.
+    let mut tickets = tickets.into_iter();
+    let mut ys: Vec<Matrix<f64>> = tickets
+        .by_ref()
+        .take(1024)
+        .map(|t| t.wait().unwrap())
+        .collect();
+    assert_eq!(runtime.stats().batches, 1, "one full window, one batch");
+
+    // The last 8 opened a second window, which lingers on the clock.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(runtime.stats().served, 1024);
+
+    pump_until_served(&runtime, &time, 1032);
+    ys.extend(tickets.map(|t| t.wait().unwrap()));
+    for (i, (y, x)) in ys.iter().zip(&xs).enumerate() {
+        assert_matrices_close(y, &oracle(x, &factors), &format!("request {i}"));
+    }
 }
 
 /// An already-expired deadline sheds with `DeadlineExceeded` before any

@@ -6,7 +6,9 @@
 
 use kron_core::shuffle::kron_matmul_shuffle;
 use kron_core::{assert_matrices_close, KronError, Matrix};
-use kron_runtime::{Backend, Clock, FaultPlan, RetryPolicy, Runtime, RuntimeConfig};
+use kron_runtime::{Backend, Clock, FaultPlan, ManualClock, RetryPolicy, Runtime, RuntimeConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 fn seq_matrix(rows: usize, cols: usize, start: usize) -> Matrix<f64> {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -34,6 +36,24 @@ fn model_factors(shapes: &[(usize, usize)], seed: usize) -> Vec<Matrix<f64>> {
 fn oracle(x: &Matrix<f64>, factors: &[Matrix<f64>]) -> Matrix<f64> {
     let refs: Vec<&Matrix<f64>> = factors.iter().collect();
     kron_matmul_shuffle(x, &refs).unwrap()
+}
+
+/// Runs `f` while a second thread steps `time` forward 100 ms per real
+/// millisecond, so a stall held on the runtime's manual clock outlasts
+/// the 2 s watchdog budget in tens of real milliseconds.
+fn with_clock_pump<R>(time: &ManualClock, f: impl FnOnce() -> R) -> R {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                time.advance_us(100_000);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let out = f();
+        done.store(true, Ordering::Relaxed);
+        out
+    })
 }
 
 /// A repeated fault (below the breaker threshold) walks the degrade
@@ -73,10 +93,7 @@ fn repeated_fault_degrades_grid_and_reports_receipt() {
 /// released on schedule and the batch succeeds on its first attempt.
 #[test]
 fn stall_within_watchdog_budget_is_a_latency_blip() {
-    let runtime = Runtime::new(RuntimeConfig {
-        device_watchdog_us: 200_000,
-        ..dist_config(4)
-    });
+    let runtime = Runtime::new(dist_config(4));
     let factors = model_factors(&[(4, 4), (4, 4)], 4);
     let model = runtime.load_model(factors.clone()).unwrap();
     runtime
@@ -96,8 +113,10 @@ fn stall_within_watchdog_budget_is_a_latency_blip() {
 /// with retry disabled the client sees it raw, correctly attributed.
 #[test]
 fn stall_past_watchdog_surfaces_device_timeout_when_retry_disabled() {
+    let clock = Clock::manual();
+    let time = clock.manual_handle().unwrap();
     let runtime = Runtime::new(RuntimeConfig {
-        device_watchdog_us: 3_000,
+        clock,
         retry: RetryPolicy {
             max_attempts: 0,
             backoff_us: 0,
@@ -112,7 +131,7 @@ fn stall_past_watchdog_surfaces_device_timeout_when_retry_disabled() {
         .unwrap();
 
     let x = seq_matrix(4, model.input_cols(), 5);
-    match runtime.execute(&model, x) {
+    match with_clock_pump(&time, || runtime.execute(&model, x)) {
         Err(KronError::DeviceTimeout { gpu, waited_us }) => {
             assert_eq!(gpu, 1);
             assert!(waited_us >= 3_000, "waited {waited_us}us");
@@ -128,8 +147,10 @@ fn stall_past_watchdog_surfaces_device_timeout_when_retry_disabled() {
 /// sees Ok with the retry on the receipt.
 #[test]
 fn stall_past_watchdog_recovers_transparently_with_retry() {
+    let clock = Clock::manual();
+    let time = clock.manual_handle().unwrap();
     let runtime = Runtime::new(RuntimeConfig {
-        device_watchdog_us: 3_000,
+        clock,
         ..dist_config(4)
     });
     let factors = model_factors(&[(4, 4), (4, 4)], 8);
@@ -141,7 +162,7 @@ fn stall_past_watchdog_recovers_transparently_with_retry() {
     let x = seq_matrix(4, model.input_cols(), 7);
     let expected = oracle(&x, &factors);
     let t = runtime.submit(&model, x).unwrap();
-    let (y, receipt) = t.wait_with_receipt().unwrap();
+    let (y, receipt) = with_clock_pump(&time, || t.wait_with_receipt()).unwrap();
     assert_matrices_close(&y, &expected, "recovered from hung device");
     assert!(receipt.attempts > 1, "receipt: {receipt:?}");
     let stats = runtime.stats();

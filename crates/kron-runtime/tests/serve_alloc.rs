@@ -87,7 +87,6 @@ fn steady_state_serving_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         ..RuntimeConfig::default()
     });
     // A Table 3/4-style small-M serving shape: M=4 against 4⊗4 factors.
@@ -144,7 +143,6 @@ fn steady_state_mixed_dtype_serving_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         ..RuntimeConfig::default()
     });
     let f64_factors: Vec<Matrix<f64>> = (0..2).map(|i| seq_matrix(4, 4, i + 1)).collect();
@@ -213,7 +211,6 @@ fn steady_state_sharded_serving_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         backend: Backend::Distributed {
             gpus: 4,
             p2p: false,
@@ -282,7 +279,6 @@ fn steady_state_serving_with_instruments_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         backend: Backend::Distributed {
             gpus: 4,
             p2p: false,
@@ -374,7 +370,6 @@ fn steady_state_after_fault_recovery_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         backend: Backend::Distributed {
             gpus: 4,
             p2p: false,
@@ -437,7 +432,6 @@ fn steady_state_bypass_lane_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         ..RuntimeConfig::default()
     });
     let f64_factors: Vec<Matrix<f64>> = (0..2).map(|i| seq_matrix(4, 4, i + 1)).collect();
@@ -517,7 +511,6 @@ fn steady_state_lane_sharded_serving_is_allocation_free() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 64,
         scheduler_lanes: 4,
         inline_bypass: false,
         ..RuntimeConfig::default()

@@ -11,7 +11,6 @@ fn dist_config() -> RuntimeConfig {
     RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 256,
         backend: Backend::Distributed {
             gpus: 4,
             p2p: false,
@@ -45,7 +44,6 @@ fn mixed_shape_concurrent_serving_matches_oracle() {
     let runtime = Arc::new(Runtime::new(RuntimeConfig {
         max_batch_rows: 64,
         batch_max_m: 16,
-        max_queue: 256,
         ..RuntimeConfig::default()
     }));
 
@@ -123,7 +121,6 @@ fn pipelined_tickets_batch_and_match_oracle() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 32,
         batch_max_m: 8,
-        max_queue: 512,
         batch_linger_us: 1_000,
         adaptive_linger: false,
         clock,
@@ -172,7 +169,6 @@ fn shutdown_while_busy_serves_everything_accepted() {
     let runtime = Runtime::new(RuntimeConfig {
         max_batch_rows: 16,
         batch_max_m: 8,
-        max_queue: 64,
         ..RuntimeConfig::default()
     });
     let factors = model_factors(&[(8, 8), (8, 8)], 7);
@@ -449,7 +445,6 @@ fn multi_producer_contention_reconciles_per_lane_and_globally() {
         scheduler_lanes: 4,
         max_batch_rows: 32,
         batch_max_m: 16,
-        max_queue: 128,
         ..RuntimeConfig::default()
     }));
 
@@ -638,9 +633,6 @@ fn work_stealing_relieves_a_backlogged_lane() {
         scheduler_lanes: 4,
         max_batch_rows: 16,
         batch_max_m: 8,
-        // A small ring (max_queue * 2) keeps the home lane visibly deep,
-        // so sibling steal polls cannot miss the backlog.
-        max_queue: 32,
         inline_bypass: false,
         ..RuntimeConfig::default()
     }));

@@ -103,7 +103,6 @@ fn fresh_runtime(backend: Backend) -> Runtime {
     Runtime::new(RuntimeConfig {
         max_batch_rows: 64,
         batch_max_m: 16,
-        max_queue: 256,
         backend,
         ..RuntimeConfig::default()
     })

@@ -52,7 +52,6 @@ fn runtime_config(backend: Backend) -> RuntimeConfig {
     RuntimeConfig {
         max_batch_rows: 64,
         batch_max_m: 16,
-        max_queue: 256,
         backend,
         ..RuntimeConfig::default()
     }

@@ -3,13 +3,19 @@
 //! The build environment has no registry access, so this workspace vendors
 //! the thin slice of rayon's API its crates actually use: `par_chunks`,
 //! `par_chunks_mut`, and the `enumerate`/`zip`/`for_each` adaptors on the
-//! resulting parallel iterators. Parallelism is real — work is split across
-//! `std::thread::scope` threads — but there is no work stealing: chunks are
-//! statically partitioned, which matches the uniform per-chunk cost of every
-//! call site in the workspace.
+//! resulting parallel iterators, plus a persistent [`ThreadPool`] whose
+//! [`ThreadPool::broadcast`] the fused execution path calls directly.
 //!
-//! On a single-hardware-thread host (or when there is at most one chunk)
-//! everything degrades to a plain serial loop with no thread spawns.
+//! Every parallel iterator, and every broadcast outside this crate's own
+//! tests, runs on one persistent pool, [`ThreadPool::global`]; no call
+//! spawns a thread. `drive`, behind every parallel iterator's `for_each`,
+//! makes each item (a chunk) one task on the pool's shared queue, and a
+//! broadcast makes each index one task. The parked workers and the
+//! calling thread take tasks off that queue in turn until it is empty,
+//! and the caller returns once every task has finished.
+//!
+//! On a single-hardware-thread host (or when there is at most one item)
+//! everything degrades to a plain serial loop on the calling thread.
 
 #![deny(missing_docs)]
 

@@ -129,9 +129,9 @@ fn main() {
     );
 
     // ---- Act 3: a hung device, bounded by the watchdog. --------------
-    // The stall (60 s) dwarfs the watchdog budget (2 s of clock time by
-    // default), so the coordinator converts the hang into DeviceTimeout
-    // and the retry machinery takes it from there. The manual clock is
+    // The stall (60 s) dwarfs the watchdog budget (2 s of clock time),
+    // so the sharded engine converts the hang into DeviceTimeout and the
+    // retry machinery takes it from there. The manual clock is
     // advanced from a helper thread so the watchdog sees time pass.
     runtime
         .install_fault_plan(FaultPlan::new().stall_on_batch(
