@@ -321,14 +321,12 @@ impl PlanKey {
     /// Estimated resident bytes of the execution state a cache entry for
     /// this key holds — the basis for byte-accounted cache budgets.
     ///
-    /// Covers the three allocations that dominate an entry's footprint:
+    /// Covers the two allocations that dominate an entry's footprint:
     ///
     /// * **workspace** — the fused path's two ping-pong intermediate
     ///   buffers (`2 · max_intermediate_elems`, zero for single-factor
-    ///   chains); under a device grid, six intermediates' worth: the
-    ///   engine's device-major `local`/`next` blocks tile two of them,
-    ///   and the other four are headroom that a ledger counting buffer
-    ///   capacity would remove,
+    ///   chains); under a device grid, the engine's device-major
+    ///   `local`/`next` blocks, which tile two intermediates,
     /// * **staging** — the row-stacked batch input/output buffers
     ///   (`m · (K + L)`),
     ///
@@ -347,10 +345,8 @@ impl PlanKey {
             // Two ping-pong buffers.
             ExecBackend::SingleDevice => 2 * intermediates,
             // The engine's local/next blocks tile 2 intermediates across
-            // the grid. The other 4 are headroom, kept so that byte-budget
-            // admission does not move; counting capacity in the ledger
-            // removes them.
-            ExecBackend::Grid { .. } => 6 * p.m * p.max_intermediate_cols(),
+            // the grid.
+            ExecBackend::Grid { .. } => 2 * p.max_intermediate_elems(),
         };
         let staging = p.m * (p.input_cols() + p.output_cols());
         (workspace + staging) * self.dtype.bytes()
@@ -380,9 +376,9 @@ mod tests {
         // f64 doubles it.
         let single64 = PlanKey::new(p.clone(), crate::DType::F64, "v100");
         assert_eq!(single64.estimated_bytes(), 512 * 8);
-        // A grid entry accounts more (distributed blocks + exchange).
+        // A grid entry's local/next blocks tile the same 2 intermediates.
         let grid = PlanKey::sharded(p, crate::DType::F32, "v100", 2, 2);
-        assert!(grid.estimated_bytes() > single32.estimated_bytes());
+        assert_eq!(grid.estimated_bytes(), single32.estimated_bytes());
         // Single-factor chains hold no intermediates, only staging.
         let one = KronProblem::new(4, vec![FactorShape::square(3)]).unwrap();
         let key = PlanKey::new(one, crate::DType::F32, "v100");

@@ -287,9 +287,11 @@ pub struct ModelStats {
     /// Requests replied with an error (including sheds) under this key:
     /// every reply in `latency` that is not a serve.
     pub errors: u64,
-    /// Plan-cache hits for this key.
+    /// Plan-cache lookups under this key that found a fresh entry (see
+    /// [`crate::RuntimeStats::plan_hits`]).
     pub plan_hits: u64,
-    /// Plan-cache misses (builds) for this key.
+    /// Plan-cache lookups under this key that found none, failed builds
+    /// included (see [`crate::RuntimeStats::plan_misses`]).
     pub plan_misses: u64,
     /// End-to-end latency of every reply under this key, serves and
     /// errors alike.

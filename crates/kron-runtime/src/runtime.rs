@@ -285,12 +285,16 @@ pub struct RuntimeStats {
     /// `bypassed_requests`, and this counter:
     /// `served == batched + solo + bypassed + error_replies`.
     pub error_replies: u64,
-    /// Requests whose plan/workspace came from the cache: the sum of
+    /// Plan-cache lookups that found a fresh entry. There is one lookup
+    /// per scheduler chunk attempt (a batch of any size counts once),
+    /// per bypassed request and per [`Runtime::pin_model`]. The sum of
     /// [`ModelStats::plan_hits`] over [`Runtime::model_stats`], overflow
     /// row included.
     pub plan_hits: u64,
-    /// Cache misses (an entry was built: a workspace or a sharded
-    /// engine): the sum of [`ModelStats::plan_misses`], as `plan_hits`.
+    /// Plan-cache lookups that found no fresh entry, counted as
+    /// `plan_hits` are. A miss counts before its build, so a build that
+    /// fails (say with [`KronError::InvalidGrid`]) counts too. The sum of
+    /// [`ModelStats::plan_misses`], as `plan_hits`.
     pub plan_misses: u64,
     /// Executes that sharded across the simulated GPU grid.
     pub sharded_batches: u64,

@@ -45,26 +45,34 @@
 //!
 //! ## Service order within a window
 //!
-//! Model groups (and then solos) drain ordered by, in turn:
+//! Each window fills one group table: both typed lanes append their
+//! batchable model groups, and each request above
+//! [`crate::RuntimeConfig::batch_max_m`] as a one-member group flagged
+//! `solo`. The table is sorted once and served in that order, each group
+//! in row-budgeted chunks. The sort key is, in turn:
 //!
-//! 1. **Aged priority**, descending — [`aged_priority`]: the static
+//! 1. **Batchable before solo** — every model group drains before any
+//!    solo.
+//! 2. **Aged priority**, descending — [`aged_priority`]: the static
 //!    [`crate::SubmitOptions::priority`] plus one step per
 //!    [`crate::RuntimeConfig::priority_aging_us`] of queue age, so a
 //!    starving low-priority group eventually outranks fresh high-priority
 //!    traffic (strict ordering cannot starve).
-//! 2. **Tightest deadline first** — a group's earliest member deadline;
+//! 3. **Tightest deadline first** — a group's earliest member deadline;
 //!    deadline-less work sorts last within its priority level. Deadlines
 //!    thus shape the *order* of service, not only the shedding of
 //!    already-expired requests.
-//! 3. **Arrival order** — the global (cross-dtype) arrival number breaks
-//!    remaining ties deterministically.
+//! 4. **Arrival order** — the global (cross-dtype) arrival number of the
+//!    group's first member. It is unique within a lane, so the order is
+//!    total and the unstable sort deterministic.
 //!
-//! All scratch state (the lanes' `pending`/grouping/ref-slice buffers and
-//! the global ordering buffers) is owned and reused across cycles, so a
-//! warmed scheduler serves requests without allocating — the other half
-//! of the crate's zero-allocation steady-state contract (the first half
-//! being the plan cache's reused workspaces and batch buffers). The
-//! in-cycle sorts are `sort_unstable` (in-place) for the same reason.
+//! All scratch state (the lanes' `pending` and ref-slice buffers, and the
+//! group table, whose retired entries keep their member lists) is owned
+//! and reused across cycles, so a warmed scheduler serves requests
+//! without allocating — the other half of the crate's zero-allocation
+//! steady-state contract (the first half being the plan cache's reused
+//! workspaces and batch buffers). The table is sorted with
+//! `sort_unstable` (in place) for the same reason.
 //!
 //! Every time-dependent decision — the linger window, deadline admission,
 //! priority aging, the cache's idle sweep — reads the runtime's
@@ -168,42 +176,31 @@ pub fn aged_priority(priority: u8, queued_us: u64, step_us: u64) -> u64 {
     priority as u64 + boost
 }
 
-/// One schedulable unit in the global (cross-dtype) service order: a
-/// model group or a solo request, identified by `(dtype, idx)` into the
-/// owning lane.
-#[derive(Debug, Clone, Copy)]
-struct WorkItem {
-    /// Aged priority (higher first).
-    prio: u64,
-    /// Earliest member deadline (`u64::MAX` when none) — tighter first.
-    deadline: u64,
-    /// Global arrival number of the earliest member — FIFO tie-break.
-    arrival: u64,
-    /// Which lane owns the work.
-    dtype: DType,
-    /// Group index (group phase) or pending index (solo phase) in that
-    /// lane.
-    idx: usize,
-}
-
-/// Sort key: aged priority descending, then tightest deadline, then
-/// arrival.
-fn work_key(w: &WorkItem) -> (Reverse<u64>, u64, u64) {
-    (Reverse(w.prio), w.deadline, w.arrival)
-}
-
-/// One batchable model group within a lane's window.
+/// One schedulable unit of a window's service order: a batchable model
+/// group, or a solo (a request above `batch_max_m`) as a group of one.
 struct Group {
+    /// The typed lane that holds the members.
+    dtype: DType,
     /// Model id the group batches against.
     model: u64,
+    /// A request above `batch_max_m`: it batches with nothing.
+    solo: bool,
     /// Max aged priority across members.
     prio: u64,
     /// Min deadline across members (`u64::MAX` when none carry one).
     deadline: u64,
     /// Global arrival number of the first member.
     arrival: u64,
-    /// Pending indices of the members, in arrival order.
+    /// Pending indices of the members in their lane, in arrival order.
     idxs: Vec<usize>,
+}
+
+impl Group {
+    /// The service order: batchable groups before solos, then aged
+    /// priority descending, tightest deadline, and arrival.
+    fn key(&self) -> (bool, Reverse<u64>, u64, u64) {
+        (self.solo, Reverse(self.prio), self.deadline, self.arrival)
+    }
 }
 
 /// Consumes the next due scripted device fault (if any) and arms it on
@@ -729,9 +726,9 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
     None
 }
 
-/// One dtype's fully-typed half of the scheduler: the pending window,
-/// grouping table, and execution scratch. Everything request-valued in
-/// here is `T`-typed — the erasure boundary ends at [`Scheduler::enqueue`].
+/// One dtype's fully-typed half of the scheduler: the pending window and
+/// execution scratch. Everything request-valued in here is `T`-typed —
+/// the erasure boundary ends at [`Scheduler::enqueue`].
 struct TypedLane<T: ErasedDtype> {
     /// Requests drained this cycle; `None` marks served slots. Cleared
     /// (capacity kept) at the end of every cycle.
@@ -739,10 +736,6 @@ struct TypedLane<T: ErasedDtype> {
     /// Global (cross-dtype) arrival number per pending slot; index
     /// -parallel with `pending` and valid after the slot is taken.
     arrivals: Vec<u64>,
-    /// Grouping table; entries beyond `groups_used` are retired but keep
-    /// their Vec capacity for reuse.
-    groups: Vec<Group>,
-    groups_used: usize,
     /// Reused backing store for the `&[&Matrix<T>]` factor slice.
     refs_scratch: Vec<*const Matrix<T>>,
     /// Reused live-member list for the retry loop (deadline shedding
@@ -760,8 +753,6 @@ impl<T: ErasedDtype> TypedLane<T> {
         TypedLane {
             pending: Vec::new(),
             arrivals: Vec::new(),
-            groups: Vec::new(),
-            groups_used: 0,
             refs_scratch: Vec::new(),
             retry_scratch: Vec::new(),
         }
@@ -806,91 +797,66 @@ impl<T: ErasedDtype> TypedLane<T> {
         self.clear();
     }
 
-    /// Groups batchable requests by model identity, tracking each group's
-    /// strongest aged priority, tightest deadline, and first arrival.
-    fn build_groups(&mut self, batch_max_m: usize, now: u64, aging_us: u64) {
-        for g in &mut self.groups {
-            g.idxs.clear();
-        }
-        self.groups_used = 0;
-        for i in 0..self.pending.len() {
-            let Some(r) = self.pending[i].as_ref() else {
+    /// Appends this lane's window to the group table at `used` and
+    /// returns the table's new length: one group per model for requests
+    /// of at most `batch_max_m` rows, tracking its strongest aged
+    /// priority (at `now`), tightest deadline and first arrival, and one
+    /// solo per larger request.
+    fn append_groups(
+        &self,
+        groups: &mut Vec<Group>,
+        mut used: usize,
+        cfg: &RuntimeConfig,
+        now: u64,
+    ) -> usize {
+        let first = used;
+        for (i, slot) in self.pending.iter().enumerate() {
+            let Some(r) = slot else {
                 continue; // shed above
             };
-            if r.x.rows() > batch_max_m {
+            let (model, solo) = (r.model.id, r.x.rows() > cfg.batch_max_m);
+            let queued_us = now.saturating_sub(r.enqueued_us);
+            let prio = aged_priority(r.priority, queued_us, cfg.priority_aging_us);
+            let deadline = r.deadline_us.unwrap_or(u64::MAX);
+            let same = groups[first..used]
+                .iter_mut()
+                .find(|g| !solo && !g.solo && g.model == model);
+            if let Some(g) = same {
+                g.prio = g.prio.max(prio);
+                g.deadline = g.deadline.min(deadline);
+                g.idxs.push(i);
                 continue;
             }
-            let id = r.model.id;
-            let prio = aged_priority(r.priority, now.saturating_sub(r.enqueued_us), aging_us);
-            let deadline = r.deadline_us.unwrap_or(u64::MAX);
-            match self.groups[..self.groups_used]
-                .iter()
-                .position(|g| g.model == id)
-            {
-                Some(s) => {
-                    let g = &mut self.groups[s];
-                    g.prio = g.prio.max(prio);
-                    g.deadline = g.deadline.min(deadline);
-                    g.idxs.push(i);
-                }
-                None => {
-                    let arrival = self.arrivals[i];
-                    if self.groups_used < self.groups.len() {
-                        let g = &mut self.groups[self.groups_used];
-                        g.model = id;
-                        g.prio = prio;
-                        g.deadline = deadline;
-                        g.arrival = arrival;
-                        g.idxs.push(i);
-                    } else {
-                        self.groups.push(Group {
-                            model: id,
-                            prio,
-                            deadline,
-                            arrival,
-                            idxs: vec![i],
-                        });
+            let g = Group {
+                dtype: T::DTYPE,
+                model,
+                solo,
+                prio,
+                deadline,
+                arrival: self.arrivals[i],
+                idxs: Vec::new(),
+            };
+            match groups.get_mut(used) {
+                // A retired entry keeps its member list's capacity.
+                Some(old) => {
+                    *old = Group {
+                        idxs: std::mem::take(&mut old.idxs),
+                        ..g
                     }
-                    self.groups_used += 1;
                 }
+                None => groups.push(g),
             }
+            let idxs = &mut groups[used].idxs;
+            idxs.clear();
+            idxs.push(i);
+            used += 1;
         }
+        used
     }
 
-    /// Appends this lane's groups to the global ordering buffer.
-    fn collect_groups(&self, dtype: DType, out: &mut Vec<WorkItem>) {
-        for (gi, g) in self.groups[..self.groups_used].iter().enumerate() {
-            out.push(WorkItem {
-                prio: g.prio,
-                deadline: g.deadline,
-                arrival: g.arrival,
-                dtype,
-                idx: gi,
-            });
-        }
-    }
-
-    /// Appends everything still pending (large-M and singleton leftovers)
-    /// to the global solo ordering buffer.
-    fn collect_solos(&self, now: u64, aging_us: u64, dtype: DType, out: &mut Vec<WorkItem>) {
-        for (i, slot) in self.pending.iter().enumerate() {
-            if let Some(r) = slot.as_ref() {
-                out.push(WorkItem {
-                    prio: aged_priority(r.priority, now.saturating_sub(r.enqueued_us), aging_us),
-                    deadline: r.deadline_us.unwrap_or(u64::MAX),
-                    arrival: self.arrivals[i],
-                    dtype,
-                    idx: i,
-                });
-            }
-        }
-    }
-
-    /// Serves group `gi` in row-budgeted chunks.
-    fn serve_group(&mut self, gi: usize, ctx: &ServeCtx) {
-        // Move the index list out so `serve_chunk(&mut self)` can run;
-        // restored below to keep its capacity for the next cycle.
-        let idxs = std::mem::take(&mut self.groups[gi].idxs);
+    /// Serves one group's members (pending indices, in arrival order) in
+    /// row-budgeted chunks.
+    fn serve_group(&mut self, idxs: &[usize], ctx: &ServeCtx) {
         let max_batch_rows = ctx.cfg.max_batch_rows;
         let mut start = 0;
         while start < idxs.len() {
@@ -910,7 +876,6 @@ impl<T: ErasedDtype> TypedLane<T> {
             self.serve_chunk(&idxs[start..end], ctx);
             start = end;
         }
-        self.groups[gi].idxs = idxs;
     }
 
     /// Replies a deadline shed to retry survivors: drops every live
@@ -1053,10 +1018,10 @@ pub(crate) struct Scheduler {
     next_arrival: u64,
     f32_lane: TypedLane<f32>,
     f64_lane: TypedLane<f64>,
-    /// Reused global ordering buffer for model groups.
-    group_order: Vec<WorkItem>,
-    /// Reused global ordering buffer for solo requests.
-    solo_order: Vec<WorkItem>,
+    /// The window's group table, across both typed lanes, sorted into
+    /// the service order. Entries past a window's groups are retired but
+    /// keep their member lists' capacity for the next window.
+    groups: Vec<Group>,
 }
 
 impl Scheduler {
@@ -1069,8 +1034,7 @@ impl Scheduler {
             next_arrival: 0,
             f32_lane: TypedLane::new(),
             f64_lane: TypedLane::new(),
-            group_order: Vec::new(),
-            solo_order: Vec::new(),
+            groups: Vec::new(),
         }
     }
 
@@ -1098,13 +1062,23 @@ impl Scheduler {
         self.f32_lane.pending.len() + self.f64_lane.pending.len()
     }
 
+    /// Takes one message off the intake: a request joins the window, and
+    /// `Shutdown` returns `false`, which closes the lane.
+    fn take(&mut self, msg: Msg) -> bool {
+        match msg {
+            Msg::Request(r) => {
+                self.enqueue(r);
+                true
+            }
+            Msg::Shutdown => false,
+        }
+    }
+
     /// Moves everything queued on this lane's ring into the window,
     /// dropping a `Shutdown`: the scheduler is already on its way out.
     fn drain_ring(&mut self) {
         while let Ok(msg) = self.rx.try_recv() {
-            if let Msg::Request(r) = msg {
-                self.enqueue(r);
-            }
+            self.take(msg);
         }
     }
 
@@ -1187,74 +1161,56 @@ impl Scheduler {
                 }
             }
         };
-        {
-            let mut shutting = false;
-            match msg {
-                Msg::Shutdown => shutting = true,
-                Msg::Request(r) => {
-                    self.enqueue(r);
-                    // Batch window: drain whatever is queued right now, up
-                    // to `WINDOW` requests; optionally linger (per
-                    // the adaptive policy) to let concurrent clients top
-                    // the window up. The window is measured on the
-                    // runtime's clock, so a manual clock holds it open
-                    // until the test advances time.
-                    let stats = &self.shared.hub.stats;
-                    let ewma = stats.ewma_depth_x16.load(Ordering::Relaxed);
-                    let window_us = linger_us(&self.shared.cfg, ewma);
-                    stats.current_linger_us.store(window_us, Ordering::Relaxed);
-                    let deadline = (window_us > 0).then(|| self.shared.clock.now_us() + window_us);
-                    while self.pending_len() < WINDOW {
-                        match self.rx.try_recv() {
-                            Ok(Msg::Request(r)) => self.enqueue(r),
-                            Ok(Msg::Shutdown) => {
-                                shutting = true;
-                                break;
+        let mut open = self.take(msg);
+        if open {
+            // Batch window: drain whatever is queued right now, up to
+            // `WINDOW` requests; optionally linger (per the adaptive
+            // policy) to let concurrent clients top the window up. The
+            // window is measured on the runtime's clock, so a manual clock
+            // holds it open until the test advances time.
+            let stats = &self.shared.hub.stats;
+            let ewma = stats.ewma_depth_x16.load(Ordering::Relaxed);
+            let window_us = linger_us(&self.shared.cfg, ewma);
+            stats.current_linger_us.store(window_us, Ordering::Relaxed);
+            let deadline = (window_us > 0).then(|| self.shared.clock.now_us() + window_us);
+            while open && self.pending_len() < WINDOW {
+                match self.rx.try_recv() {
+                    Ok(msg) => open = self.take(msg),
+                    Err(_) => {
+                        // Queue momentarily empty: park until the linger
+                        // deadline for a late arrival (no spinning —
+                        // producers get the CPU).
+                        let Some(d) = deadline else { break };
+                        let now = self.shared.clock.now_us();
+                        if now >= d {
+                            break;
+                        }
+                        let wait = if self.shared.clock.is_manual() {
+                            MANUAL_POLL
+                        } else {
+                            Duration::from_micros(d - now)
+                        };
+                        match self.rx.recv_timeout(wait) {
+                            Ok(msg) => open = self.take(msg),
+                            Err(RecvTimeoutError::Timeout) if self.shared.clock.is_manual() => {
+                                // Re-read the virtual clock; the test may
+                                // have advanced it.
+                                continue;
                             }
-                            Err(_) => {
-                                // Queue momentarily empty: park until the
-                                // linger deadline for a late arrival (no
-                                // spinning — producers get the CPU).
-                                let Some(d) = deadline else { break };
-                                let now = self.shared.clock.now_us();
-                                if now >= d {
-                                    break;
-                                }
-                                let wait = if self.shared.clock.is_manual() {
-                                    MANUAL_POLL
-                                } else {
-                                    Duration::from_micros(d - now)
-                                };
-                                match self.rx.recv_timeout(wait) {
-                                    Ok(Msg::Request(r)) => self.enqueue(r),
-                                    Ok(Msg::Shutdown) => {
-                                        shutting = true;
-                                        break;
-                                    }
-                                    Err(RecvTimeoutError::Timeout)
-                                        if self.shared.clock.is_manual() =>
-                                    {
-                                        // Re-read the virtual clock; the
-                                        // test may have advanced it.
-                                        continue;
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
+                            Err(_) => break,
                         }
                     }
-                    self.serve_pending();
                 }
             }
-            if shutting {
-                // The gate guarantees Shutdown is the channel's final
-                // message, but drain defensively before exiting.
-                self.drain_ring();
-                self.serve_pending();
-                return false;
-            }
+            self.serve_pending();
         }
-        true
+        if !open {
+            // The gate guarantees Shutdown is the channel's final message,
+            // but drain defensively before exiting.
+            self.drain_ring();
+            self.serve_pending();
+        }
+        open
     }
 
     /// Steals up to half of the deepest sibling ring into this lane's
@@ -1323,9 +1279,9 @@ impl Scheduler {
     }
 
     /// Serves everything drained this cycle: expired deadlines shed
-    /// first, then batchable requests grouped by model and served in the
-    /// global aged-priority/deadline/arrival order (interleaving dtypes),
-    /// chunked to `max_batch_rows`; then the solos, in the same order.
+    /// first, then every group of the window, batchable or solo, in the
+    /// one service order of [`Group::key`] (interleaving dtypes), each
+    /// chunked to `max_batch_rows`.
     fn serve_pending(&mut self) {
         let total = self.pending_len();
         if total == 0 {
@@ -1360,40 +1316,17 @@ impl Scheduler {
         self.f32_lane.shed_expired(now, &ctx);
         self.f64_lane.shed_expired(now, &ctx);
 
-        let aging = self.shared.cfg.priority_aging_us;
-        let batch_max_m = self.shared.cfg.batch_max_m;
-        self.f32_lane.build_groups(batch_max_m, now, aging);
-        self.f64_lane.build_groups(batch_max_m, now, aging);
-
-        // Global group order: aged priority, then tightest deadline, then
-        // arrival — across both dtypes.
-        self.group_order.clear();
-        self.f32_lane
-            .collect_groups(DType::F32, &mut self.group_order);
-        self.f64_lane
-            .collect_groups(DType::F64, &mut self.group_order);
-        self.group_order.sort_unstable_by_key(work_key);
-        for i in 0..self.group_order.len() {
-            let w = self.group_order[i];
-            match w.dtype {
-                DType::F32 => self.f32_lane.serve_group(w.idx, &ctx),
-                DType::F64 => self.f64_lane.serve_group(w.idx, &ctx),
-            }
-        }
-
-        // Everything left (large-M, or models with batching disabled), in
-        // the same global order.
-        self.solo_order.clear();
-        self.f32_lane
-            .collect_solos(now, aging, DType::F32, &mut self.solo_order);
-        self.f64_lane
-            .collect_solos(now, aging, DType::F64, &mut self.solo_order);
-        self.solo_order.sort_unstable_by_key(work_key);
-        for i in 0..self.solo_order.len() {
-            let w = self.solo_order[i];
-            match w.dtype {
-                DType::F32 => self.f32_lane.serve_chunk(&[w.idx], &ctx),
-                DType::F64 => self.f64_lane.serve_chunk(&[w.idx], &ctx),
+        let cfg = &self.shared.cfg;
+        let used = self.f32_lane.append_groups(&mut self.groups, 0, cfg, now);
+        let used = self
+            .f64_lane
+            .append_groups(&mut self.groups, used, cfg, now);
+        let groups = &mut self.groups[..used];
+        groups.sort_unstable_by_key(Group::key);
+        for g in groups.iter() {
+            match g.dtype {
+                DType::F32 => self.f32_lane.serve_group(&g.idxs, &ctx),
+                DType::F64 => self.f64_lane.serve_group(&g.idxs, &ctx),
             }
         }
         self.f32_lane.clear();
@@ -1454,20 +1387,27 @@ mod tests {
     }
 
     #[test]
-    fn work_key_orders_priority_then_deadline_then_arrival() {
-        let item = |prio, deadline, arrival| WorkItem {
-            prio,
-            deadline,
-            arrival,
-            dtype: DType::F32,
-            idx: 0,
+    fn group_key_orders_solo_then_priority_then_deadline_then_arrival() {
+        let key = |solo, prio, deadline, arrival| {
+            Group {
+                dtype: DType::F32,
+                model: 0,
+                solo,
+                prio,
+                deadline,
+                arrival,
+                idxs: Vec::new(),
+            }
+            .key()
         };
         // Higher priority first.
-        assert!(work_key(&item(5, u64::MAX, 9)) < work_key(&item(4, 0, 0)));
+        assert!(key(false, 5, u64::MAX, 9) < key(false, 4, 0, 0));
         // Same priority: tighter deadline first; deadline-less last.
-        assert!(work_key(&item(5, 100, 9)) < work_key(&item(5, 200, 0)));
-        assert!(work_key(&item(5, 200, 9)) < work_key(&item(5, u64::MAX, 0)));
+        assert!(key(false, 5, 100, 9) < key(false, 5, 200, 0));
+        assert!(key(false, 5, 200, 9) < key(false, 5, u64::MAX, 0));
         // Full tie: arrival order.
-        assert!(work_key(&item(5, 100, 1)) < work_key(&item(5, 100, 2)));
+        assert!(key(false, 5, 100, 1) < key(false, 5, 100, 2));
+        // Every batchable group before any solo, whatever their priority.
+        assert!(key(false, 0, u64::MAX, 9) < key(true, 9, 0, 0));
     }
 }

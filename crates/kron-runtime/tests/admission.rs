@@ -197,6 +197,15 @@ fn high_priority_groups_drain_before_low_under_a_full_window() {
         high_receipt.seq,
         low_receipt.seq
     );
+    // Every group member, the priority-1 ones included, precedes both
+    // solos, the priority-9 one included.
+    let last_group = *high_seqs.iter().chain(&low_seqs).max().unwrap();
+    assert!(
+        last_group < high_receipt.seq.min(low_receipt.seq),
+        "groups {high_seqs:?} {low_seqs:?} must precede both solos ({}, {})",
+        high_receipt.seq,
+        low_receipt.seq
+    );
 
     // And the window really did coalesce: the two groups batched.
     let stats = runtime.stats();

@@ -1,10 +1,11 @@
 //! Observability contract against the public runtime API: the stats
 //! decomposition invariant (`served == batched + solo + error_replies`),
 //! per-stage and per-outcome latency histograms, the per-model registry,
-//! the flight recorder's causal event trace under a chaos drill, and the
-//! stable JSON / Prometheus renderings of one coherent snapshot.
+//! what the plan-lookup counters count, the flight recorder's causal
+//! event trace under a chaos drill, and the stable JSON / Prometheus
+//! renderings of one coherent snapshot.
 
-use kron_core::Matrix;
+use kron_core::{KronError, Matrix};
 use kron_runtime::{
     Backend, BreakerPolicy, Clock, FaultPlan, HistogramSnapshot, ManualClock, Outcome, Runtime,
     RuntimeConfig, ServeEventKind, Stage, SubmitOptions,
@@ -138,6 +139,71 @@ fn model_registry_tracks_serves_hits_and_misses() {
     assert_eq!(entry.plan_hits, 2, "warm lookups hit: {entry:?}");
     assert_eq!(entry.latency.count, 3, "entry: {entry:?}");
     assert!(!entry.overflow);
+}
+
+/// `plan_hits` and `plan_misses` count cache lookups, not requests or
+/// builds: a batch of 8 requests served as one execute looks its entry up
+/// once, and a lookup whose build fails still counts as a miss.
+#[test]
+fn plan_counters_count_lookups_not_requests_or_builds() {
+    // Manual clock + a fixed linger, as in `tests/admission.rs`: the
+    // window cannot close before the whole linked batch is queued.
+    let clock = Clock::manual();
+    let time = clock.manual_handle().unwrap();
+    let runtime = Runtime::new(RuntimeConfig {
+        batch_linger_us: 10_000,
+        adaptive_linger: false,
+        clock,
+        ..RuntimeConfig::default()
+    });
+    let model = runtime
+        .load_model(model_factors(&[(4, 4), (4, 4)], 5))
+        .unwrap();
+    let warm = runtime
+        .submit(&model, seq_matrix(1, model.input_cols(), 50))
+        .unwrap();
+    pump_until_served(&runtime, &time, 1);
+    warm.wait().unwrap();
+    let before = runtime.stats();
+    let batch = (0..8)
+        .map(|i| (&model, seq_matrix(1, model.input_cols(), 60 + i)))
+        .collect();
+    let tickets = runtime.submit_linked(batch).unwrap();
+    pump_until_served(&runtime, &time, before.served + 8);
+    for t in tickets {
+        t.wait().unwrap();
+    }
+    let after = runtime.stats();
+    assert_eq!(after.batches - before.batches, 1, "{after}");
+    assert_eq!(after.batched_requests - before.batched_requests, 8);
+    assert_eq!(
+        after.plan_hits - before.plan_hits,
+        1,
+        "one lookup per batch"
+    );
+    assert_eq!(after.plan_misses, before.plan_misses);
+
+    // Three GPUs form no grid, so every build fails, and every failed
+    // build is a miss that caches nothing.
+    let runtime = Runtime::new(RuntimeConfig {
+        backend: Backend::Distributed {
+            gpus: 3,
+            p2p: false,
+        },
+        ..RuntimeConfig::default()
+    });
+    let model = runtime
+        .load_model(model_factors(&[(4, 4), (4, 4)], 6))
+        .unwrap();
+    for i in 0..3 {
+        let x = seq_matrix(2, model.input_cols(), 70 + i);
+        let err = runtime.execute(&model, x).unwrap_err();
+        assert!(matches!(err, KronError::InvalidGrid { .. }), "{err:?}");
+    }
+    let stats = runtime.stats();
+    assert_eq!(stats.plan_misses, 3, "{stats}");
+    assert_eq!(stats.plan_hits, 0, "{stats}");
+    assert_eq!(stats.cached_entries, 0, "{stats}");
 }
 
 /// A chaos drill leaves a causal post-mortem in the flight recorder:

@@ -17,8 +17,9 @@
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
 //!    metrics plane's per-reply recorders, the slot reply protocol, the
 //!    ring push/pop, the channel's send and receive paths, the submit
-//!    path, and the scheduler's shed and execute-and-reply paths) must
-//!    not call allocating std constructors.
+//!    path, and the scheduler's window serve loop and its shed and
+//!    execute-and-reply paths) must not call allocating std
+//!    constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` in a statement
 //!    touching a protocol atomic (gate state, bypass claim, seqlock seq,
 //!    ring head/tail, sleeper count, channel sender/receiver counts) must
@@ -74,6 +75,9 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
             "execute_and_reply",
             "try_bypass",
             "fold_cycle",
+            "serve_pending",
+            "serve_group",
+            "serve_chunk",
         ],
     ),
     (

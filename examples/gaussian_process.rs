@@ -19,7 +19,8 @@ fn main() {
     for (j, &t) in data.targets.iter().enumerate() {
         b[(0, j)] = t;
     }
-    let solve = gp.solve(&b, 100, 1e-8).expect("CG");
+    let (max_iters, tol) = (100, 1e-8);
+    let solve = gp.solve(&b, max_iters, tol).expect("CG");
     println!(
         "SKI-GP solve on {} ({} pts, {} dims, grid 4^{}): {} CG iterations, residual {:.2e}",
         data.source.name(),
@@ -28,6 +29,13 @@ fn main() {
         data.source.dims(),
         solve.iterations,
         solve.residuals[0]
+    );
+    // CG's stopping rule: the residual fell to `tol · ‖b‖` before the
+    // iteration cap.
+    let b_norm = b.row(0).iter().map(|v| v * v).sum::<f64>().sqrt();
+    assert!(
+        solve.iterations < max_iters && solve.residuals[0] <= tol * b_norm,
+        "CG did not converge"
     );
 
     // Timing study: one Table 5 row.
@@ -52,5 +60,11 @@ fn main() {
             fk16,
             vanilla / fk16
         );
+        assert!(
+            fk1 < vanilla,
+            "{}: FastKron-1GPU must beat vanilla",
+            variant.name()
+        );
+        assert!(fk16 < fk1, "{}: 16 GPUs must beat 1", variant.name());
     }
 }
