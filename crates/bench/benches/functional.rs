@@ -4,7 +4,7 @@
 //! the simulated-GPU figures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastkron_core::algorithm::kron_matmul_fastkron;
+use fastkron_core::kron_matmul_fused;
 use kron_core::ftmmt::kron_matmul_ftmmt;
 use kron_core::naive::kron_matmul_naive;
 use kron_core::shuffle::kron_matmul_shuffle;
@@ -28,7 +28,7 @@ fn bench_engines(c: &mut Criterion) {
         let refs: Vec<&Matrix<f32>> = fs.iter().collect();
         let label = format!("M{m}_P{p}_N{n}");
         group.bench_with_input(BenchmarkId::new("fastkron", &label), &(), |b, ()| {
-            b.iter(|| kron_matmul_fastkron(black_box(&x), black_box(&refs)).unwrap())
+            b.iter(|| kron_matmul_fused(black_box(&x), black_box(&refs)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("shuffle", &label), &(), |b, ()| {
             b.iter(|| kron_matmul_shuffle(black_box(&x), black_box(&refs)).unwrap())

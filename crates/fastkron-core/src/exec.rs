@@ -47,8 +47,8 @@
 //! groups)` grid, and every grid runs one step function: one factor step
 //! for a range of rows over a range of slices. Only the dispatch differs,
 //! and it goes to the process-wide persistent [`rayon::ThreadPool`]
-//! (workers parked on a channel), so a dispatch costs task handoffs, never
-//! a thread spawn:
+//! (its workers wait on a condvar for tasks), so a dispatch costs task
+//! handoffs, never a thread spawn:
 //!
 //! - **One slice group.** Each row tile threads its rows through the whole
 //!   chain as one pool task, ping-ponging inside its own rows of the
@@ -238,19 +238,15 @@ impl<T: Element> Workspace<T> {
         let rows_per = rows.div_ceil(row_groups);
         let row_tasks = rows.div_ceil(rows_per);
         let tile = |t: usize| t * rows_per..rows.min((t + 1) * rows_per);
+        let pool = ThreadPool::global();
         // SAFETY: `X`, `Y` and both buffers hold `rows` rows at their
         // strides, and `x`, `y` and `self` stay borrowed until the
         // broadcast has returned, after all of its tasks. Row tiles are
         // disjoint, so no two tasks read or write one row.
         if col_groups == 1 {
-            if row_tasks == 1 {
-                unsafe { exec.chain(0..rows) }
-            } else {
-                ThreadPool::global().broadcast(row_tasks, &|t| unsafe { exec.chain(tile(t)) });
-            }
+            pool.broadcast(row_tasks, &|t| unsafe { exec.chain(tile(t)) });
             return;
         }
-        let pool = ThreadPool::global();
         let mut k_in = exec.k0;
         for (i, f) in factors.iter().rev().enumerate() {
             let slices = k_in / f.rows();
@@ -394,20 +390,14 @@ pub fn sliced_multiply_rows_into<T: Element>(
     Ok(())
 }
 
-/// Computes `Y = X · (F1 ⊗ … ⊗ FN)` on the fused path with a throwaway
-/// [`Workspace`] — the drop-in replacement for the old per-step-allocating
-/// `kron_matmul_fastkron` loop. Callers in a loop should hold a
+/// Computes `Y = X · (F1 ⊗ … ⊗ FN)` by Algorithm 1 on the fused path,
+/// with a throwaway [`Workspace`]. Callers in a loop should hold a
 /// [`Workspace`] instead and pay the buffer allocation once.
 ///
 /// # Errors
-/// [`KronError::NoFactors`] when `factors` is empty, and
-/// [`KronError::ShapeMismatch`] when `X.cols() != ∏Pᵢ`.
+/// The operand errors of [`KronProblem::from_operands`].
 pub fn kron_matmul_fused<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-    let shapes = factors
-        .iter()
-        .map(|f| kron_core::FactorShape::new(f.rows(), f.cols()))
-        .collect();
-    let problem = KronProblem::new(x.rows().max(1), shapes)?;
+    let problem = KronProblem::from_operands(x, factors)?;
     let mut y = Matrix::zeros(x.rows(), problem.output_cols());
     Workspace::new(&problem).execute_rows(x, factors, &mut y, x.rows())?;
     Ok(y)
@@ -987,11 +977,10 @@ mod tests {
     }
 
     #[test]
-    fn rows_into_matches_sliced_multiply_and_validates() {
-        use crate::algorithm::sliced_multiply;
+    fn rows_into_matches_ftmmt_iteration_and_validates() {
         let x = seq_matrix(3, 12, 2);
         let f = seq_matrix(4, 5, 7);
-        let expected = sliced_multiply(&x, &f).unwrap();
+        let expected = kron_core::ftmmt::ftmmt_iteration(&x, &f).unwrap();
         // Strided buffers wider than the logical rows.
         let (xs, os) = (16, 20);
         let mut xbuf = vec![0.0f64; 3 * xs];

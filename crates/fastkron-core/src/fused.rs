@@ -366,10 +366,10 @@ impl<'a, T: Element> FusedKernel<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::sliced_multiply;
     use crate::tile::Caching;
     use gpu_sim::device::V100;
     use kron_core::assert_matrices_close;
+    use kron_core::ftmmt::ftmmt_iteration;
 
     fn seq_matrix(rows: usize, cols: usize, start: usize) -> Matrix<f64> {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -394,7 +394,7 @@ mod tests {
     fn oracle(x: &Matrix<f64>, factors: &[&Matrix<f64>]) -> Matrix<f64> {
         let mut y = x.clone();
         for f in factors {
-            y = sliced_multiply(&y, f).unwrap();
+            y = ftmmt_iteration(&y, f).unwrap();
         }
         y
     }

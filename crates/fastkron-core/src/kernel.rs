@@ -103,8 +103,8 @@ impl<'a, T: Element> SlicedMultiplyKernel<'a, T> {
 
     /// Executes every thread block, producing the numeric result. Intended
     /// for correctness tests and small problems; large runs should use
-    /// [`crate::algorithm::sliced_multiply`] for the values and
-    /// [`Self::trace_block`] for the counters.
+    /// [`kron_core::ftmmt::ftmmt_iteration`] (the same sliced multiply)
+    /// for the values and [`Self::trace_block`] for the counters.
     pub fn run_all(&self, x: &Matrix<T>) -> Result<Matrix<T>> {
         if x.rows() != self.m || x.cols() != self.k {
             return Err(KronError::ShapeMismatch {
@@ -369,9 +369,9 @@ impl<'a, T: Element> SlicedMultiplyKernel<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::sliced_multiply;
     use gpu_sim::device::V100;
     use kron_core::assert_matrices_close;
+    use kron_core::ftmmt::ftmmt_iteration;
 
     fn seq_matrix(rows: usize, cols: usize, start: usize) -> Matrix<f64> {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -412,7 +412,7 @@ mod tests {
             SlicedMultiplyKernel::new(cfg(1, 512, 2, 4, 2, 2, 2, Caching::Shift), 2, 512, &f)
                 .unwrap();
         let y = kern.run_all(&x).unwrap();
-        let oracle = sliced_multiply(&x, &f).unwrap();
+        let oracle = ftmmt_iteration(&x, &f).unwrap();
         assert_matrices_close(&y, &oracle, "figure-4 kernel");
     }
 
@@ -425,7 +425,7 @@ mod tests {
                 .unwrap();
         assert_matrices_close(
             &kern.run_all(&x).unwrap(),
-            &sliced_multiply(&x, &f).unwrap(),
+            &ftmmt_iteration(&x, &f).unwrap(),
             "direct caching",
         );
     }
@@ -452,7 +452,7 @@ mod tests {
                                         let kern =
                                             SlicedMultiplyKernel::new(cfg, 4, 256, &f).unwrap();
                                         let y = kern.run_all(&x).unwrap();
-                                        let oracle = sliced_multiply(&x, &f).unwrap();
+                                        let oracle = ftmmt_iteration(&x, &f).unwrap();
                                         assert_matrices_close(&y, &oracle, &format!("cfg {cfg:?}"));
                                     }
                                 }
@@ -474,7 +474,7 @@ mod tests {
             .unwrap();
         assert_matrices_close(
             &kern.run_all(&x).unwrap(),
-            &sliced_multiply(&x, &f).unwrap(),
+            &ftmmt_iteration(&x, &f).unwrap(),
             "partial TM",
         );
     }
@@ -488,7 +488,7 @@ mod tests {
             .unwrap();
         assert_matrices_close(
             &kern.run_all(&x).unwrap(),
-            &sliced_multiply(&x, &f).unwrap(),
+            &ftmmt_iteration(&x, &f).unwrap(),
             "rectangular factor",
         );
     }
@@ -501,7 +501,7 @@ mod tests {
             .unwrap();
         assert_matrices_close(
             &kern.run_all(&x).unwrap(),
-            &sliced_multiply(&x, &f).unwrap(),
+            &ftmmt_iteration(&x, &f).unwrap(),
             "f32 kernel",
         );
     }

@@ -5,31 +5,31 @@
 //! consecutive sliced multiplications in shared memory (§4.2), and an
 //! autotuner over tile sizes (§4.3).
 //!
-//! Four execution layers are provided:
+//! Three layers are provided:
 //!
-//! * [`exec`] — **the production path**: fused sliced-multiply execution
-//!   with zero intermediate allocations and no transpose pass. A
-//!   [`exec::Workspace`] holds two ping-pong buffers sized once from
-//!   [`kron_core::KronProblem::max_intermediate_elems`]; each factor step
-//!   runs a register-blocked microkernel (an `RK × W` FMA accumulator
-//!   tile of slices read in place and up to 16 factor columns) whose
-//!   epilogue scatters results directly to output column `q·K/P + slice`
-//!   ([`exec::fused_output_col`]) — the memory shuffle the shuffle
-//!   algorithm pays for never happens. On x86_64 builds with AVX2 and FMA
-//!   an explicit 256-bit tile broadcasts `X` against `F` row segments
-//!   and transposes its block in registers before one contiguous store
-//!   per column; tails, and builds without those features, run a plain
-//!   scalar tile with the same FMA order, so results are bit-identical
-//!   (`tests/exact_order.rs`, on a native and a
+//! * [`exec`] — **Algorithm 1, the production path**: fused
+//!   sliced-multiply execution with zero intermediate allocations and no
+//!   transpose pass. A [`exec::Workspace`] holds two ping-pong buffers
+//!   sized once from [`kron_core::KronProblem::max_intermediate_elems`];
+//!   each factor step runs a register-blocked microkernel (an `RK × W`
+//!   FMA accumulator tile of slices read in place and up to 16 factor
+//!   columns) whose epilogue scatters results directly to output column
+//!   `q·K/P + slice` ([`exec::fused_output_col`]) — the memory shuffle
+//!   the shuffle algorithm pays for never happens. On x86_64 builds with
+//!   AVX2 and FMA an explicit 256-bit tile broadcasts `X` against `F` row
+//!   segments and transposes its block in registers before one
+//!   contiguous store per column; tails, and builds without those
+//!   features, run a plain scalar tile with the same FMA order, so
+//!   results are bit-identical (`tests/exact_order.rs`, on a native and a
 //!   `RUSTFLAGS="-C target-cpu=x86-64"` build). Every execute runs one
 //!   step function over a `(row groups, slice groups)` grid: with one
 //!   slice group, each row tile threads its *entire* factor chain through
 //!   its own rows of the workspace as one pool task; with several, each
 //!   factor step is one pool broadcast over the grid.
-//! * [`algorithm`] — the straightforward per-step functional reference for
-//!   a single sliced multiply ([`algorithm::sliced_multiply`]); the full
-//!   chain ([`algorithm::kron_matmul_fastkron`]) now runs on the fused
-//!   [`exec`] path.
+//!   [`exec::kron_matmul_fused`] is the one-call form. One sliced
+//!   multiply on its own is [`kron_core::ftmmt::ftmmt_iteration`]: FTMMT
+//!   computes the same per-iteration map, and the tests use it as the
+//!   reference.
 //! * [`kernel`] / [`fused`] — thread-block-accurate emulation of the CUDA
 //!   kernels, usable both functionally (tests) and in address-only trace
 //!   mode (performance counters). The kernel epilogue and [`exec`] share
@@ -41,7 +41,6 @@
 
 #![deny(missing_docs)]
 
-pub mod algorithm;
 pub mod engine;
 pub mod exec;
 pub mod fused;

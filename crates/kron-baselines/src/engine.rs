@@ -70,7 +70,7 @@ impl<T: Element> Engine<T> for FastKronEngine {
     }
 
     fn execute(&self, x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-        fastkron_core::algorithm::kron_matmul_fastkron(x, factors)
+        fastkron_core::kron_matmul_fused(x, factors)
     }
 
     fn simulate(&self, problem: &KronProblem) -> Result<ExecReport> {

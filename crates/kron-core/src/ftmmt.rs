@@ -12,18 +12,36 @@
 use crate::element::Element;
 use crate::error::{KronError, Result};
 use crate::matrix::Matrix;
-use rayon::prelude::*;
+use crate::shape::KronProblem;
+use rayon::ThreadPool;
 
 /// Row-count threshold below which the contraction stays single-threaded.
 const PAR_ROW_THRESHOLD: usize = 8;
 
 /// One fused tensor-contraction iteration: input `M×(S·P)` viewed as
 /// `M×S×P`, output `M×(Q·S)` viewed as `M×Q×S`.
+///
+/// This is also FastKron's sliced multiply (Algorithm 1, lines 7–15, for
+/// one factor): `Y[m][q·S + s] = Σ_p X[m][s·P + p] · F[p][q]`, each sum an
+/// FMA chain over `p = 0..P` from zero, the order the fused execution
+/// path's microkernel keeps. The two systems differ in how a GPU kernel
+/// caches and fuses this map, not in the map, so the kernel emulation
+/// and the fused path test against it.
+///
+/// # Errors
+/// [`KronError::EmptyDimension`] when `F` has no rows or no columns, and
+/// [`KronError::ShapeMismatch`] when `X.cols()` is not a positive
+/// multiple of `F.rows()`.
 pub fn ftmmt_iteration<T: Element>(x: &Matrix<T>, f: &Matrix<T>) -> Result<Matrix<T>> {
     let (p, q) = (f.rows(), f.cols());
-    if !x.cols().is_multiple_of(p) {
+    if p == 0 || q == 0 {
+        return Err(KronError::EmptyDimension {
+            what: format!("factor of shape {p}×{q}"),
+        });
+    }
+    if x.cols() == 0 || !x.cols().is_multiple_of(p) {
         return Err(KronError::ShapeMismatch {
-            expected: format!("cols divisible by P = {p}"),
+            expected: format!("cols a positive multiple of P = {p}"),
             found: format!("{} cols", x.cols()),
         });
     }
@@ -31,7 +49,8 @@ pub fn ftmmt_iteration<T: Element>(x: &Matrix<T>, f: &Matrix<T>) -> Result<Matri
     let m = x.rows();
     let mut y = Matrix::zeros(m, q * slices);
 
-    let run_row = |(x_row, y_row): (&[T], &mut [T])| {
+    let run_row = |r: usize, y_row: &mut [T]| {
+        let x_row = x.row(r);
         for s in 0..slices {
             let x_slice = &x_row[s * p..(s + 1) * p];
             for qi in 0..q {
@@ -46,15 +65,11 @@ pub fn ftmmt_iteration<T: Element>(x: &Matrix<T>, f: &Matrix<T>) -> Result<Matri
     };
 
     if m >= PAR_ROW_THRESHOLD {
-        x.as_slice()
-            .par_chunks(x.cols())
-            .zip(y.as_mut_slice().par_chunks_mut(q * slices))
-            .for_each(run_row);
+        ThreadPool::global().broadcast_chunks(y.as_mut_slice(), q * slices, &run_row);
     } else {
-        x.as_slice()
-            .chunks(x.cols())
-            .zip(y.as_mut_slice().chunks_mut(q * slices))
-            .for_each(run_row);
+        for (r, y_row) in y.as_mut_slice().chunks_mut(q * slices).enumerate() {
+            run_row(r, y_row);
+        }
     }
     Ok(y)
 }
@@ -63,18 +78,9 @@ pub fn ftmmt_iteration<T: Element>(x: &Matrix<T>, f: &Matrix<T>) -> Result<Matri
 /// processed last to first, each iteration a fused contraction).
 ///
 /// # Errors
-/// Shape errors if `X.cols() != ∏Pᵢ` or `factors` is empty.
+/// The operand errors of [`KronProblem::from_operands`].
 pub fn kron_matmul_ftmmt<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-    if factors.is_empty() {
-        return Err(KronError::NoFactors);
-    }
-    let expected_cols: usize = factors.iter().map(|f| f.rows()).product();
-    if x.cols() != expected_cols {
-        return Err(KronError::ShapeMismatch {
-            expected: format!("X with ∏Pᵢ = {expected_cols} cols"),
-            found: format!("X with {} cols", x.cols()),
-        });
-    }
+    KronProblem::from_operands(x, factors)?;
     let mut y = x.clone();
     for f in factors.iter().rev() {
         y = ftmmt_iteration(&y, f)?;
@@ -137,5 +143,17 @@ mod tests {
         assert!(kron_matmul_ftmmt(&x, &[&f, &f]).is_err());
         assert!(kron_matmul_ftmmt::<f64>(&x, &[]).is_err());
         assert!(ftmmt_iteration(&x, &f).is_err());
+        // Empty factors and an X with no columns are errors, not panics.
+        let empty = |r, c| Matrix::<f64>::zeros(r, c);
+        for (x, f) in [(empty(2, 0), empty(0, 3)), (empty(2, 3), empty(3, 0))] {
+            assert!(matches!(
+                ftmmt_iteration(&x, &f),
+                Err(KronError::EmptyDimension { .. })
+            ));
+        }
+        assert!(matches!(
+            ftmmt_iteration(&empty(2, 0), &f),
+            Err(KronError::ShapeMismatch { .. })
+        ));
     }
 }

@@ -1,4 +1,5 @@
-//! Blocked, rayon-parallel reference matrix multiplication.
+//! Blocked reference matrix multiplication, its row blocks spread over
+//! the process-wide thread pool.
 //!
 //! Every baseline engine ultimately multiplies a tall-skinny reshape of the
 //! input with a small factor. The blocked kernel here is cache-friendly
@@ -9,13 +10,13 @@
 use crate::element::Element;
 use crate::error::{KronError, Result};
 use crate::matrix::Matrix;
-use rayon::prelude::*;
+use rayon::ThreadPool;
 
 /// Cache-block edge used by [`gemm`]; 64×64 f64 blocks fit comfortably in L1.
 const BLOCK: usize = 64;
 
 /// Row-count threshold below which [`gemm`] stays single-threaded; tiny
-/// multiplies are dominated by rayon dispatch otherwise.
+/// multiplies are dominated by pool dispatch otherwise.
 const PAR_ROW_THRESHOLD: usize = 64;
 
 /// Computes `C = A × B` for row-major dense matrices.
@@ -63,7 +64,7 @@ pub fn gemm_into<T: Element>(a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T>) ->
     let a_data = a.as_slice();
     let b_data = b.as_slice();
 
-    let body = |(row_block_idx, c_chunk): (usize, &mut [T])| {
+    let body = |row_block_idx: usize, c_chunk: &mut [T]| {
         let r0 = row_block_idx * BLOCK;
         let r1 = (r0 + BLOCK).min(m);
         let rows_here = r1 - r0;
@@ -84,15 +85,11 @@ pub fn gemm_into<T: Element>(a: &Matrix<T>, b: &Matrix<T>, c: &mut Matrix<T>) ->
     };
 
     if m >= PAR_ROW_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(BLOCK * n)
-            .enumerate()
-            .for_each(body);
+        ThreadPool::global().broadcast_chunks(c.as_mut_slice(), BLOCK * n, &body);
     } else {
-        c.as_mut_slice()
-            .chunks_mut(BLOCK * n)
-            .enumerate()
-            .for_each(body);
+        for (i, c_chunk) in c.as_mut_slice().chunks_mut(BLOCK * n).enumerate() {
+            body(i, c_chunk);
+        }
     }
     Ok(())
 }

@@ -10,13 +10,15 @@
 //!
 //! * [`Element`] — a trait unifying `f32` and `f64` scalars,
 //! * [`Matrix`] — a row-major dense matrix with reshape/transpose primitives,
-//! * [`gemm`] — a blocked, rayon-parallel reference matrix multiplication,
+//! * [`gemm`] — a blocked reference matrix multiplication, its row blocks
+//!   spread over the process-wide thread pool,
 //! * [`KronProblem`] — shape descriptor and FLOP/size arithmetic,
 //! * reference algorithms used as correctness oracles and baselines:
 //!   [`naive::kron_matmul_naive`] (materialize the Kronecker matrix),
 //!   [`shuffle::kron_matmul_shuffle`] (reshape → GEMM → transpose, as in
 //!   GPyTorch/PyKronecker), and [`ftmmt::kron_matmul_ftmmt`] (fused
-//!   tensor-matrix multiply transpose, as in COGENT/cuTensor).
+//!   tensor-matrix multiply transpose, as in COGENT/cuTensor), each of
+//!   which checks its operands through [`KronProblem::from_operands`].
 //!
 //! The crate is deliberately free of any GPU-simulation concerns; see the
 //! `gpu-sim` crate for the performance model and `fastkron-core` for the

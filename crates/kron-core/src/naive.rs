@@ -5,26 +5,18 @@
 //! else in the workspace.
 
 use crate::element::Element;
-use crate::error::{KronError, Result};
+use crate::error::Result;
 use crate::gemm::gemm;
 use crate::kron::kron_product_chain;
 use crate::matrix::Matrix;
+use crate::shape::KronProblem;
 
 /// Computes `Y = X · (F1 ⊗ … ⊗ FN)` by materializing the Kronecker matrix.
 ///
 /// # Errors
-/// Shape errors when `X.cols() != ∏ᵢ Fᵢ.rows()` or `factors` is empty.
+/// The operand errors of [`KronProblem::from_operands`].
 pub fn kron_matmul_naive<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-    let k: usize = factors.iter().map(|f| f.rows()).product();
-    if factors.is_empty() {
-        return Err(KronError::NoFactors);
-    }
-    if x.cols() != k {
-        return Err(KronError::ShapeMismatch {
-            expected: format!("X with ∏Pᵢ = {k} cols"),
-            found: format!("X with {} cols", x.cols()),
-        });
-    }
+    KronProblem::from_operands(x, factors)?;
     let g = kron_product_chain(factors)?;
     gemm(x, &g)
 }

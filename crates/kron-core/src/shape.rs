@@ -86,6 +86,32 @@ impl KronProblem {
         Ok(KronProblem { m, factors })
     }
 
+    /// The problem `Y = X · (F1 ⊗ … ⊗ FN)` poses, read off its operands,
+    /// with `X`'s width checked against it: the one operand check of every
+    /// reference Kron-Matmul. `m` is `X`'s row count, raised to 1 when `X`
+    /// has none, since a problem needs `M ≥ 1` while an `X` with no rows is
+    /// a valid operand whose product has no rows.
+    ///
+    /// # Errors
+    /// As [`KronProblem::new`] for the factors: [`KronError::NoFactors`]
+    /// for an empty list and [`KronError::EmptyDimension`] for a factor
+    /// with no rows or no columns. Then [`KronError::ShapeMismatch`] when
+    /// `X.cols() != ∏Pᵢ`.
+    pub fn from_operands<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Self> {
+        let shapes = factors
+            .iter()
+            .map(|f| FactorShape::new(f.rows(), f.cols()))
+            .collect();
+        let problem = KronProblem::new(x.rows().max(1), shapes)?;
+        if x.cols() != problem.input_cols() {
+            return Err(KronError::ShapeMismatch {
+                expected: format!("X with ∏Pᵢ = {} cols", problem.input_cols()),
+                found: format!("X with {} cols", x.cols()),
+            });
+        }
+        Ok(problem)
+    }
+
     /// Problem with `n` identical square `p × p` factors — the paper's
     /// microbenchmark family `P^N` (Figures 9/11, Tables 1–3).
     pub fn uniform(m: usize, p: usize, n: usize) -> Result<Self> {

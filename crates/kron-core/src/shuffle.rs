@@ -5,9 +5,10 @@
 //! the GPU-time model for it lives in `kron-baselines`.
 
 use crate::element::Element;
-use crate::error::{KronError, Result};
+use crate::error::Result;
 use crate::gemm::gemm;
 use crate::matrix::Matrix;
+use crate::shape::KronProblem;
 
 /// Computes `Y = X · (F1 ⊗ … ⊗ FN)` with the shuffle algorithm.
 ///
@@ -22,19 +23,9 @@ use crate::matrix::Matrix;
 ///    exactly the memory shuffle FastKron's algorithm eliminates.
 ///
 /// # Errors
-/// Shape errors if `X.cols() != ∏Pᵢ` or `factors` is empty.
+/// The operand errors of [`KronProblem::from_operands`].
 pub fn kron_matmul_shuffle<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-    if factors.is_empty() {
-        return Err(KronError::NoFactors);
-    }
-    let expected_cols: usize = factors.iter().map(|f| f.rows()).product();
-    if x.cols() != expected_cols {
-        return Err(KronError::ShapeMismatch {
-            expected: format!("X with ∏Pᵢ = {expected_cols} cols"),
-            found: format!("X with {} cols", x.cols()),
-        });
-    }
-
+    KronProblem::from_operands(x, factors)?;
     let m = x.rows();
     let mut y = x.clone();
     for f in factors.iter().rev() {

@@ -394,7 +394,7 @@ impl<T: Element> ShardedEngine<T> {
 mod tests {
     use super::*;
     use crate::DistFastKron;
-    use fastkron_core::algorithm::kron_matmul_fastkron;
+    use fastkron_core::kron_matmul_fused;
     use gpu_sim::device::V100;
     use std::sync::atomic::Ordering;
 
@@ -425,7 +425,7 @@ mod tests {
                 let x = seq_matrix(8, k, rows);
                 let mut y = Matrix::zeros(8, k);
                 engine.execute_rows(&x, &refs, &mut y, rows).unwrap();
-                let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
+                let oracle = kron_matmul_fused(&x, &refs).unwrap();
                 for r in 0..rows {
                     assert_eq!(y.row(r), oracle.row(r), "row {r} of {rows} on {gpus} GPUs");
                 }
@@ -484,7 +484,7 @@ mod tests {
             // The fault was one-shot: the very next batch on the same
             // engine succeeds and is correct.
             engine.execute_rows(&x, &refs, &mut y, 8).unwrap();
-            let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
+            let oracle = kron_matmul_fused(&x, &refs).unwrap();
             assert_eq!(y.as_slice(), oracle.as_slice(), "{gpus} GPUs");
         }
     }
@@ -508,7 +508,7 @@ mod tests {
         engine.set_watchdog(Watchdog::new(10_000, ticking_clock(250)));
         engine.inject_stall(1, 500).unwrap();
         engine.execute_rows(&x, &refs, &mut y, 8).unwrap();
-        let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
+        let oracle = kron_matmul_fused(&x, &refs).unwrap();
         assert_eq!(y.as_slice(), oracle.as_slice());
     }
 
@@ -533,7 +533,7 @@ mod tests {
 
         // The stall was one-shot: the very next batch succeeds.
         engine.execute_rows(&x, &refs, &mut y, 8).unwrap();
-        let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
+        let oracle = kron_matmul_fused(&x, &refs).unwrap();
         assert_eq!(y.as_slice(), oracle.as_slice());
     }
 

@@ -265,7 +265,7 @@ impl DistFastKron {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastkron_core::algorithm::kron_matmul_fastkron;
+    use fastkron_core::kron_matmul_fused;
     use gpu_sim::device::V100;
     use kron_core::assert_matrices_close;
 
@@ -282,7 +282,7 @@ mod tests {
         let refs: Vec<&Matrix<f64>> = fs.iter().collect();
         let engine = DistFastKron::new(&V100, gpus).unwrap();
         let got = engine.execute(&x, &refs).unwrap();
-        let oracle = kron_matmul_fastkron(&x, &refs).unwrap();
+        let oracle = kron_matmul_fused(&x, &refs).unwrap();
         assert_matrices_close(&got, &oracle, &format!("dist m={m} {p}^{n} on {gpus} GPUs"));
     }
 

@@ -4,7 +4,7 @@
 use crate::cg::{batched_cg, CgResult};
 use crate::grid::InducingGrid;
 use crate::interp::SparseInterp;
-use fastkron_core::algorithm::kron_matmul_fastkron;
+use fastkron_core::kron_matmul_fused;
 use kron_core::{Element, KronError, Matrix, Result};
 
 /// A SKI GP over an inducing grid.
@@ -57,7 +57,7 @@ impl<T: Element> SkiGp<T> {
     pub fn apply_kernel(&self, v: &Matrix<T>) -> Result<Matrix<T>> {
         let scattered = self.interp.scatter(v)?; // s × Pᴺ
         let refs: Vec<&Matrix<T>> = self.factors.iter().collect();
-        let multiplied = kron_matmul_fastkron(&scattered, &refs)?;
+        let multiplied = kron_matmul_fused(&scattered, &refs)?;
         let mut gathered = self.interp.gather(&multiplied)?; // s × n
         for i in 0..gathered.rows() {
             for j in 0..gathered.cols() {

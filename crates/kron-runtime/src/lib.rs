@@ -43,16 +43,19 @@
 //!    │                 │       group per model, order by  │    (byte-accounted)
 //!    │                 │       aged prio → deadline →     ▼
 //!    │                 │       arrival (cross-dtype)   Workspace::execute_rows
-//!    │                 ▼              │               ──► persistent worker pool
-//!    │           gather rows into typed batch X          (rayon::ThreadPool)
+//!    │                 ▼              │               ──► one (rows × slices)
+//!    │           gather rows into typed batch X          grid on the pool
 //!    └──── slot.fill() ◄── scatter rows to per-request Y
 //! ```
 //!
-//! * **Persistent worker pool** — compute runs on the process-wide
-//!   [`rayon::ThreadPool`]: long-lived workers parked on a channel, one
-//!   task handoff per row tile instead of a thread spawn per execute.
-//!   A single unbatchable small-`M` request still uses every core via the
-//!   exec layer's column-range splitting (wide mode).
+//! * **One grid per execute** — every execute, batched or not, runs on
+//!   the `(row groups × slice groups)` grid of
+//!   [`fastkron_core::Workspace`], whose tasks go to the process-wide
+//!   persistent worker pool: task handoffs, never a thread spawn. An
+//!   execute below the exec layer's parallel cut-off (`MIN_PAR_FLOPS`,
+//!   2^15 FLOPs over the rows it runs) runs serially on the calling
+//!   thread. Above it the grid splits the rows across the pool's threads,
+//!   and when there are fewer rows than threads, each row's slices too.
 //! * **Plan + workspace cache** — keyed by dtype, factor-shape chain, and
 //!   row capacity (introspectable as [`kron_core::PlanKey`]s): after the
 //!   first request of a shape, serving does **zero planning and zero

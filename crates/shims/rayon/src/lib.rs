@@ -1,21 +1,34 @@
-//! Vendored API-subset shim of [rayon](https://crates.io/crates/rayon).
+//! Vendored stand-in for [rayon](https://crates.io/crates/rayon): one
+//! persistent thread pool with one parallel primitive.
 //!
-//! The build environment has no registry access, so this workspace vendors
-//! the thin slice of rayon's API its crates actually use: `par_chunks`,
-//! `par_chunks_mut`, and the `enumerate`/`zip`/`for_each` adaptors on the
-//! resulting parallel iterators, plus a persistent [`ThreadPool`] whose
-//! [`ThreadPool::broadcast`] the fused execution path calls directly.
+//! The build environment has no registry access, so this workspace
+//! vendors the one piece of rayon it uses, a pool of long-lived workers.
+//! Every parallel loop in the workspace is one call of
+//! [`ThreadPool::broadcast`] on [`ThreadPool::global`]: the fused
+//! execute's `(row groups × slice groups)` grid directly, and the
+//! reference GEMM's row blocks and the FTMMT reference's rows through
+//! [`ThreadPool::broadcast_chunks`], which cuts a slice into disjoint
+//! chunks and broadcasts one task per chunk. No call spawns a thread.
 //!
-//! Every parallel iterator, and every broadcast outside this crate's own
-//! tests, runs on one persistent pool, [`ThreadPool::global`]; no call
-//! spawns a thread. `drive`, behind every parallel iterator's `for_each`,
-//! makes each item (a chunk) one task on the pool's shared queue, and a
-//! broadcast makes each index one task. The parked workers and the
-//! calling thread take tasks off that queue in turn until it is empty,
-//! and the caller returns once every task has finished.
+//! `broadcast(count, &task)` runs `task(i)` for every `i in 0..count`.
+//! Its contract:
 //!
-//! On a single-hardware-thread host (or when there is at most one item)
-//! everything degrades to a plain serial loop on the calling thread.
+//! - **A borrowed closure.** `task` may borrow from the caller's stack:
+//!   the call returns only after every `task(i)` has returned.
+//! - **The caller helps.** The calling thread takes tasks off the shared
+//!   queue alongside the workers, so one task, or a pool without workers
+//!   (a one-thread host), runs inline on the calling thread.
+//! - **Nested broadcasts make progress.** A task may broadcast in turn:
+//!   its thread drains the nested tasks itself when every worker is busy.
+//! - **A panic propagates after every task ends.** On the pool, a
+//!   panicking task is caught, the other tasks run to completion, and
+//!   then the caller panics. Inline, the panic unwinds at once and the
+//!   tasks after it never start. Either way no task is still running
+//!   when the panic reaches the caller.
+//! - **Nothing allocates once warm.** A task is a `(fn pointer, context
+//!   pointer, index)` triple in a queue that keeps its capacity, so a
+//!   dispatch allocates nothing once the queue has reached its high-water
+//!   mark.
 
 #![deny(missing_docs)]
 
@@ -25,26 +38,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// One-stop imports mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::{ParallelIterator, ParallelSlice, ParallelSliceMut};
-}
-
-/// A persistent pool of worker threads parked on a shared task channel.
+/// A persistent pool of worker threads that wait on a condvar for tasks
+/// on a shared queue.
 ///
-/// This is the workspace's replacement for per-call `std::thread::scope`
-/// spawns: workers are created once and live for the pool's lifetime, so a
-/// hot serving loop pays task handoff (one mutex push + condvar wake) per
-/// dispatch instead of thread creation. The task representation is a plain
-/// `(fn pointer, context pointer, index)` triple — **no boxing** — so
-/// dispatching onto a warmed pool performs zero heap allocations, which the
-/// fused exec path's counting-allocator tests rely on.
-///
-/// [`ThreadPool::broadcast`] is the only execution primitive: run `count`
-/// instances of a borrowed closure, one per index, and block until all
-/// complete. The caller helps drain the queue while it waits, so nested
-/// broadcasts (a pool task that itself broadcasts) cannot deadlock and a
-/// zero-worker pool degrades to a serial loop.
+/// Workers are created once and live for the pool's lifetime, so a hot
+/// serving loop pays a task handoff (one mutex push and a condvar wake)
+/// per dispatch instead of a thread spawn. A task is a plain `(fn
+/// pointer, context pointer, index)` triple, never boxed, so dispatching
+/// onto a warm pool performs no heap allocation, which the fused exec
+/// path's counting-allocator tests rely on. [`ThreadPool::broadcast`] is
+/// the one execution primitive; the module doc states its contract.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     threads: usize,
@@ -156,13 +159,23 @@ impl ThreadPool {
         }
     }
 
-    /// The process-wide pool, created on first use with
-    /// [`current_num_threads`] workers. This is the handle the exec row
-    /// tiles and the serving runtime share, so the whole process parks on
-    /// one set of workers.
+    /// The process-wide pool, created on first use with one worker per
+    /// hardware thread (the host's available parallelism, rayon's default
+    /// pool size). Every parallel loop in the workspace runs on it, so
+    /// the whole process waits on one set of workers.
+    ///
+    /// The pool's width is read once, here: [`ThreadPool::threads`] then
+    /// returns it without a system call, whereas `available_parallelism`
+    /// reads cgroup quota files and allocates on every call.
     pub fn global() -> &'static ThreadPool {
         static POOL: OnceLock<ThreadPool> = OnceLock::new();
-        POOL.get_or_init(|| ThreadPool::new(current_num_threads()))
+        POOL.get_or_init(|| {
+            ThreadPool::new(
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1),
+            )
+        })
     }
 
     /// Number of threads that can make progress concurrently (workers, or 1
@@ -222,6 +235,40 @@ impl ThreadPool {
         }
         latch.wait();
     }
+
+    /// Cuts `data` into consecutive chunks of `chunk` elements (the last
+    /// may be shorter) and runs `task(i, chunk_i)` for every chunk as one
+    /// [`ThreadPool::broadcast`], one task per chunk. This is
+    /// `slice::chunks_mut` run across the pool, without materializing the
+    /// chunks first, so it allocates nothing once the pool is warm.
+    ///
+    /// # Panics
+    /// If `chunk` is 0, or after every chunk's task has ended if one of
+    /// them panicked.
+    pub fn broadcast_chunks<T, F>(&self, data: &mut [T], chunk: usize, task: &F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        assert!(chunk > 0, "chunk size must be non-zero");
+        let len = data.len();
+        let base = data.as_mut_ptr() as usize;
+        self.broadcast(len.div_ceil(chunk), &|i| {
+            let start = i * chunk;
+            // SAFETY: `i < len.div_ceil(chunk)`, so `start < len` and
+            // chunk `i`, `[start, min(start + chunk, len))`, lies inside
+            // `data`. Distinct indices give disjoint chunks and the
+            // broadcast runs each index once, so no two tasks reach one
+            // element. `data` stays mutably borrowed by this call until
+            // the broadcast returns after its last task, so nothing else
+            // touches the elements meanwhile, and `T: Send` lets a chunk
+            // be written from a worker thread.
+            let part = unsafe {
+                std::slice::from_raw_parts_mut((base as *mut T).add(start), chunk.min(len - start))
+            };
+            task(i, part);
+        });
+    }
 }
 
 impl Drop for ThreadPool {
@@ -265,190 +312,21 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Number of worker threads the shim will use (the host's available
-/// parallelism; rayon's default thread-pool size). Cached — the underlying
-/// query parses cgroup quotas and allocates on every call.
-pub fn current_num_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Distributes `items` across the global persistent pool and applies `f`
-/// to each.
-///
-/// Falls back to a serial loop when only one item or one hardware thread is
-/// available, touching no worker.
-fn drive<T: Send, F: Fn(T) + Send + Sync>(items: Vec<T>, f: F) {
-    let pool = ThreadPool::global();
-    if pool.threads() <= 1 || items.len() <= 1 {
-        items.into_iter().for_each(f);
-        return;
-    }
-    // Each index is claimed exactly once; the mutex is how a `Fn(usize)`
-    // broadcast closure takes ownership of one item.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|v| Mutex::new(Some(v))).collect();
-    pool.broadcast(slots.len(), &|i| {
-        let item = slots[i].lock().unwrap().take().expect("item claimed once");
-        f(item);
-    });
-}
-
-/// A finite parallel iterator: materializes its items, then fans them out.
-pub trait ParallelIterator: Sized {
-    /// The item type produced for each parallel task.
-    type Item: Send;
-
-    /// Collects every item this iterator will yield (chunk handles, not
-    /// element data — cheap even for huge buffers).
-    fn into_items(self) -> Vec<Self::Item>;
-
-    /// Applies `f` to every item across the worker threads.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Send + Sync,
-    {
-        drive(self.into_items(), f);
-    }
-
-    /// Pairs each item with its index, like [`Iterator::enumerate`].
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { inner: self }
-    }
-
-    /// Zips two parallel iterators item-by-item, like [`Iterator::zip`].
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-}
-
-/// Parallel-iterator adaptor produced by [`ParallelIterator::enumerate`].
-pub struct Enumerate<I> {
-    inner: I,
-}
-
-impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
-    type Item = (usize, I::Item);
-
-    fn into_items(self) -> Vec<Self::Item> {
-        self.inner.into_items().into_iter().enumerate().collect()
-    }
-}
-
-/// Parallel-iterator adaptor produced by [`ParallelIterator::zip`].
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-
-    fn into_items(self) -> Vec<Self::Item> {
-        self.a
-            .into_items()
-            .into_iter()
-            .zip(self.b.into_items())
-            .collect()
-    }
-}
-
-/// Parallel chunked view of a shared slice (`rayon::slice::ParallelSlice`).
-pub trait ParallelSlice<T: Sync> {
-    /// Like [`slice::chunks`], but the chunks are processed in parallel.
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunks {
-            slice: self,
-            chunk_size,
-        }
-    }
-}
-
-/// Parallel chunked view of a mutable slice (`rayon::slice::ParallelSliceMut`).
-pub trait ParallelSliceMut<T: Send> {
-    /// Like [`slice::chunks_mut`], but the chunks are processed in parallel.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunksMut {
-            slice: self,
-            chunk_size,
-        }
-    }
-}
-
-/// Parallel iterator over immutable slice chunks.
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-
-    fn into_items(self) -> Vec<Self::Item> {
-        self.slice.chunks(self.chunk_size).collect()
-    }
-}
-
-/// Parallel iterator over mutable slice chunks.
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
-    type Item = &'a mut [T];
-
-    fn into_items(self) -> Vec<Self::Item> {
-        self.slice.chunks_mut(self.chunk_size).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-
     #[test]
-    fn par_chunks_mut_enumerate_covers_all_chunks() {
+    fn broadcast_chunks_covers_every_chunk_once() {
+        let pool = crate::ThreadPool::new(3);
         let mut data = vec![0usize; 10];
-        data.par_chunks_mut(3).enumerate().for_each(|(i, chunk)| {
+        pool.broadcast_chunks(&mut data, 3, &|i, chunk| {
             for v in chunk.iter_mut() {
-                *v = i + 1;
+                *v += i + 1;
             }
         });
+        // Four chunks, the last one short.
         assert_eq!(data, vec![1, 1, 1, 2, 2, 2, 3, 3, 3, 4]);
-    }
-
-    #[test]
-    fn zip_pairs_matching_chunks() {
-        let src = [1i64, 2, 3, 4, 5, 6];
-        let mut dst = vec![0i64; 6];
-        src.par_chunks(2)
-            .zip(dst.par_chunks_mut(2))
-            .for_each(|(s, d)| {
-                for (sv, dv) in s.iter().zip(d.iter_mut()) {
-                    *dv = sv * 10;
-                }
-            });
-        assert_eq!(dst, vec![10, 20, 30, 40, 50, 60]);
-    }
-
-    #[test]
-    fn empty_slice_is_a_noop() {
-        let mut data: Vec<u8> = Vec::new();
-        data.par_chunks_mut(4).for_each(|_| panic!("no chunks"));
+        let mut empty: Vec<u8> = Vec::new();
+        pool.broadcast_chunks(&mut empty, 4, &|_, _| panic!("no chunks"));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
 //!    metrics plane's per-reply recorders, the slot reply protocol, the
 //!    ring push/pop, the channel's send and receive paths, the submit
-//!    path, and the scheduler's window serve loop and its shed and
-//!    execute-and-reply paths) must not call allocating std
+//!    path, the scheduler's window serve loop and its shed and
+//!    execute-and-reply paths, and the thread pool's dispatch:
+//!    `broadcast`, `broadcast_chunks` and the `run_task` and
+//!    `worker_loop` that run its tasks) must not call allocating std
 //!    constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` in a statement
 //!    touching a protocol atomic (gate state, bypass claim, seqlock seq,
@@ -94,6 +96,10 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
             "bypass_try_claim",
             "bypass_release_claim",
         ],
+    ),
+    (
+        "crates/shims/rayon/src/lib.rs",
+        &["broadcast", "broadcast_chunks", "run_task", "worker_loop"],
     ),
     (
         "crates/shims/crossbeam/src/lib.rs",

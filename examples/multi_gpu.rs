@@ -29,7 +29,7 @@ fn main() {
 
     // Functional distributed run (lockstep devices) vs single-device.
     let y_dist = engine.execute(&x, &refs).expect("distributed run");
-    let y_single = fastkron::kron::algorithm::kron_matmul_fastkron(&x, &refs).expect("single run");
+    let y_single = fastkron::kron::kron_matmul_fused(&x, &refs).expect("single run");
     assert_matrices_close(&y_dist, &y_single, "distributed == single");
     println!("Distributed result matches the single-device engine.");
 

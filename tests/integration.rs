@@ -2,7 +2,9 @@
 //! produce identical results on shared inputs, and the simulated-time
 //! relationships the paper reports must hold end to end.
 
-use fastkron::baselines::{CuTensorEngine, Engine, FastKronEngine, FtmmtEngine, ShuffleEngine};
+use fastkron::baselines::{
+    CuTensorEngine, Engine, FastKronEngine, FtmmtEngine, NaiveEngine, ShuffleEngine,
+};
 use fastkron::dist::DistFastKron;
 use fastkron::kron::FastKron;
 use fastkron::prelude::*;
@@ -165,5 +167,64 @@ fn gp_training_pipeline_end_to_end() {
             (z16 - 16.0 * z1).abs() < 1e-5 * (1.0 + z16.abs()),
             "row scaling at col {j}: {z16} vs 16×{z1}"
         );
+    }
+}
+
+/// One operand check for every reference Kron-Matmul and every engine
+/// that computes through one: a factor with no rows or no columns, a
+/// wrong `X` width and an empty factor list are typed errors, never a
+/// panic, and an `X` with no rows gives a product with no rows.
+#[test]
+fn every_entry_point_checks_operands_alike() {
+    type EntryPoint = Box<dyn Fn(&Matrix<f64>, &[&Matrix<f64>]) -> kron_core::Result<Matrix<f64>>>;
+    fn entry(
+        f: impl Fn(&Matrix<f64>, &[&Matrix<f64>]) -> kron_core::Result<Matrix<f64>> + 'static,
+    ) -> EntryPoint {
+        Box::new(f)
+    }
+    fn engine(e: impl Engine<f64> + 'static) -> EntryPoint {
+        entry(move |x, fs| e.execute(x, fs))
+    }
+    let ctf = fastkron::dist::CtfEngine::new(&V100, 4).unwrap();
+    let distal = fastkron::dist::DistalEngine::new(&V100, 4).unwrap();
+    let entry_points = [
+        ("naive", entry(kron_matmul_naive)),
+        ("shuffle", entry(kron_core::shuffle::kron_matmul_shuffle)),
+        ("ftmmt", entry(kron_core::ftmmt::kron_matmul_ftmmt)),
+        ("fused", entry(fastkron::kron::kron_matmul_fused)),
+        ("NaiveEngine", engine(NaiveEngine::new(&V100))),
+        ("ShuffleEngine", engine(ShuffleEngine::new(&V100))),
+        ("FtmmtEngine", engine(FtmmtEngine::new(&V100))),
+        ("CuTensorEngine", engine(CuTensorEngine::new(&V100))),
+        ("FastKronEngine", engine(FastKronEngine::new(&V100))),
+        ("CtfEngine", entry(move |x, fs| ctf.execute(x, fs))),
+        ("DistalEngine", entry(move |x, fs| distal.execute(x, fs))),
+    ];
+    let z = Matrix::<f64>::zeros;
+    let cases = [
+        ("P = 0", z(2, 0), vec![z(0, 3)], "EmptyDimension"),
+        ("Q = 0", z(2, 3), vec![z(3, 0)], "EmptyDimension"),
+        (
+            "wrong width",
+            z(2, 5),
+            vec![z(2, 2), z(2, 2)],
+            "ShapeMismatch",
+        ),
+        ("no factors", z(2, 3), vec![], "NoFactors"),
+        ("M = 0", z(0, 4), vec![z(2, 3), z(2, 2)], "Ok 0×6"),
+    ];
+    for (case, x, fs, want) in &cases {
+        let refs: Vec<&Matrix<f64>> = fs.iter().collect();
+        for (name, run) in &entry_points {
+            let got = match run(x, &refs) {
+                Ok(y) => format!("Ok {}×{}", y.rows(), y.cols()),
+                Err(e) => format!("{e:?}")
+                    .split([' ', '{'])
+                    .next()
+                    .unwrap_or_default()
+                    .to_string(),
+            };
+            assert_eq!(&got, want, "{name} on {case}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests (proptest) for the algebraic invariants every
 //! Kron-Matmul engine must satisfy.
 
-use fastkron::kron::algorithm::kron_matmul_fastkron;
 use fastkron::kron::exec::Workspace;
+use fastkron::kron::kron_matmul_fused;
 use fastkron::prelude::*;
 use kron_core::ftmmt::kron_matmul_ftmmt;
 use kron_core::kron::kron_product;
@@ -33,7 +33,7 @@ proptest! {
         let f2 = Matrix::<f64>::from_fn(p2, q2, |r, c| ((r * q2 + c + 2 * seed as usize) % 5) as f64 - 2.0);
         let refs = [&f1, &f2];
         let naive = kron_matmul_naive(&x, &refs).unwrap();
-        let fast = kron_matmul_fastkron(&x, &refs).unwrap();
+        let fast = kron_matmul_fused(&x, &refs).unwrap();
         let shuffle = kron_matmul_shuffle(&x, &refs).unwrap();
         let ftmmt = kron_matmul_ftmmt(&x, &refs).unwrap();
         prop_assert_eq!(&fast, &naive);
@@ -47,7 +47,7 @@ proptest! {
         let x = Matrix::<f64>::from_fn(m, k, |r, c| ((r * k + c) % 9) as f64 - 4.0);
         let id = Matrix::<f64>::identity(p);
         let refs: Vec<&Matrix<f64>> = (0..n).map(|_| &id).collect();
-        let y = kron_matmul_fastkron(&x, &refs).unwrap();
+        let y = kron_matmul_fused(&x, &refs).unwrap();
         prop_assert_eq!(y, x);
     }
 
@@ -59,12 +59,12 @@ proptest! {
         let f = Matrix::<f64>::from_fn(p, p, |r, c| ((r * p + c) % 5) as f64 - 2.0);
         let refs = [&f, &f];
         // a·K(x1) + K(x2) == K(a·x1 + x2)
-        let y1 = kron_matmul_fastkron(&x1, &refs).unwrap();
-        let y2 = kron_matmul_fastkron(&x2, &refs).unwrap();
+        let y1 = kron_matmul_fused(&x1, &refs).unwrap();
+        let y2 = kron_matmul_fused(&x2, &refs).unwrap();
         let combo = Matrix::<f64>::from_fn(m, k, |r, c| {
             f64::from(a) * x1[(r, c)] + x2[(r, c)]
         });
-        let y_combo = kron_matmul_fastkron(&combo, &refs).unwrap();
+        let y_combo = kron_matmul_fused(&combo, &refs).unwrap();
         for r in 0..m {
             for c in 0..y_combo.cols() {
                 let expect = f64::from(a) * y1[(r, c)] + y2[(r, c)];
@@ -82,9 +82,9 @@ proptest! {
         let f1 = Matrix::<f64>::from_fn(p, p, |r, c| ((r + c) % 3) as f64 - 1.0);
         let f2 = Matrix::<f64>::from_fn(p, p, |r, c| ((2 * r + c) % 5) as f64 - 2.0);
         let f3 = Matrix::<f64>::from_fn(p, p, |r, c| ((r + 2 * c) % 7) as f64 - 3.0);
-        let direct = kron_matmul_fastkron(&x, &[&f1, &f2, &f3]).unwrap();
+        let direct = kron_matmul_fused(&x, &[&f1, &f2, &f3]).unwrap();
         let f12 = kron_product(&f1, &f2);
-        let grouped = kron_matmul_fastkron(&x, &[&f12, &f3]).unwrap();
+        let grouped = kron_matmul_fused(&x, &[&f12, &f3]).unwrap();
         prop_assert_eq!(direct, grouped);
     }
 
