@@ -63,11 +63,43 @@
 //! Each task scatters its slices `[s_lo, s_hi)` to the same `q·S + s`
 //! output columns whatever the grid, so every grid gives the same bits
 //! (pinned by `tests/wide_split.rs` and `tests/exact_order.rs`).
+//!
+//! **Which grid runs is measured**, as the paper's autotuner (§4.3) times
+//! kernel configurations rather than derive them. A pool dispatch costs
+//! microseconds, more than a whole small execute, and where the pool
+//! starts to win depends on the chain and the host, not on a FLOP count.
+//! The candidates are task counts `t` = 1, 2, 4, … below the pool's width,
+//! and the width itself. One task is the `1 × 1` grid, on the calling
+//! thread; `t` tasks are `(t, 1)` when there are at least `t` rows and
+//! `(rows, t / rows)` when there are fewer.
+//!
+//! - **Key.** A chain's factor shapes, its dtype, and the row bucket
+//!   `⌊log₂ rows⌋` of an execute. A workspace's row capacity is not part
+//!   of it.
+//! - **Tuning.** The first execute of a key in the process runs every
+//!   candidate on its own operands, in a fixed number of rounds that
+//!   alternate the candidates' order, and keeps the candidate with the
+//!   best time; a tie goes to fewer tasks. Every grid writes the same
+//!   bits, so `Y` holds the product when it returns. A one-thread pool
+//!   has one candidate and times nothing.
+//! - **Table.** The decision goes into a process-wide table that is never
+//!   evicted. [`Workspace::new`] resolves its chain's entry once; every
+//!   later execute in that bucket, from any workspace of the chain, reads
+//!   the decision with one atomic load, takes no lock and allocates
+//!   nothing. Two first calls that race may both tune, and the last
+//!   decision written stands.
+//!
+//! [`Workspace::set_partition`] pins a grid instead, and then nothing is
+//! read or timed.
 
-use kron_core::{Element, KronError, KronProblem, Matrix, Result};
+use kron_core::{DType, Element, FactorShape, KronError, KronProblem, Matrix, Result};
 use rayon::ThreadPool;
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Slice-block edge of the register tile: the microkernel computes [`RK`]
 /// consecutive slices per accumulator tile (one 256-bit `f32` vector, or
@@ -82,9 +114,79 @@ pub const RK: usize = 8;
 /// `P = 16` (the served `f64` shapes are small) and 1.1× at `P ≥ 64`.
 const ACC_ROW_BYTES: usize = 64;
 
-/// Problems below this FLOP count run single-threaded; tiny chains are
-/// dominated by thread dispatch otherwise.
-const MIN_PAR_FLOPS: u64 = 1 << 15;
+/// Rounds in which the tuner runs every candidate grid once, keeping each
+/// candidate's best time. Measured on a two-core host by repeating the
+/// decision 21 times per shape: with 1 to 3 rounds it picked the slower
+/// grid up to 3 times in 21 on shapes whose grids differ by 20–40% (4⁴,
+/// M = 16; 32², M = 4; 32³, M = 16), 5 rounds never did there, and 7
+/// rounds did no better than 5.
+const TUNE_ROUNDS: usize = 5;
+
+/// Most candidate grids a pool can have: task counts `2^i` for every bit
+/// of `usize`, plus the pool's width.
+const MAX_CANDIDATES: usize = usize::BITS as usize + 1;
+
+/// The measured grids of one factor-shape chain and dtype, shared through
+/// the process-wide table by every [`Workspace`] of that chain: per row
+/// bucket `⌊log₂ rows⌋`, the task count of the fastest grid, or 0 while
+/// the bucket is unmeasured.
+struct Grids {
+    tasks: [AtomicUsize; usize::BITS as usize],
+    /// Executes that timed candidates for this chain.
+    #[cfg(test)]
+    tunings: AtomicUsize,
+}
+
+/// The measured grids of `problem`'s chain in `dtype`, from the
+/// process-wide table, which adds an unmeasured entry on a chain's first
+/// workspace and never evicts one.
+fn grids_of(problem: &KronProblem, dtype: DType) -> Arc<Grids> {
+    type Table = HashMap<(DType, Vec<FactorShape>), Arc<Grids>>;
+    static TABLE: LazyLock<Mutex<Table>> = LazyLock::new(Mutex::default);
+    // The one update under the lock is a whole insert, so a panic cannot
+    // leave the table half-written.
+    let mut table = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    let entry = table.entry((dtype, problem.factors.clone()));
+    Arc::clone(entry.or_insert_with(|| {
+        Arc::new(Grids {
+            tasks: [const { AtomicUsize::new(0) }; usize::BITS as usize],
+            #[cfg(test)]
+            tunings: AtomicUsize::new(0),
+        })
+    }))
+}
+
+/// How many candidate grids a pool `threads` wide has: task counts `2^i`
+/// below the width, and the width.
+fn candidates(threads: usize) -> usize {
+    threads.next_power_of_two().ilog2() as usize + 1
+}
+
+/// Candidate `i` of a pool `threads` wide: `2^i` tasks, capped at the
+/// width.
+fn candidate(i: usize, threads: usize) -> usize {
+    (1 << i).min(threads)
+}
+
+/// The grid of `tasks` pool tasks for `rows ≥ 1` rows: `tasks` row tiles
+/// when there are that many rows, else one row per tile with its slices
+/// split `tasks / rows` ways. One task is `(1, 1)`.
+fn grid(tasks: usize, rows: usize) -> (usize, usize) {
+    if rows >= tasks {
+        (tasks, 1)
+    } else {
+        (rows, tasks / rows)
+    }
+}
+
+/// The index of the fastest of the candidates' best times; on a tie, the
+/// first, which has fewer tasks.
+fn fastest(best: &[Duration]) -> usize {
+    best.iter()
+        .enumerate()
+        .min_by_key(|&(_, t)| t)
+        .map_or(0, |(i, _)| i)
+}
 
 /// Output column a sliced multiply writes slice `s` of factor column `q`
 /// to: `q·S + s` where `S` is the slice count (`K/P`).
@@ -107,19 +209,27 @@ pub fn fused_output_col(q: usize, slices: usize, s: usize) -> usize {
 /// Parallel dispatch goes to the persistent global [`ThreadPool`], whose
 /// boxing-free task handoff keeps even multi-threaded executes
 /// allocation-free once the pool's queue is warm.
+///
+/// Each execute runs on its row bucket's measured grid (see the
+/// [module docs](self)). The decisions belong to the chain's factor shapes
+/// and dtype, not to the workspace: a new workspace of a chain reads what
+/// an earlier one measured, whatever its capacity.
 pub struct Workspace<T> {
     problem: KronProblem,
     /// Row stride of both buffers (`max_intermediate_cols`).
     stride: usize,
     buf_a: Vec<T>,
     buf_b: Vec<T>,
-    /// Pinned `(row_groups, col_groups)` grid; `None` chooses one per
-    /// execute from the pool width and problem size.
+    /// Pinned `(row_groups, col_groups)` grid; `None` runs the measured
+    /// one.
     partition: Option<(usize, usize)>,
+    /// This chain's measured grids, from the process-wide table.
+    grids: Arc<Grids>,
 }
 
 impl<T: Element> Workspace<T> {
-    /// Allocates the ping-pong buffers for `problem`.
+    /// Allocates the ping-pong buffers for `problem` and resolves its
+    /// chain's entry in the table of measured grids.
     ///
     /// Single-factor problems need no intermediates; their buffers are
     /// empty and execution streams `X` straight to `Y`.
@@ -138,6 +248,7 @@ impl<T: Element> Workspace<T> {
             buf_a: vec![T::ZERO; elems],
             buf_b: vec![T::ZERO; elems],
             partition: None,
+            grids: grids_of(problem, T::DTYPE),
         }
     }
 
@@ -147,16 +258,17 @@ impl<T: Element> Workspace<T> {
     }
 
     /// Pins the `(row_groups, col_groups)` grid every execute runs on,
-    /// instead of choosing it from the host's thread count and the
-    /// problem size. `(1, 1)` runs the chain on the calling thread; `(r,
-    /// 1)` cuts the rows into `r` tiles that each run the whole chain as
-    /// one pool task; with `c > 1`, each factor step is one pool broadcast
-    /// over `r` row groups times `c` slice groups. `r` is clamped to
-    /// `1..=rows` and `c` to at least 1. Every grid gives the same bits.
+    /// instead of the measured one. `(1, 1)` runs the chain on the calling
+    /// thread; `(r, 1)` cuts the rows into `r` tiles that each run the
+    /// whole chain as one pool task; with `c > 1`, each factor step is one
+    /// pool broadcast over `r` row groups times `c` slice groups. `r` is
+    /// clamped to `1..=rows` and `c` to at least 1. Every grid gives the
+    /// same bits. A pinned execute neither reads nor times the chain's
+    /// measured grids.
     ///
     /// Intended for tests and benchmarks that must exercise a specific
     /// grid regardless of the machine they run on; `None` restores the
-    /// automatic choice.
+    /// measured grid.
     pub fn set_partition(&mut self, partition: Option<(usize, usize)>) {
         self.partition = partition;
     }
@@ -220,11 +332,64 @@ impl<T: Element> Workspace<T> {
         Ok(())
     }
 
-    /// Runs `rows ≥ 1` rows on this execute's grid. `x`/`y` are full
-    /// row-major buffers with strides `input_cols()` and `output_cols()`,
-    /// already checked to hold `rows` rows.
+    /// Runs `rows ≥ 1` rows on this execute's grid: the pinned partition,
+    /// clamped, if there is one, else the grid measured for the row
+    /// bucket, measuring it first if this is the bucket's first execute.
+    /// `x`/`y` are full row-major buffers with strides `input_cols()` and
+    /// `output_cols()`, already checked to hold `rows` rows.
     fn run(&mut self, x: &[T], factors: &[&Matrix<T>], y: &mut [T], rows: usize) {
-        let (row_groups, col_groups) = self.grid(rows);
+        if let Some((r, c)) = self.partition {
+            return self.run_grid(x, factors, y, rows, (r.clamp(1, rows), c.max(1)));
+        }
+        let bucket = rows.ilog2() as usize;
+        // relaxed: the decision is a plain value that orders no other
+        // memory; a first call that races another at worst tunes again.
+        match self.grids.tasks[bucket].load(Ordering::Relaxed) {
+            0 => {
+                let tasks = self.tune(x, factors, y, rows);
+                self.grids.tasks[bucket].store(tasks, Ordering::Relaxed);
+            }
+            tasks => self.run_grid(x, factors, y, rows, grid(tasks, rows)),
+        }
+    }
+
+    /// Runs the execute on every candidate grid for `rows` rows, in
+    /// `TUNE_ROUNDS` rounds that take the candidates in ascending order of
+    /// task count, then descending, and so on, and returns the task count
+    /// whose best time is the fastest. Every grid writes the same bits, so
+    /// `Y` holds the product when it returns. A one-thread pool has one
+    /// candidate, which runs once, untimed.
+    fn tune(&mut self, x: &[T], factors: &[&Matrix<T>], y: &mut [T], rows: usize) -> usize {
+        let threads = ThreadPool::global().threads();
+        let n = candidates(threads);
+        if n == 1 {
+            self.run_grid(x, factors, y, rows, (1, 1));
+            return 1;
+        }
+        #[cfg(test)]
+        self.grids.tunings.fetch_add(1, Ordering::Relaxed);
+        let mut best = [Duration::MAX; MAX_CANDIDATES];
+        for round in 0..TUNE_ROUNDS {
+            for j in 0..n {
+                let i = if round % 2 == 0 { j } else { n - 1 - j };
+                let start = Instant::now();
+                self.run_grid(x, factors, y, rows, grid(candidate(i, threads), rows));
+                best[i] = best[i].min(start.elapsed());
+            }
+        }
+        candidate(fastest(&best[..n]), threads)
+    }
+
+    /// Runs `rows ≥ 1` rows on the `(row_groups, col_groups)` grid, with
+    /// `row_groups ≤ rows`.
+    fn run_grid(
+        &mut self,
+        x: &[T],
+        factors: &[&Matrix<T>],
+        y: &mut [T],
+        rows: usize,
+        (row_groups, col_groups): (usize, usize),
+    ) {
         let exec = Exec {
             factors,
             x: x.as_ptr(),
@@ -264,30 +429,6 @@ impl<T: Element> Workspace<T> {
                 unsafe { exec.step(i, f, k_in, rows, s..slices.min(s + chunk)) }
             });
             k_in = slices * f.cols();
-        }
-    }
-
-    /// The `(row_groups, col_groups)` grid for an execute of `rows ≥ 1`
-    /// rows: the pinned partition, clamped, if there is one. Otherwise
-    /// `(1, 1)` below `MIN_PAR_FLOPS` or on one thread, `(threads, 1)`
-    /// when there are at least as many rows as threads, and `(rows,
-    /// threads / rows)` when there are fewer.
-    fn grid(&self, rows: usize) -> (usize, usize) {
-        if let Some((r, c)) = self.partition {
-            return (r.clamp(1, rows), c.max(1));
-        }
-        // The global pool caches its width; querying available_parallelism
-        // directly would allocate (it reads cgroup quota files), breaking
-        // the zero-allocation contract.
-        let threads = ThreadPool::global().threads();
-        // FLOPs for the rows actually executing, not the full capacity.
-        let flops = (self.problem.flops() / self.problem.m as u64) * rows as u64;
-        if threads <= 1 || flops < MIN_PAR_FLOPS {
-            (1, 1)
-        } else if rows >= threads {
-            (threads, 1)
-        } else {
-            (rows, threads / rows)
         }
     }
 }
@@ -837,6 +978,11 @@ mod tests {
     }
 
     fn check_problem(problem: &KronProblem, seed: usize) {
+        check_problem_on(problem, seed, None);
+    }
+
+    /// Checks `problem` on the `partition` grid, or on the measured one.
+    fn check_problem_on(problem: &KronProblem, seed: usize, partition: Option<(usize, usize)>) {
         let x = seq_matrix(problem.m, problem.input_cols(), seed);
         let fs: Vec<Matrix<f64>> = problem
             .factors
@@ -846,6 +992,7 @@ mod tests {
             .collect();
         let refs: Vec<&Matrix<f64>> = fs.iter().collect();
         let mut ws = Workspace::new(problem);
+        ws.set_partition(partition);
         let got = ws.execute(&x, &refs).unwrap();
         let naive = kron_matmul_naive(&x, &refs).unwrap();
         let shuffle = kron_matmul_shuffle(&x, &refs).unwrap();
@@ -920,11 +1067,82 @@ mod tests {
     }
 
     #[test]
-    fn above_parallel_threshold_matches_oracle() {
-        // Big enough for a parallel grid on multi-core hosts.
-        let problem = KronProblem::uniform(32, 8, 3).unwrap();
-        assert!(problem.flops() >= MIN_PAR_FLOPS);
-        check_problem(&problem, 9);
+    fn every_candidate_grid_matches_oracle() {
+        // Each grid the tuner may pick, pinned: this host's candidates and
+        // an 8-wide pool's, with rows for row tiles and with one row, where
+        // the slices split.
+        for threads in [ThreadPool::global().threads(), 8] {
+            for m in [32, 1] {
+                let problem = KronProblem::uniform(m, 8, 3).unwrap();
+                for i in 0..candidates(threads) {
+                    let partition = grid(candidate(i, threads), m);
+                    check_problem_on(&problem, 9, Some(partition));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_double_up_to_the_pool_width() {
+        let tasks = |threads| -> Vec<usize> {
+            (0..candidates(threads))
+                .map(|i| candidate(i, threads))
+                .collect()
+        };
+        assert_eq!(tasks(1), [1]);
+        assert_eq!(tasks(2), [1, 2]);
+        assert_eq!(tasks(4), [1, 2, 4]);
+        assert_eq!(tasks(6), [1, 2, 4, 6]);
+        // One task runs on the calling thread; more split rows first, then
+        // the slices of each row.
+        assert_eq!(grid(1, 1), (1, 1));
+        assert_eq!(grid(1, 16), (1, 1));
+        assert_eq!(grid(2, 16), (2, 1));
+        assert_eq!(grid(4, 2), (2, 2));
+        assert_eq!(grid(2, 1), (1, 2));
+        assert_eq!(grid(6, 4), (4, 1));
+    }
+
+    #[test]
+    fn fastest_best_time_wins_and_ties_go_to_fewer_tasks() {
+        let us = Duration::from_micros;
+        assert_eq!(fastest(&[us(5), us(3), us(4)]), 1);
+        assert_eq!(fastest(&[us(9), us(4), us(2), us(2)]), 2);
+        assert_eq!(fastest(&[us(7), us(7)]), 0);
+        assert_eq!(fastest(&[us(1)]), 0);
+    }
+
+    #[test]
+    fn a_second_workspace_reads_the_stored_grid_without_timing() {
+        // A chain no other test in this crate runs, so only this test
+        // tunes its entry.
+        let shapes = vec![FactorShape::new(3, 7), FactorShape::new(5, 2)];
+        let first = KronProblem::new(4, shapes.clone()).unwrap();
+        let x = seq_matrix(7, 15, 3);
+        let fs = [seq_matrix(3, 7, 1), seq_matrix(5, 2, 2)];
+        let refs: Vec<&Matrix<f64>> = fs.iter().collect();
+        let oracle = kron_matmul_naive(&x, &refs).unwrap();
+        let tunings = |ws: &Workspace<f64>| ws.grids.tunings.load(Ordering::Relaxed);
+        // Bucket 2 (4..8 rows) is measured by its first execute, unless
+        // the pool has one thread and so one candidate.
+        let timed = usize::from(ThreadPool::global().threads() > 1);
+        let mut ws = Workspace::<f64>::new(&first);
+        let mut y = Matrix::zeros(7, 14);
+        ws.execute_rows(&x, &refs, &mut y, 4).unwrap();
+        assert_eq!(tunings(&ws), timed);
+        assert_ne!(ws.grids.tasks[2].load(Ordering::Relaxed), 0);
+        // Another workspace of the chain, at another capacity, shares the
+        // entry, and its execute of 7 rows, bucket 2 too, times nothing.
+        let second = KronProblem::new(7, shapes).unwrap();
+        let mut ws2 = Workspace::<f64>::new(&second);
+        assert!(Arc::ptr_eq(&ws.grids, &ws2.grids));
+        ws2.execute_into(&x, &refs, &mut y).unwrap();
+        assert_eq!(tunings(&ws2), timed);
+        assert_matrices_close(&y, &oracle, "stored grid");
+        // The chain in the other dtype is an entry of its own.
+        let other = Workspace::<f32>::new(&first);
+        assert!(!Arc::ptr_eq(&ws.grids, &other.grids));
+        assert_eq!(other.grids.tasks[2].load(Ordering::Relaxed), 0);
     }
 
     #[test]

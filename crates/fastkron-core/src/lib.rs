@@ -25,7 +25,10 @@
 //!   step function over a `(row groups, slice groups)` grid: with one
 //!   slice group, each row tile threads its *entire* factor chain through
 //!   its own rows of the workspace as one pool task; with several, each
-//!   factor step is one pool broadcast over the grid.
+//!   factor step is one pool broadcast over the grid. Which grid runs is
+//!   measured, as the paper's autotuner measures kernel configurations:
+//!   the first execute of a chain, dtype and row bucket times the serial
+//!   grid against the pool's and keeps the fastest for the process.
 //!   [`exec::kron_matmul_fused`] is the one-call form. One sliced
 //!   multiply on its own is [`kron_core::ftmmt::ftmmt_iteration`]: FTMMT
 //!   computes the same per-iteration map, and the tests use it as the

@@ -4,12 +4,15 @@
 //! intermediates, no transpose scratch, nothing.
 //!
 //! The test binary installs a global allocator that counts each thread's
-//! allocations, and everything here runs below the parallel-dispatch FLOP
-//! threshold, so an execute runs wholly on the calling thread and its
-//! count is exact. Counting per thread keeps allocations made elsewhere in
-//! the process out of every measured window: sibling tests, the test
-//! harness spawning and reaping their threads, and pool workers starting
-//! up after the first execute all allocate at unpredictable moments.
+//! allocations. The chains here are small enough that their measured grid
+//! is the serial one: a pool dispatch costs more than the whole execute.
+//! So the first execute of each, the warm-up, is also the call that times
+//! the candidate grids, and every measured execute after it runs wholly
+//! on the calling thread, where its count is exact. Counting per thread
+//! keeps allocations made elsewhere in the process out of every measured
+//! window: sibling tests, the test harness spawning and reaping their
+//! threads, and pool workers starting up after the first execute all
+//! allocate at unpredictable moments.
 
 use fastkron_core::exec::Workspace;
 use kron_core::{FactorShape, KronProblem, Matrix};

@@ -138,9 +138,13 @@ fn check_rows_into<T: Element>() {
 
 /// Two- and three-factor chains through a [`Workspace`] under every kind
 /// of grid: `1 × 1`, row tiles (more tiles than rows at `(4, 1)`, which
-/// clamps) and several slice groups. Under each, a full execute and the
-/// serving entry point, `execute_rows` on 2 of the 3 rows, must match the
-/// reference, and the latter must leave the third row of `Y` untouched.
+/// clamps), several slice groups, and the measured grid (`None`). Under
+/// each, a full execute and the serving entry point, `execute_rows` on 2
+/// and on 1 of the 3 rows, must match the reference, and the latter must
+/// leave the rows past them untouched. Each call runs twice: unpinned,
+/// the first call of a row bucket times every candidate grid (3 and 2
+/// rows share one bucket, 1 row has its own) and the second reads the
+/// decision, and both must give the reference bits.
 fn check_chains<T: Element>() {
     let chains: [&[(usize, usize)]; 10] = [
         &[(16, 16), (8, 8)],
@@ -155,14 +159,15 @@ fn check_chains<T: Element>() {
         &[(32, 32), (16, 45)],
     ];
     let partitions = [
-        (1, 1),
-        (2, 1),
-        (3, 1),
-        (4, 1),
-        (2, 2),
-        (2, 3),
-        (1, 4),
-        (3, 2),
+        None,
+        Some((1, 1)),
+        Some((2, 1)),
+        Some((3, 1)),
+        Some((4, 1)),
+        Some((2, 2)),
+        Some((2, 3)),
+        Some((1, 4)),
+        Some((3, 2)),
     ];
     let m = 3;
     let sentinel = T::from_f64(7.5);
@@ -186,26 +191,31 @@ fn check_chains<T: Element>() {
         let l = problem.output_cols();
         for &partition in &partitions {
             let mut ws = Workspace::new(&problem);
-            ws.set_partition(Some(partition));
-            let y = ws.execute(&x, &refs).expect("valid operands");
-            assert!(
-                y.as_slice() == want.as_slice(),
-                "{} {problem} partition {partition:?}: not the reference FMA order",
-                T::DTYPE,
-            );
-            let mut part = Matrix::from_vec(m, l, vec![sentinel; m * l]).expect("sized data");
-            ws.execute_rows(&x, &refs, &mut part, 2)
-                .expect("valid operands");
-            assert!(
-                part.as_slice()[..2 * l] == want[..2 * l],
-                "{} {problem} partition {partition:?}, 2 rows: not the reference FMA order",
-                T::DTYPE,
-            );
-            assert!(
-                part.row(2).iter().all(|&v| v == sentinel),
-                "{} {problem} partition {partition:?}, 2 rows: wrote row 2",
-                T::DTYPE,
-            );
+            ws.set_partition(partition);
+            for call in 0..2 {
+                let y = ws.execute(&x, &refs).expect("valid operands");
+                assert!(
+                    y.as_slice() == want.as_slice(),
+                    "{} {problem} partition {partition:?}, call {call}: not the reference FMA order",
+                    T::DTYPE,
+                );
+                for rows in [2, 1] {
+                    let mut part =
+                        Matrix::from_vec(m, l, vec![sentinel; m * l]).expect("sized data");
+                    ws.execute_rows(&x, &refs, &mut part, rows)
+                        .expect("valid operands");
+                    assert!(
+                        part.as_slice()[..rows * l] == want[..rows * l],
+                        "{} {problem} partition {partition:?}, call {call}, {rows} rows: not the reference FMA order",
+                        T::DTYPE,
+                    );
+                    assert!(
+                        part.as_slice()[rows * l..].iter().all(|&v| v == sentinel),
+                        "{} {problem} partition {partition:?}, call {call}, {rows} rows: wrote past row {rows}",
+                        T::DTYPE,
+                    );
+                }
+            }
         }
     }
 }

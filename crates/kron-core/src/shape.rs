@@ -65,8 +65,12 @@ impl KronProblem {
     /// Builds and validates a problem description.
     ///
     /// # Errors
-    /// [`KronError::NoFactors`] when `factors` is empty and
-    /// [`KronError::EmptyDimension`] when any dimension is zero.
+    /// [`KronError::NoFactors`] when `factors` is empty,
+    /// [`KronError::EmptyDimension`] when any dimension is zero, and
+    /// [`KronError::ResourceExhausted`] when a size the problem derives
+    /// would not fit: `∏Pᵢ` or an intermediate width up to `∏Qᵢ` past
+    /// `usize`, `M` rows of the widest at 8 bytes per element (the widest
+    /// dtype) past `isize::MAX` bytes, or the FLOP count past `u64`.
     pub fn new(m: usize, factors: Vec<FactorShape>) -> Result<Self> {
         if factors.is_empty() {
             return Err(KronError::NoFactors);
@@ -83,7 +87,48 @@ impl KronProblem {
                 });
             }
         }
-        Ok(KronProblem { m, factors })
+        let problem = KronProblem { m, factors };
+        problem.check_sizes()?;
+        Ok(problem)
+    }
+
+    /// Checks that every size this problem derives fits its type, so that
+    /// [`Self::input_cols`], [`Self::output_cols`],
+    /// [`Self::max_intermediate_elems`] and [`Self::flops`] never wrap:
+    /// `∏Pᵢ` and each step's output width (the last is `∏Qᵢ`) in `usize`,
+    /// `M` rows of the widest at 8 bytes per element in `isize::MAX` bytes,
+    /// and the FLOP count in `u64`.
+    fn check_sizes(&self) -> Result<()> {
+        let exhausted = |what: &str| KronError::ResourceExhausted {
+            what: format!("{self}: {what}"),
+        };
+        let k = self
+            .factors
+            .iter()
+            .try_fold(1usize, |k, f| k.checked_mul(f.p));
+        let mut width = k.ok_or_else(|| exhausted("∏Pᵢ overflows usize"))?;
+        let mut widest = width;
+        let mut flops = Some(0u64);
+        for f in self.factors.iter().rev() {
+            width = (width / f.p)
+                .checked_mul(f.q)
+                .ok_or_else(|| exhausted("an intermediate width overflows usize"))?;
+            widest = widest.max(width);
+            // This step's 2·M·width·P, as `flops` counts it.
+            flops = flops.and_then(|sum| {
+                let step = [self.m, width, f.p]
+                    .into_iter()
+                    .try_fold(2u64, |n, v| n.checked_mul(v as u64))?;
+                sum.checked_add(step)
+            });
+        }
+        self.m
+            .checked_mul(widest)
+            .and_then(|elems| elems.checked_mul(8))
+            .filter(|&bytes| bytes <= isize::MAX as usize)
+            .ok_or_else(|| exhausted("M × the widest row at 8 bytes exceeds isize::MAX bytes"))?;
+        flops.ok_or_else(|| exhausted("the FLOP count overflows u64"))?;
+        Ok(())
     }
 
     /// The problem `Y = X · (F1 ⊗ … ⊗ FN)` poses, read off its operands,
@@ -419,6 +464,33 @@ mod tests {
         assert_eq!(p.num_factors(), 6);
         assert!(p.is_uniform());
         assert_eq!(p.describe(), "M=1024, 8^6");
+    }
+
+    #[test]
+    fn sizes_past_their_types_are_resource_exhausted() {
+        let exhausted =
+            |r: Result<KronProblem>| matches!(r, Err(KronError::ResourceExhausted { .. }));
+        // Sixty-four 2×2 factors: ∏Pᵢ = 2^64 wraps usize.
+        assert!(exhausted(KronProblem::uniform(1, 2, 64)));
+        // One row of 2^59 elements is 2^62 bytes at 8 bytes each, just
+        // inside isize::MAX; two rows are 2^63 bytes, just past it.
+        let wide = vec![FactorShape::new(1 << 59, 1)];
+        let inside = KronProblem::new(1, wide.clone()).unwrap();
+        assert_eq!(inside.input_cols(), 1 << 59);
+        assert_eq!(inside.max_intermediate_elems(), 1 << 59);
+        assert_eq!(inside.flops(), 1 << 60);
+        assert!(exhausted(KronProblem::new(2, wide)));
+        // 2×2 chains at M = 1 reach the FLOP limit first: 56 factors count
+        // 56 · 2^58 FLOPs, inside u64; 57 count 57 · 2^59, past it.
+        let chain = KronProblem::uniform(1, 2, 56).unwrap();
+        assert_eq!(chain.input_cols(), 1 << 56);
+        assert_eq!(chain.output_cols(), 1 << 56);
+        assert_eq!(chain.flops(), 56 << 58);
+        assert!(exhausted(KronProblem::uniform(1, 2, 57)));
+        // An intermediate wider than both ends: X and Y are 2^40 wide, but
+        // the first step's output is 2^80.
+        let hourglass = vec![FactorShape::new(1 << 40, 1), FactorShape::new(1, 1 << 40)];
+        assert!(exhausted(KronProblem::new(1, hourglass)));
     }
 
     #[test]

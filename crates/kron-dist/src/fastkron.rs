@@ -233,18 +233,19 @@ impl DistFastKron {
     /// builds a throwaway [`ShardedEngine`] per call. Servers should hold
     /// the engine instead and pay planning and allocation once.
     ///
+    /// An `X` with no rows gives an empty `0 × ∏Qᵢ` result, as every other
+    /// entry point does, without building an engine.
+    ///
     /// # Errors
-    /// Shape/grid errors; operand mismatches.
+    /// The operand errors of [`KronProblem::from_operands`], checked before
+    /// the grid's, so a wrong `X` is a shape error even on a problem the
+    /// grid cannot shard; then shape/grid errors.
     pub fn execute<T: Element>(&self, x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
-        let shapes: Vec<_> = factors
-            .iter()
-            .map(|f| kron_core::FactorShape::new(f.rows(), f.cols()))
-            .collect();
-        let problem = KronProblem::new(x.rows(), shapes)?;
-        let mut y = Matrix::zeros(problem.m, problem.output_cols());
-        // Operands first, so a wrong `X` is a shape error even on a
-        // problem the grid cannot shard.
-        problem.check_rows(x, &y, problem.m)?;
+        let problem = KronProblem::from_operands(x, factors)?;
+        let mut y = Matrix::zeros(x.rows(), problem.output_cols());
+        if x.rows() == 0 {
+            return Ok(y);
+        }
         let mut engine = self.workspace::<T>(&problem)?;
         engine.execute_rows(x, factors, &mut y, problem.m)?;
         Ok(y)

@@ -51,11 +51,16 @@
 //! * **One grid per execute** — every execute, batched or not, runs on
 //!   the `(row groups × slice groups)` grid of
 //!   [`fastkron_core::Workspace`], whose tasks go to the process-wide
-//!   persistent worker pool: task handoffs, never a thread spawn. An
-//!   execute below the exec layer's parallel cut-off (`MIN_PAR_FLOPS`,
-//!   2^15 FLOPs over the rows it runs) runs serially on the calling
-//!   thread. Above it the grid splits the rows across the pool's threads,
-//!   and when there are fewer rows than threads, each row's slices too.
+//!   persistent worker pool: task handoffs, never a thread spawn. The
+//!   grid is measured, not set by a FLOP cut-off: the first execute of a
+//!   model's factor-shape chain, dtype and row bucket (`⌊log₂ rows⌋`) in
+//!   the process times the serial grid against the pool's grids and
+//!   keeps the fastest, and every later execute of that bucket reads the
+//!   decision with one atomic load. The decisions outlive the plan cache,
+//!   so an evicted and rebuilt entry does not measure again. A small
+//!   execute typically runs serially on the calling thread; a large one
+//!   splits its rows across the pool's threads, and when there are fewer
+//!   rows than threads, each row's slices too.
 //! * **Plan + workspace cache** — keyed by dtype, factor-shape chain, and
 //!   row capacity (introspectable as [`kron_core::PlanKey`]s): after the
 //!   first request of a shape, serving does **zero planning and zero

@@ -18,9 +18,10 @@
 //!    metrics plane's per-reply recorders, the slot reply protocol, the
 //!    ring push/pop, the channel's send and receive paths, the submit
 //!    path, the scheduler's window serve loop and its shed and
-//!    execute-and-reply paths, and the thread pool's dispatch:
-//!    `broadcast`, `broadcast_chunks` and the `run_task` and
-//!    `worker_loop` that run its tasks) must not call allocating std
+//!    execute-and-reply paths, the fused execute's `execute_rows` and
+//!    `run` with the grid tuner's per-execute functions, and the thread
+//!    pool's dispatch: `broadcast`, `broadcast_chunks` and the `run_task`
+//!    and `worker_loop` that run its tasks) must not call allocating std
 //!    constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` in a statement
 //!    touching a protocol atomic (gate state, bypass claim, seqlock seq,
@@ -95,6 +96,19 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
             "exit",
             "bypass_try_claim",
             "bypass_release_claim",
+        ],
+    ),
+    (
+        "crates/fastkron-core/src/exec.rs",
+        &[
+            "execute_rows",
+            "run",
+            "tune",
+            "run_grid",
+            "candidates",
+            "candidate",
+            "grid",
+            "fastest",
         ],
     ),
     (

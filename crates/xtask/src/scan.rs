@@ -294,7 +294,10 @@ fn closes_raw_string(after_quote: &[char], hashes: u32) -> bool {
 }
 
 /// Marks lines inside `#[cfg(test)]` / `#[test]` items: from the
-/// attribute line to the close of the item's brace block.
+/// attribute line to the close of the item's brace block. An attribute on
+/// something with no block of its own (a statement, a field, `mod x;`)
+/// marks through its `;`, or through the brace that closes the block
+/// around it, and no further.
 fn mark_test_regions(lines: &mut [Line]) {
     let mut i = 0;
     while i < lines.len() {
@@ -309,9 +312,10 @@ fn mark_test_regions(lines: &mut [Line]) {
         }
         // Mark from the attribute through the attached item's block.
         let mut depth = 0u32;
+        let mut nest = 0u32;
         let mut opened = false;
         let mut j = i;
-        while j < lines.len() {
+        'item: while j < lines.len() {
             lines[j].in_test_region = true;
             for c in lines[j].code.chars() {
                 match c {
@@ -319,12 +323,16 @@ fn mark_test_regions(lines: &mut [Line]) {
                         depth += 1;
                         opened = true;
                     }
-                    '}' => depth = depth.saturating_sub(1),
+                    '}' if !opened => break 'item,
+                    '}' => depth -= 1,
+                    '(' | '[' if !opened => nest += 1,
+                    ')' | ']' if !opened => nest = nest.saturating_sub(1),
+                    ';' if !opened && nest == 0 => break 'item,
                     _ => {}
                 }
-            }
-            if opened && depth == 0 {
-                break;
+                if opened && depth == 0 {
+                    break 'item;
+                }
             }
             j += 1;
         }
@@ -385,6 +393,27 @@ mod tests {
         assert!(scan.lines[4].in_test_region);
         assert!(scan.lines[5].in_test_region);
         assert!(!scan.lines[6].in_test_region);
+    }
+
+    #[test]
+    fn a_test_attribute_on_a_statement_or_field_marks_only_it() {
+        let scan = FileScan::new(
+            "struct S {\n\
+                 #[cfg(test)]\n\
+                 count: u32,\n\
+             }\n\
+             fn hot(s: &S) {\n\
+                 #[cfg(test)]\n\
+                 s.count.fetch_add(1, Relaxed);\n\
+                 let v = vec![1];\n\
+                 for x in v {}\n\
+             }\n",
+        );
+        let marked: Vec<bool> = scan.lines.iter().map(|l| l.in_test_region).collect();
+        assert_eq!(
+            marked,
+            [false, true, true, true, false, true, true, false, false, false]
+        );
     }
 
     #[test]

@@ -187,6 +187,8 @@ fn every_entry_point_checks_operands_alike() {
     }
     let ctf = fastkron::dist::CtfEngine::new(&V100, 4).unwrap();
     let distal = fastkron::dist::DistalEngine::new(&V100, 4).unwrap();
+    let dist1 = DistFastKron::new(&V100, 1).unwrap();
+    let dist2 = DistFastKron::new(&V100, 2).unwrap();
     let entry_points = [
         ("naive", entry(kron_matmul_naive)),
         ("shuffle", entry(kron_core::shuffle::kron_matmul_shuffle)),
@@ -199,6 +201,8 @@ fn every_entry_point_checks_operands_alike() {
         ("FastKronEngine", engine(FastKronEngine::new(&V100))),
         ("CtfEngine", entry(move |x, fs| ctf.execute(x, fs))),
         ("DistalEngine", entry(move |x, fs| distal.execute(x, fs))),
+        ("DistFastKron×1", entry(move |x, fs| dist1.execute(x, fs))),
+        ("DistFastKron×2", entry(move |x, fs| dist2.execute(x, fs))),
     ];
     let z = Matrix::<f64>::zeros;
     let cases = [
