@@ -92,7 +92,7 @@
 //! [`Workspace::set_partition`] pins a grid instead, and then nothing is
 //! read or timed.
 
-use kron_core::{DType, Element, FactorShape, KronError, KronProblem, Matrix, Result};
+use kron_core::{DType, Element, Factor, FactorShape, KronError, KronProblem, Matrix, Result};
 use rayon::ThreadPool;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -214,6 +214,11 @@ pub fn fused_output_col(q: usize, slices: usize, s: usize) -> usize {
 /// [module docs](self)). The decisions belong to the chain's factor shapes
 /// and dtype, not to the workspace: a new workspace of a chain reads what
 /// an earlier one measured, whatever its capacity.
+///
+/// An execute takes its factors in Kronecker-product order, as the
+/// factors themselves (`&[Matrix<T>]`) or references to them
+/// (`&[&Matrix<T>]`; see [`Factor`]). Either way it reads them in place,
+/// so a caller that owns its factors builds no list of references.
 pub struct Workspace<T> {
     problem: KronProblem,
     /// Row stride of both buffers (`max_intermediate_cols`).
@@ -277,7 +282,7 @@ impl<T: Element> Workspace<T> {
     ///
     /// # Errors
     /// Shape mismatches between the operands and the workspace's problem.
-    pub fn execute(&mut self, x: &Matrix<T>, factors: &[&Matrix<T>]) -> Result<Matrix<T>> {
+    pub fn execute<F: Factor<T>>(&mut self, x: &Matrix<T>, factors: &[F]) -> Result<Matrix<T>> {
         let mut y = Matrix::zeros(self.problem.m, self.problem.output_cols());
         self.execute_into(x, factors, &mut y)?;
         Ok(y)
@@ -289,10 +294,10 @@ impl<T: Element> Workspace<T> {
     ///
     /// # Errors
     /// Shape mismatches between the operands and the workspace's problem.
-    pub fn execute_into(
+    pub fn execute_into<F: Factor<T>>(
         &mut self,
         x: &Matrix<T>,
-        factors: &[&Matrix<T>],
+        factors: &[F],
         y: &mut Matrix<T>,
     ) -> Result<()> {
         let m = self.problem.m;
@@ -317,10 +322,10 @@ impl<T: Element> Workspace<T> {
     /// # Errors
     /// Shape mismatches: wrong factor shapes or column counts, fewer than
     /// `rows` rows in an operand, or `rows` above the planned capacity.
-    pub fn execute_rows(
+    pub fn execute_rows<F: Factor<T>>(
         &mut self,
         x: &Matrix<T>,
-        factors: &[&Matrix<T>],
+        factors: &[F],
         y: &mut Matrix<T>,
         rows: usize,
     ) -> Result<()> {
@@ -337,7 +342,7 @@ impl<T: Element> Workspace<T> {
     /// bucket, measuring it first if this is the bucket's first execute.
     /// `x`/`y` are full row-major buffers with strides `input_cols()` and
     /// `output_cols()`, already checked to hold `rows` rows.
-    fn run(&mut self, x: &[T], factors: &[&Matrix<T>], y: &mut [T], rows: usize) {
+    fn run<F: Factor<T>>(&mut self, x: &[T], factors: &[F], y: &mut [T], rows: usize) {
         if let Some((r, c)) = self.partition {
             return self.run_grid(x, factors, y, rows, (r.clamp(1, rows), c.max(1)));
         }
@@ -359,7 +364,7 @@ impl<T: Element> Workspace<T> {
     /// whose best time is the fastest. Every grid writes the same bits, so
     /// `Y` holds the product when it returns. A one-thread pool has one
     /// candidate, which runs once, untimed.
-    fn tune(&mut self, x: &[T], factors: &[&Matrix<T>], y: &mut [T], rows: usize) -> usize {
+    fn tune<F: Factor<T>>(&mut self, x: &[T], factors: &[F], y: &mut [T], rows: usize) -> usize {
         let threads = ThreadPool::global().threads();
         let n = candidates(threads);
         if n == 1 {
@@ -382,10 +387,10 @@ impl<T: Element> Workspace<T> {
 
     /// Runs `rows ≥ 1` rows on the `(row_groups, col_groups)` grid, with
     /// `row_groups ≤ rows`.
-    fn run_grid(
+    fn run_grid<F: Factor<T>>(
         &mut self,
         x: &[T],
-        factors: &[&Matrix<T>],
+        factors: &[F],
         y: &mut [T],
         rows: usize,
         (row_groups, col_groups): (usize, usize),
@@ -414,6 +419,7 @@ impl<T: Element> Workspace<T> {
         }
         let mut k_in = exec.k0;
         for (i, f) in factors.iter().rev().enumerate() {
+            let f = f.borrow();
             let slices = k_in / f.rows();
             // Slice chunks are multiples of RK so interior tiles stay full.
             let chunk = slices.div_ceil(col_groups).div_ceil(RK) * RK;
@@ -547,10 +553,10 @@ pub fn kron_matmul_fused<T: Element>(x: &Matrix<T>, factors: &[&Matrix<T>]) -> R
 /// What one execute touches: the factor chain, and base pointers and row
 /// strides of `X`, `Y` and the two workspace buffers, from which each task
 /// rebuilds its own rows.
-struct Exec<'a, T> {
+struct Exec<'a, T, F> {
     /// Factors in Kronecker-product order (`F1` first); the chain runs
     /// them in reverse, as Algorithm 1 prescribes.
-    factors: &'a [&'a Matrix<T>],
+    factors: &'a [F],
     x: *const T,
     y: *mut T,
     a: *mut T,
@@ -565,13 +571,13 @@ struct Exec<'a, T> {
 
 // SAFETY: an `Exec` is shared only by the tasks of `Workspace::run`, which
 // keeps the borrows its pointers come from alive until every task has
-// finished. Through it, tasks read the factors and `x` (hence `T: Sync`)
-// and write `T` values through `y`, `a` and `b` (hence `T: Send`), each
-// task to elements no other task reads or writes during that step; the
-// strides are plain values.
-unsafe impl<T: Send + Sync> Sync for Exec<'_, T> {}
+// finished. Through it, tasks read the factor list (hence `F: Sync`) and
+// `x` (hence `T: Sync`) and write `T` values through `y`, `a` and `b`
+// (hence `T: Send`), each task to elements no other task reads or writes
+// during that step; the strides are plain values.
+unsafe impl<T: Send + Sync, F: Sync> Sync for Exec<'_, T, F> {}
 
-impl<T: Element> Exec<'_, T> {
+impl<T: Element, F: Factor<T>> Exec<'_, T, F> {
     /// Threads `rows` through the whole chain, one full-width step after
     /// another.
     ///
@@ -580,6 +586,7 @@ impl<T: Element> Exec<'_, T> {
     unsafe fn chain(&self, rows: Range<usize>) {
         let mut k_in = self.k0;
         for (i, f) in self.factors.iter().rev().enumerate() {
+            let f = f.borrow();
             let slices = k_in / f.rows();
             self.step(i, f, k_in, rows.clone(), 0..slices);
             k_in = slices * f.cols();

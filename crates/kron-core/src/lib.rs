@@ -38,7 +38,7 @@ pub mod shuffle;
 
 pub use element::{DType, Element};
 pub use error::{KronError, Result};
-pub use matrix::Matrix;
+pub use matrix::{Factor, Matrix};
 pub use shape::{ExecBackend, FactorShape, KronProblem, PlanKey};
 
 /// Maximum relative error tolerated when comparing two engines' outputs in

@@ -3,6 +3,7 @@
 
 use crate::element::Element;
 use crate::error::{KronError, Result};
+use std::borrow::Borrow;
 use std::ops::{Index, IndexMut};
 
 /// A row-major dense matrix.
@@ -17,19 +18,46 @@ pub struct Matrix<T> {
     cols: usize,
 }
 
+/// An element of a factor list: a factor (`Matrix<T>`, as a caller that
+/// owns its factors holds them) or a reference to one (`&Matrix<T>`), so
+/// `&[Matrix<T>]` and `&[&Matrix<T>]` are both factor lists. An executor
+/// reads each factor in place through [`Borrow`], possibly from several
+/// threads at once, hence `Sync`.
+pub trait Factor<T>: Borrow<Matrix<T>> + Sync {}
+
+impl<T, F: Borrow<Matrix<T>> + Sync> Factor<T> for F {}
+
+/// The element count of a `rows × cols` matrix about to be allocated.
+///
+/// # Panics
+/// When the count overflows `usize`, naming the shape, as `vec!` panics on
+/// a capacity overflow.
+fn alloc_elems(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("a {rows}×{cols} matrix has more elements than usize holds"))
+}
+
 impl<T: Element> Matrix<T> {
     /// Creates a matrix of zeros.
+    ///
+    /// # Panics
+    /// When `rows × cols` overflows `usize`, or the buffer cannot be
+    /// allocated.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
-            data: vec![T::ZERO; rows * cols],
+            data: vec![T::ZERO; alloc_elems(rows, cols)],
             rows,
             cols,
         }
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
+    ///
+    /// # Panics
+    /// When `rows × cols` overflows `usize`, or the buffer cannot be
+    /// allocated.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Vec::with_capacity(alloc_elems(rows, cols));
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -41,11 +69,12 @@ impl<T: Element> Matrix<T> {
     /// Wraps an existing row-major buffer.
     ///
     /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if `data.len() != rows * cols`.
+    /// Returns [`KronError::ShapeMismatch`] if `data.len() != rows * cols`,
+    /// or `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(KronError::ShapeMismatch {
-                expected: format!("{rows}×{cols} = {} elements", rows * cols),
+                expected: format!("{rows}×{cols} elements"),
                 found: format!("{} elements", data.len()),
             });
         }
@@ -110,12 +139,13 @@ impl<T: Element> Matrix<T> {
     /// algorithm).
     ///
     /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if the element count differs.
+    /// Returns [`KronError::ShapeMismatch`] if the element count differs,
+    /// or `rows * cols` overflows `usize`.
     pub fn reshape(self, rows: usize, cols: usize) -> Result<Self> {
-        if rows * cols != self.data.len() {
+        if rows.checked_mul(cols) != Some(self.data.len()) {
             return Err(KronError::ShapeMismatch {
                 expected: format!("{} elements", self.data.len()),
-                found: format!("{rows}×{cols} = {}", rows * cols),
+                found: format!("{rows}×{cols}"),
             });
         }
         Ok(Matrix {
@@ -135,12 +165,13 @@ impl<T: Element> Matrix<T> {
     /// algorithm (`trans(reshape(Y, M×d1×d2), 1, 2)` in paper Figure 1).
     ///
     /// # Errors
-    /// Returns [`KronError::ShapeMismatch`] if `d1 * d2 != cols`.
+    /// Returns [`KronError::ShapeMismatch`] if `d1 * d2 != cols`, or
+    /// `d1 * d2` overflows `usize`.
     pub fn transpose_inner(&self, d1: usize, d2: usize) -> Result<Self> {
-        if d1 * d2 != self.cols {
+        if d1.checked_mul(d2) != Some(self.cols) {
             return Err(KronError::ShapeMismatch {
                 expected: format!("cols = {}", self.cols),
-                found: format!("d1×d2 = {}×{} = {}", d1, d2, d1 * d2),
+                found: format!("d1×d2 = {d1}×{d2}"),
             });
         }
         let mut out = Matrix::zeros(self.rows, self.cols);
@@ -249,6 +280,49 @@ mod tests {
         let once = m.transpose_inner(3, 4).unwrap();
         let twice = once.transpose_inner(4, 3).unwrap();
         assert_eq!(twice, m);
+    }
+
+    /// Shapes whose element count overflows `usize`: 2^44 × 2^20 wraps
+    /// to zero, so an unchecked product would describe 2^64 elements over
+    /// an empty buffer.
+    const HUGE: (usize, usize) = (1 << 44, 1 << 20);
+
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn zeros_panics_on_element_count_overflow() {
+        Matrix::<f32>::zeros(HUGE.0, HUGE.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn from_fn_panics_on_element_count_overflow() {
+        Matrix::<f32>::from_fn(HUGE.0, HUGE.1, |_, _| 0.0);
+    }
+
+    #[test]
+    fn from_vec_rejects_element_count_overflow() {
+        assert!(matches!(
+            Matrix::<f32>::from_vec(HUGE.0, HUGE.1, Vec::new()),
+            Err(KronError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn reshape_rejects_element_count_overflow() {
+        assert!(matches!(
+            Matrix::<f32>::zeros(0, 4).reshape(HUGE.0, HUGE.1),
+            Err(KronError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn transpose_inner_rejects_element_count_overflow() {
+        // 2^44 · 2^20 wraps to 0, this row's width.
+        let empty = Matrix::<f32>::zeros(1, 0);
+        assert!(matches!(
+            empty.transpose_inner(HUGE.0, HUGE.1),
+            Err(KronError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

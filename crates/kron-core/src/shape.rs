@@ -2,7 +2,7 @@
 //! engine and by the performance model.
 
 use crate::error::{KronError, Result};
-use crate::{Element, Matrix};
+use crate::{Element, Factor, Matrix};
 use std::fmt;
 
 /// Shape of one Kronecker factor `Fᵢ` (`Pᵢ` rows × `Qᵢ` columns).
@@ -185,7 +185,7 @@ impl KronProblem {
     /// # Errors
     /// [`KronError::ShapeMismatch`] naming the count, or the first factor
     /// whose shape differs.
-    pub fn check_factors<T: Element>(&self, factors: &[&Matrix<T>]) -> Result<()> {
+    pub fn check_factors<T: Element, F: Factor<T>>(&self, factors: &[F]) -> Result<()> {
         if factors.len() != self.factors.len() {
             return Err(KronError::ShapeMismatch {
                 expected: format!("{} factors", self.factors.len()),
@@ -193,6 +193,7 @@ impl KronProblem {
             });
         }
         for (i, (f, s)) in factors.iter().zip(&self.factors).enumerate() {
+            let f = f.borrow();
             if f.rows() != s.p || f.cols() != s.q {
                 return Err(KronError::ShapeMismatch {
                     expected: format!("factor {} of shape {s}", i + 1),

@@ -43,7 +43,7 @@ use crate::fastkron::{dist_shape, simulate_sharded, DistShape};
 use fastkron_core::{sliced_multiply_rows_into, PackPanel};
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::{ExecReport, ExecSummary};
-use kron_core::{Element, KronError, KronProblem, Matrix, Result};
+use kron_core::{Element, Factor, KronError, KronProblem, Matrix, Result};
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -243,6 +243,7 @@ impl<T: Element> ShardedEngine<T> {
     /// across the grid, where `rows` may be anything up to the planned
     /// capacity that is a multiple of `GM`, and `X`/`Y` hold **at least**
     /// `rows` rows. `rows == 0` is a no-op. Zero steady-state allocations.
+    /// `factors` holds the factors or references to them (see [`Factor`]).
     ///
     /// # Errors
     /// Shape mismatches against the capacity problem;
@@ -251,10 +252,10 @@ impl<T: Element> ShardedEngine<T> {
     /// panicked, and [`KronError::DeviceTimeout`] when an injected stall
     /// outlasted the watchdog budget — either way the batch failed but
     /// the engine remains usable.
-    pub fn execute_rows(
+    pub fn execute_rows<F: Factor<T>>(
         &mut self,
         x: &Matrix<T>,
-        factors: &[&Matrix<T>],
+        factors: &[F],
         y: &mut Matrix<T>,
         rows: usize,
     ) -> Result<()> {
@@ -293,6 +294,7 @@ impl<T: Element> ShardedEngine<T> {
         while remaining > 0 {
             let nl = self.shape.nlocal.min(remaining);
             for f in factors[remaining - nl..remaining].iter().rev() {
+                let f = f.borrow();
                 let blocks = self.local.chunks_exact(slot);
                 for (d, (src, dst)) in blocks.zip(self.next.chunks_exact_mut(slot)).enumerate() {
                     let step = catch_unwind(AssertUnwindSafe(|| {

@@ -209,8 +209,9 @@ impl<T: Element> CachedPlan<T> {
         }
     }
 
-    /// Executes `rows` rows through the compute state. `in_place` carries
-    /// a lone request's own `x` and `y` on a local entry, which executes
+    /// Executes `rows` rows through the compute state, reading the
+    /// model's own `factors` in place. `in_place` carries a lone
+    /// request's own `x` and `y` on a local entry, which executes
     /// straight from one into the other. Otherwise the rows run over the
     /// staging pair, gathered through [`Self::batch_buffers`] and read
     /// back from it; a sharded entry first zero-pads them up to the next
@@ -218,7 +219,7 @@ impl<T: Element> CachedPlan<T> {
     /// multiple ≥ `rows`), since it cannot execute in place.
     pub(crate) fn run(
         &mut self,
-        factors: &[&Matrix<T>],
+        factors: &[Matrix<T>],
         rows: usize,
         in_place: Option<(&Matrix<T>, &mut Matrix<T>)>,
     ) -> Result<()> {

@@ -1153,13 +1153,9 @@ impl Shared {
     /// Admits one request: inline through the bypass lane when it takes
     /// the request, otherwise onto its lane's ring (which reports
     /// [`KronError::Shutdown`] once the runtime stops admitting).
-    fn submit<T: ServeElement>(
-        &self,
-        req: Request<T>,
-        refs_scratch: &mut Vec<*const Matrix<T>>,
-    ) -> Result<()> {
+    fn submit<T: ServeElement>(&self, req: Request<T>) -> Result<()> {
         let lane = self.lane_of_key(T::DTYPE, req.model.shape_key);
-        match crate::scheduler::try_bypass(self, lane, req, refs_scratch) {
+        match crate::scheduler::try_bypass(self, lane, req) {
             None => Ok(()),
             Some(req) => self.send_requests(lane, std::iter::once(req)),
         }
@@ -1323,17 +1319,7 @@ pub struct Session<T: Element> {
     shared: Arc<Shared>,
     slot: Arc<Slot<T>>,
     last_summary: Option<ExecSummary>,
-    /// Reused factor-ref scratch for the inline bypass lane, so a warm
-    /// bypassed call allocates nothing (the scheduler's lanes keep their
-    /// own; see [`crate::scheduler`]'s `refs_of`).
-    refs_scratch: Vec<*const Matrix<T>>,
 }
-
-// SAFETY: the raw pointers in `refs_scratch` are transient scratch —
-// written and consumed entirely within one `call_with`, never read
-// across calls or threads (the same justification as the scheduler's
-// `TypedLane`). Every other field is `Send`.
-unsafe impl<T: Element> Send for Session<T> {}
 
 impl<T: ServeElement> Session<T> {
     /// The simulated sharded-execution share of this session's most recent
@@ -1383,11 +1369,12 @@ impl<T: ServeElement> Session<T> {
         }
         // The low-latency lane: on an idle runtime with a warm plan the
         // call executes inline on this thread — no channel hop, no
-        // linger window, no scheduler wake — and stays allocation-free
-        // (the refs scratch is reused across calls). Otherwise the
-        // request takes the scheduler channel as before.
+        // linger window, no scheduler wake — and stays allocation-free:
+        // it reuses this session's slot and the caller's buffers, and
+        // the executor reads the model's factors in place. Otherwise
+        // the request takes the scheduler channel.
         let req = Request::new(model, x, y, opts, Arc::clone(&self.slot));
-        self.shared.submit(req, &mut self.refs_scratch)?;
+        self.shared.submit(req)?;
         let reply = self.slot.take_blocking();
         if reply.result.is_ok() {
             // Failed replies carry no attribution; keep the last
@@ -1541,11 +1528,11 @@ impl Runtime {
         // The low-latency lane: an idle runtime with a warm plan serves
         // the request inline right here (the ticket is already filled
         // when it returns); under load — or cold — the request takes
-        // the scheduler channel. The submit path allocates regardless
-        // (y, the slot), so a fresh refs scratch costs nothing extra;
-        // the allocation-free inline path is `Session::call`.
+        // the scheduler channel. A submit allocates `y` and the slot, and
+        // nothing else when it bypasses; the allocation-free inline path
+        // is `Session::call`.
         let req = Request::new(model, x, y, opts, Arc::clone(&slot));
-        self.shared.submit(req, &mut Vec::new())?;
+        self.shared.submit(req)?;
         Ok(Ticket { slot })
     }
 
@@ -1764,9 +1751,8 @@ impl Runtime {
                 Some(entry) if entry.is_sharded() => {
                     entry.batch_buffers().0.as_mut_slice().fill(T::ZERO);
                     arm_scripted_fault(entry, &shared.plane, &shared.clock);
-                    let refs: Vec<&Matrix<T>> = model.inner.factors().iter().collect();
                     let rows = entry.grid().map_or(1, |g| g.gm);
-                    entry.run(&refs, rows, None)
+                    entry.run(model.inner.factors(), rows, None)
                 }
                 _ => Ok(()),
             }
@@ -1838,7 +1824,6 @@ impl Runtime {
             slot: Arc::new(Slot::new(Arc::clone(&self.shared.hub))),
             shared: Arc::clone(&self.shared),
             last_summary: None,
-            refs_scratch: Vec::new(),
         }
     }
 

@@ -66,7 +66,7 @@
 //!    group's first member. It is unique within a lane, so the order is
 //!    total and the unstable sort deterministic.
 //!
-//! All scratch state (the lanes' `pending` and ref-slice buffers, and the
+//! All scratch state (the lanes' `pending` and retry buffers, and the
 //! group table, whose retired entries keep their member lists) is owned
 //! and reused across cycles, so a warmed scheduler serves requests
 //! without allocating — the other half of the crate's zero-allocation
@@ -92,7 +92,7 @@ use crate::runtime::{
 use crate::trace::{ServeEventKind, StageTimings};
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use crossbeam::sync::atomic::Ordering;
-use kron_core::{DType, Element, KronError, Matrix};
+use kron_core::{DType, Element, KronError};
 use std::cmp::Reverse;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -491,7 +491,6 @@ impl ServeCtx<'_> {
         pinned: PinnedEntry,
         reqs: &mut [Option<Request<T>>],
         live: &[usize],
-        refs_scratch: &mut Vec<*const Matrix<T>>,
         attempt: u32,
         limit: usize,
         mut timings: StageTimings,
@@ -518,11 +517,12 @@ impl ServeCtx<'_> {
             }
         }
         let exec_start = self.clock.now_us();
-        let result = {
-            let r = reqs[live[0]].as_mut().expect("unserved");
-            let refs = refs_of(refs_scratch, r.model.factors());
-            entry.run(refs, rows, in_place.then_some((&r.x, &mut r.y)))
-        };
+        let r = reqs[live[0]].as_mut().expect("unserved");
+        let result = entry.run(
+            r.model.factors(),
+            rows,
+            in_place.then_some((&r.x, &mut r.y)),
+        );
         let exec_end = self.clock.now_us();
         timings.exec_us = exec_end.saturating_sub(exec_start);
         let grid = entry.grid();
@@ -610,21 +610,6 @@ impl ServeCtx<'_> {
     }
 }
 
-/// Builds a `&[&Matrix<T>]` over `factors` in the reused scratch buffer —
-/// no allocation once the scratch has grown to the largest factor count
-/// seen.
-fn refs_of<'a, T: Element>(
-    scratch: &'a mut Vec<*const Matrix<T>>,
-    factors: &'a [Matrix<T>],
-) -> &'a [&'a Matrix<T>] {
-    scratch.clear();
-    scratch.extend(factors.iter().map(|f| f as *const Matrix<T>));
-    // SAFETY: `&Matrix<T>` and `*const Matrix<T>` have identical layout,
-    // every pointer is derived from a live reference in `factors`, and the
-    // returned slice's lifetime ties it to both borrows.
-    unsafe { std::slice::from_raw_parts(scratch.as_ptr().cast::<&Matrix<T>>(), scratch.len()) }
-}
-
 /// Takes the request out of `slot` when its deadline passed before
 /// `now`, returning it with that deadline.
 fn take_late<T: Element>(slot: &mut Option<Request<T>>, now: u64) -> Option<(Request<T>, u64)> {
@@ -665,7 +650,6 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
     shared: &Shared,
     lane: usize,
     mut r: Request<T>,
-    refs_scratch: &mut Vec<*const Matrix<T>>,
 ) -> Option<Request<T>> {
     let stats = &shared.hub.stats;
     let lane_inflight = &stats.lane(lane).inflight;
@@ -716,7 +700,6 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
         pinned,
         &mut [Some(r)],
         &[0],
-        refs_scratch,
         1,
         ctx.configured_gpus(),
         timings,
@@ -736,24 +719,16 @@ struct TypedLane<T: ErasedDtype> {
     /// Global (cross-dtype) arrival number per pending slot; index
     /// -parallel with `pending` and valid after the slot is taken.
     arrivals: Vec<u64>,
-    /// Reused backing store for the `&[&Matrix<T>]` factor slice.
-    refs_scratch: Vec<*const Matrix<T>>,
     /// Reused live-member list for the retry loop (deadline shedding
     /// between attempts compacts it in place).
     retry_scratch: Vec<usize>,
 }
-
-// SAFETY: `refs_scratch` only holds pointers transiently within one serve
-// call; the lane lives inside the scheduler, which is moved to its thread
-// once and never shared.
-unsafe impl<T: ErasedDtype> Send for TypedLane<T> {}
 
 impl<T: ErasedDtype> TypedLane<T> {
     fn new() -> Self {
         TypedLane {
             pending: Vec::new(),
             arrivals: Vec::new(),
-            refs_scratch: Vec::new(),
             retry_scratch: Vec::new(),
         }
     }
@@ -969,7 +944,6 @@ impl<T: ErasedDtype> TypedLane<T> {
                 pinned,
                 &mut self.pending,
                 &live,
-                &mut self.refs_scratch,
                 attempt,
                 limit,
                 timings,

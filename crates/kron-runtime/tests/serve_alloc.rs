@@ -424,8 +424,8 @@ fn steady_state_after_fault_recovery_is_allocation_free() {
 /// sequentially, every request takes the inline lane (`bypassed_requests`
 /// advances one-for-one) and the whole round trip — eligibility check,
 /// warm-plan pin, fused execute, reply — allocates **zero** times. The
-/// session's pointer scratch, the pinned cache entry, and the reply slot
-/// are all reused steady state.
+/// pinned cache entry and the reply slot are reused steady state, and the
+/// execute reads the model's factors in place.
 #[test]
 fn steady_state_bypass_lane_is_allocation_free() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -495,6 +495,62 @@ fn steady_state_bypass_lane_is_allocation_free() {
     let refs32: Vec<&Matrix<f32>> = f32_factors.iter().collect();
     let oracle32 = kron_core::shuffle::kron_matmul_shuffle(&x32, &refs32).unwrap();
     assert_matrices_close(&y32, &oracle32, "bypassed f32 result");
+}
+
+/// `Runtime::submit` on the bypass lane allocates what it hands the
+/// caller and nothing more: the result `Y` and the ticket's reply slot,
+/// two allocations per request. The execute reads the model's factors in
+/// place, so a submit builds no list of references to them. Every
+/// request in the window is sequential on an idle runtime with a warm
+/// plan, so each one takes the inline lane.
+#[test]
+fn bypassed_submit_allocates_only_its_result_and_reply_slot() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let runtime = Runtime::new(RuntimeConfig {
+        max_batch_rows: 32,
+        batch_max_m: 16,
+        ..RuntimeConfig::default()
+    });
+    let factors: Vec<Matrix<f64>> = (0..2).map(|i| seq_matrix(4, 4, i + 1)).collect();
+    let model = runtime.load_model(factors.clone()).unwrap();
+
+    // Warmup: the first submit builds the plan through the scheduler;
+    // the rest bypass and warm the model's registry entry.
+    for i in 0..16 {
+        let x = seq_matrix(4, model.input_cols(), i);
+        runtime.submit(&model, x).unwrap().wait().unwrap();
+    }
+
+    const SERVED: usize = 64;
+    let xs: Vec<Matrix<f64>> = (0..SERVED)
+        .map(|i| seq_matrix(4, model.input_cols(), i + 3))
+        .collect();
+    let inputs = xs.clone();
+    let mut ys = Vec::with_capacity(SERVED);
+    let bypassed_before = runtime.stats().bypassed_requests;
+    let (allocs, ()) = allocations_during(|| {
+        for x in xs {
+            ys.push(runtime.submit(&model, x).unwrap().wait().unwrap());
+        }
+    });
+    let stats = runtime.stats();
+    assert_eq!(
+        stats.bypassed_requests - bypassed_before,
+        SERVED as u64,
+        "every submit must take the inline lane: {stats:?}"
+    );
+    assert_eq!(
+        allocs,
+        2 * SERVED as u64,
+        "{SERVED} bypassed submits allocated {allocs} times \
+         (expected two per request: Y and the reply slot)"
+    );
+
+    let refs: Vec<&Matrix<f64>> = factors.iter().collect();
+    for (x, y) in inputs.iter().zip(&ys) {
+        let oracle = kron_core::shuffle::kron_matmul_shuffle(x, &refs).unwrap();
+        assert_matrices_close(y, &oracle, "bypassed submit result");
+    }
 }
 
 /// The sharded scheduler topology holds the same bar: with four service

@@ -4,7 +4,7 @@
 
 use kron_core::shuffle::kron_matmul_shuffle;
 use kron_core::{assert_matrices_close, KronError, Matrix};
-use kron_runtime::{Backend, Clock, Model, Runtime, RuntimeConfig};
+use kron_runtime::{Backend, Clock, Model, ModelPin, Runtime, RuntimeConfig, Session, Ticket};
 use std::sync::Arc;
 
 fn dist_config() -> RuntimeConfig {
@@ -702,4 +702,21 @@ fn submit_validates_shapes() {
     assert!(runtime
         .load_model(vec![Matrix::<f64>::zeros(0, 3)])
         .is_err());
+}
+
+/// The public handles cross threads: a session moves to the thread that
+/// calls through it, a ticket to the thread that waits on it, a model or
+/// a pin to whichever thread serves or holds it, and one runtime is
+/// shared by every client thread. Checked at compile time, so a handle
+/// that loses `Send` (or the runtime `Sync`) fails the build.
+#[test]
+fn public_handles_are_send() {
+    fn assert_send<T: Send>() {}
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send::<Session<f32>>();
+    assert_send::<Session<f64>>();
+    assert_send::<Ticket<f32>>();
+    assert_send::<Model<f64>>();
+    assert_send::<ModelPin>();
+    assert_send_sync::<Runtime>();
 }
