@@ -27,10 +27,11 @@
 //! retry machinery is disabled, alternating which of the two runs first;
 //! `batched` and `batched_noretry` are each side's median run by p50.
 //!
-//! Each case also records `batched_tails`: the first batched window's
-//! p50/p95/p99 as the *runtime itself* measured them, read back from the
-//! per-model latency histograms behind `Runtime::metrics_snapshot` — the
-//! numbers a production scrape would see, cross-checkable against the
+//! Each case also records `batches` and `batched_tails` of the run that
+//! `batched` reports: the batches it formed, and its p50/p95/p99 as the
+//! *runtime itself* measured them, read back from the per-model latency
+//! histograms behind `Runtime::metrics_snapshot` — the numbers a
+//! production scrape would see, cross-checkable against that run's
 //! client-side percentiles.
 
 use fastkron_core::exec::kron_matmul_fused;
@@ -85,9 +86,18 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
     sorted[idx]
 }
 
+/// One timed pipelined window on a runtime.
+struct BatchedRun {
+    path: PathResult,
+    /// Batches the runtime formed during the window.
+    batches: u64,
+    /// The window's end-to-end latencies as the runtime recorded them.
+    tails: HistogramSnapshot,
+}
+
 /// The run with the median p50 of `runs`.
-fn median_run(mut runs: Vec<PathResult>) -> PathResult {
-    runs.sort_by(|a, b| a.p50_us.total_cmp(&b.p50_us));
+fn median_run(mut runs: Vec<BatchedRun>) -> BatchedRun {
+    runs.sort_by(|a, b| a.path.p50_us.total_cmp(&b.path.p50_us));
     runs.swap_remove(runs.len() / 2)
 }
 
@@ -149,8 +159,9 @@ fn run_batched(
     runtime: &Runtime,
     model: &kron_runtime::Model<f32>,
     xs: &[Matrix<f32>],
-) -> (PathResult, u64) {
+) -> BatchedRun {
     let batches_before = runtime.stats().batches;
+    let tails_before = model_latency(runtime, model);
     let t0 = Instant::now();
     let mut submitted = Vec::with_capacity(xs.len());
     let mut tickets = Vec::with_capacity(xs.len());
@@ -165,8 +176,11 @@ fn run_batched(
         lat.push(s.elapsed().as_secs_f64());
     }
     let wall = t0.elapsed().as_secs_f64();
-    let batches = runtime.stats().batches - batches_before;
-    (summarize(lat, wall), batches)
+    BatchedRun {
+        path: summarize(lat, wall),
+        batches: runtime.stats().batches - batches_before,
+        tails: model_latency(runtime, model).since(&tails_before),
+    }
 }
 
 /// Sequential (queue-depth-1) runtime serving: submit one request and
@@ -318,14 +332,18 @@ struct CaseResult {
     /// Each pair's (armed, twin) p50 in µs; pair `i` ran the armed
     /// runtime first when `i` is even, the twin first when it is odd.
     pairs: Vec<(f64, f64)>,
+    /// How many requests the runtime's histograms counted in each armed
+    /// run, in run order.
+    counted: Vec<u64>,
     /// Queue-depth-1 sequential serving through the runtime: the inline
     /// bypass lane.
     bypass: PathResult,
     /// How many of the timed queue-depth-1 requests actually took the
     /// inline lane (`bypassed_requests` delta over the timed window).
     bypassed: u64,
+    /// Batches formed in the median armed run.
     batches: u64,
-    /// Runtime-reported tail histogram for the timed batched window.
+    /// Runtime-reported tail histogram of the median armed run.
     tails: HistogramSnapshot,
     /// Runtime-reported tail histogram for the timed queue-depth-1
     /// window. Unlike the burst window — where a request served late in
@@ -351,41 +369,40 @@ fn run_case(runtime: &Runtime, noretry_rt: &Runtime, m: usize, p: usize, n: usiz
 
     // Warmup each path (plan cache, allocator, branch predictors).
     let _ = run_direct(&xs[..64.min(xs.len())], &refs);
-    let (_, _) = run_batched(runtime, &model, &xs[..64.min(xs.len())]);
+    let _ = run_batched(runtime, &model, &xs[..64.min(xs.len())]);
     let _ = run_planned(&problem, &xs[..4], &refs);
 
     // Fault-free-overhead control: the identical request stream through a
     // twin runtime whose retry machinery is disabled.
     let noretry_model = noretry_rt.load_model(factors.clone()).expect("load model");
-    let (_, _) = run_batched(noretry_rt, &noretry_model, &xs[..64.min(xs.len())]);
+    let _ = run_batched(noretry_rt, &noretry_model, &xs[..64.min(xs.len())]);
 
     let planned = run_planned(&problem, &xs[..PLANNED_REQUESTS], &refs);
     let direct = run_direct(&xs, &refs);
     // Alternate which runtime runs first, so that neither run order nor a
-    // drift in the host's speed favours one side. The batch count and the
-    // histogram window come from the first armed run.
+    // drift in the host's speed favours one side.
     let (mut armed, mut twin) = (Vec::new(), Vec::new());
-    let (mut batches, mut tails) = (0, HistogramSnapshot::default());
     for i in 0..TWIN_PAIRS {
         if i % 2 == 1 {
-            twin.push(run_batched(noretry_rt, &noretry_model, &xs).0);
+            twin.push(run_batched(noretry_rt, &noretry_model, &xs));
         }
-        let before = model_latency(runtime, &model);
-        let (run, formed) = run_batched(runtime, &model, &xs);
-        if i == 0 {
-            (batches, tails) = (formed, model_latency(runtime, &model).since(&before));
-        }
-        armed.push(run);
+        armed.push(run_batched(runtime, &model, &xs));
         if i % 2 == 0 {
-            twin.push(run_batched(noretry_rt, &noretry_model, &xs).0);
+            twin.push(run_batched(noretry_rt, &noretry_model, &xs));
         }
     }
     let pairs = armed
         .iter()
         .zip(&twin)
-        .map(|(a, t)| (a.p50_us, t.p50_us))
+        .map(|(a, t)| (a.path.p50_us, t.path.p50_us))
         .collect();
-    let (batched, noretry) = (median_run(armed), median_run(twin));
+    let counted = armed.iter().map(|a| a.tails.count).collect();
+    let BatchedRun {
+        path: batched,
+        batches,
+        tails,
+    } = median_run(armed);
+    let noretry = median_run(twin).path;
     // Queue depth 1 over the same warm runtime: every wait has drained
     // the queue before the next submit, so the inline lane carries the
     // whole stream.
@@ -403,6 +420,7 @@ fn run_case(runtime: &Runtime, noretry_rt: &Runtime, m: usize, p: usize, n: usiz
         batched,
         noretry,
         pairs,
+        counted,
         bypass,
         bypassed,
         batches,
@@ -660,21 +678,22 @@ fn main() {
         println!("FAIL: no batches formed on: {}", unbatched_cases.join(", "));
         failed = true;
     }
-    // (2b) Tail integrity: the runtime's own histograms attributed every
-    // timed request of every case to its model entry — `batched_tails`
-    // is a real measurement, not a stale or cross-wired one.
+    // (2b) Tail integrity: in every armed run of every case, the
+    // runtime's own histograms attributed every timed request to its
+    // model entry — `batched_tails` is a real measurement, not a stale or
+    // cross-wired one.
     let tail_gaps: Vec<String> = results
         .iter()
-        .filter(|r| r.tails.count != REQUESTS as u64)
+        .filter(|r| r.counted.iter().any(|&c| c != REQUESTS as u64))
         .map(|r| {
             format!(
-                "M={} {}^{} counted {}/{REQUESTS}",
-                r.m, r.p, r.n, r.tails.count
+                "M={} {}^{} counted {:?}/{REQUESTS}",
+                r.m, r.p, r.n, r.counted
             )
         })
         .collect();
     if tail_gaps.is_empty() {
-        println!("runtime histograms attributed all {REQUESTS} timed requests per case");
+        println!("runtime histograms attributed all {REQUESTS} timed requests of every armed run");
     } else {
         println!("FAIL: histogram attribution gaps: {}", tail_gaps.join(", "));
         failed = true;

@@ -411,8 +411,11 @@ impl<T: Element> Workspace<T> {
         let pool = ThreadPool::global();
         // SAFETY: `X`, `Y` and both buffers hold `rows` rows at their
         // strides, and `x`, `y` and `self` stay borrowed until the
-        // broadcast has returned, after all of its tasks. Row tiles are
-        // disjoint, so no two tasks read or write one row.
+        // broadcast has returned, after all of its tasks. The factors
+        // passed `check_factors`, and a `Factor` (sealed to `Matrix` and
+        // `&Matrix`) borrows the same matrix every time, so every step
+        // sees the checked shapes. Row tiles are disjoint, so no two tasks
+        // read or write one row.
         if col_groups == 1 {
             pool.broadcast(row_tasks, &|t| unsafe { exec.chain(tile(t)) });
             return;

@@ -23,9 +23,45 @@ pub struct Matrix<T> {
 /// `&[Matrix<T>]` and `&[&Matrix<T>]` are both factor lists. An executor
 /// reads each factor in place through [`Borrow`], possibly from several
 /// threads at once, hence `Sync`.
-pub trait Factor<T>: Borrow<Matrix<T>> + Sync {}
+///
+/// The trait is sealed to those two forms. An executor checks the factors'
+/// shapes once and then borrows each factor again for every step and task,
+/// and its unchecked kernel relies on every `borrow()` returning the same
+/// matrix, which these two forms guarantee and an arbitrary [`Borrow`]
+/// implementation need not. Factors held in a `Box`, an `Arc` or any
+/// other owner are passed as references:
+///
+/// ```compile_fail
+/// use kron_core::{KronProblem, Matrix};
+/// use std::sync::Arc;
+/// let problem = KronProblem::uniform(1, 2, 1).unwrap();
+/// let shared = [Arc::new(Matrix::<f32>::zeros(2, 2))];
+/// problem.check_factors(&shared).unwrap(); // `Arc<Matrix<f32>>` is no `Factor`
+/// ```
+///
+/// ```
+/// use kron_core::{KronProblem, Matrix};
+/// use std::sync::Arc;
+/// let problem = KronProblem::uniform(1, 2, 1).unwrap();
+/// let shared = [Arc::new(Matrix::<f32>::zeros(2, 2))];
+/// let refs: Vec<&Matrix<f32>> = shared.iter().map(|f| &**f).collect();
+/// problem.check_factors(&refs).unwrap();
+/// let owned = vec![Matrix::<f32>::zeros(2, 2)];
+/// problem.check_factors(&owned).unwrap();
+/// ```
+pub trait Factor<T>: Borrow<Matrix<T>> + Sync + sealed::Sealed {}
 
-impl<T, F: Borrow<Matrix<T>> + Sync> Factor<T> for F {}
+impl<T: Sync> Factor<T> for Matrix<T> {}
+impl<T: Sync> Factor<T> for &Matrix<T> {}
+
+mod sealed {
+    /// Implemented for the [`Factor`](super::Factor) forms only, and
+    /// unnameable outside this crate, so no other type can be one.
+    pub trait Sealed {}
+
+    impl<T> Sealed for super::Matrix<T> {}
+    impl<T> Sealed for &super::Matrix<T> {}
+}
 
 /// The element count of a `rows × cols` matrix about to be allocated.
 ///
