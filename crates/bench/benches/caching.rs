@@ -25,7 +25,7 @@ fn bench_caching(c: &mut Criterion) {
             rp: 2,
             caching,
         };
-        let kern = SlicedMultiplyKernel::new(cfg, 1, 2048, &f).unwrap();
+        let kern = SlicedMultiplyKernel::new(cfg, 1, 2048, &[&f]).unwrap();
         let name = format!("{caching:?}");
         group.bench_function(&name, |b| {
             b.iter(|| {

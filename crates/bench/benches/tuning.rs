@@ -23,7 +23,11 @@ fn bench_tuning(c: &mut Criterion) {
         let minimal = TileConfig::minimal(m, k, p, p);
         let stats = estimate_stats(&minimal, &V100, m, k, p, p, DType::F32, 1);
         let t_min = cost
-            .kernel_time(&minimal.launch(m, k, p, p, DType::F32), &stats, DType::F32)
+            .kernel_time(
+                &minimal.launch(m, k, p, p, false, DType::F32),
+                &stats,
+                DType::F32,
+            )
             .unwrap()
             .total_s;
         eprintln!(

@@ -9,13 +9,11 @@
 //! thread-block-accurate kernels (tests / small problems).
 
 use crate::exec::Workspace;
-use crate::fused::FusedKernel;
-use crate::kernel::SlicedMultiplyKernel;
+use crate::kernel::{price_launch, SlicedMultiplyKernel};
 use crate::tile::TileConfig;
 use crate::tuner::{AutoTuner, TuneReport};
 use gpu_sim::cost::{CostModel, LaunchConfig};
 use gpu_sim::device::DeviceSpec;
-use gpu_sim::trace::Tracer;
 use gpu_sim::ExecReport;
 use kron_core::{Element, KronError, KronProblem, Matrix, Result};
 use std::collections::HashMap;
@@ -31,11 +29,8 @@ pub const FUSION_MAX_P: usize = 32;
 pub struct PlanStage {
     /// Factor indices (0-based into [`KronProblem::factors`]) this stage
     /// multiplies, in multiplication order (last factor of the problem
-    /// first).
+    /// first). Two or more make the stage a fused launch.
     pub factor_indices: Vec<usize>,
-    /// Whether the fused kernel is used (always false when only one factor
-    /// is covered).
-    pub fused: bool,
     /// The tile configuration chosen by the tuner.
     pub config: TileConfig,
     /// Launch geometry derived from the configuration.
@@ -46,6 +41,13 @@ pub struct PlanStage {
     pub p: usize,
     /// Factor columns.
     pub q: usize,
+}
+
+impl PlanStage {
+    /// Whether the stage is one fused launch over several factors.
+    pub fn fused(&self) -> bool {
+        self.factor_indices.len() > 1
+    }
 }
 
 /// Entry point for planning.
@@ -85,15 +87,15 @@ impl FastKron {
     ) -> Result<KronPlan<T>> {
         let mut stages = Vec::new();
         for it in problem.iterations() {
-            config.validate(problem.m, it.input_cols, it.factor.p, it.factor.q)?;
+            let (k, p, q) = (it.input_cols, it.factor.p, it.factor.q);
+            config.validate(problem.m, k, p, q)?;
             stages.push(PlanStage {
                 factor_indices: vec![it.factor_index],
-                fused: false,
                 config,
-                launch: config.launch(problem.m, it.input_cols, it.factor.p, it.factor.q, T::DTYPE),
-                k_in: it.input_cols,
-                p: it.factor.p,
-                q: it.factor.q,
+                launch: config.launch(problem.m, k, p, q, false, T::DTYPE),
+                k_in: k,
+                p,
+                q,
             });
         }
         Ok(KronPlan {
@@ -178,9 +180,8 @@ impl FastKron {
                 let idxs: Vec<usize> = (0..nf).map(|j| iterations[i + j].factor_index).collect();
                 stages.push(PlanStage {
                     factor_indices: idxs,
-                    fused: true,
                     config: cfg,
-                    launch: cfg.launch_fused(problem.m, k, p, T::DTYPE),
+                    launch: cfg.launch(problem.m, k, p, q, true, T::DTYPE),
                     k_in: k,
                     p,
                     q,
@@ -189,9 +190,8 @@ impl FastKron {
             } else {
                 stages.push(PlanStage {
                     factor_indices: vec![it.factor_index],
-                    fused: false,
                     config: ucfg,
-                    launch: ucfg.launch(problem.m, k, p, q, T::DTYPE),
+                    launch: ucfg.launch(problem.m, k, p, q, false, T::DTYPE),
                     k_in: k,
                     p,
                     q,
@@ -274,16 +274,9 @@ impl<T: Element> KronPlan<T> {
         }
         let mut y = x.clone();
         for stage in &self.stages {
-            if stage.fused {
-                let group: Vec<&Matrix<T>> =
-                    stage.factor_indices.iter().map(|&i| factors[i]).collect();
-                let kern = FusedKernel::new(stage.config, self.problem.m, stage.k_in, &group)?;
-                y = kern.run_all(&y)?;
-            } else {
-                let f = factors[stage.factor_indices[0]];
-                let kern = SlicedMultiplyKernel::new(stage.config, self.problem.m, stage.k_in, f)?;
-                y = kern.run_all(&y)?;
-            }
+            let group: Vec<&Matrix<T>> = stage.factor_indices.iter().map(|&i| factors[i]).collect();
+            let kern = SlicedMultiplyKernel::new(stage.config, self.problem.m, stage.k_in, &group)?;
+            y = kern.run_all(&y)?;
         }
         Ok(y)
     }
@@ -298,28 +291,21 @@ impl<T: Element> KronPlan<T> {
     pub fn simulate(&self) -> Result<ExecReport> {
         let cost = CostModel::new(&self.device);
         let mut report = ExecReport::new("FastKron");
-        let mut tracer = Tracer::new(&self.device);
         for stage in &self.stages {
-            let per_block = if stage.fused {
-                // Factor values are irrelevant to addresses; use zeros.
-                let zeros = Matrix::<T>::zeros(stage.p, stage.q);
-                let group: Vec<&Matrix<T>> = stage.factor_indices.iter().map(|_| &zeros).collect();
-                let kern = FusedKernel::new(stage.config, self.problem.m, stage.k_in, &group)?;
-                kern.trace_block(&mut tracer)
-            } else {
-                let zeros = Matrix::<T>::zeros(stage.p, stage.q);
-                let kern =
-                    SlicedMultiplyKernel::new(stage.config, self.problem.m, stage.k_in, &zeros)?;
-                kern.trace_block(&mut tracer)
-            };
-            let stats = per_block.scaled(stage.launch.grid_blocks as u64);
-            let time = cost.kernel_time(&stage.launch, &stats, T::DTYPE)?;
-            let label = if stage.fused {
+            let (stats, seconds) = price_launch::<T>(
+                &cost,
+                stage.config,
+                self.problem.m,
+                stage.k_in,
+                (stage.p, stage.q),
+                stage.factor_indices.len(),
+            )?;
+            let label = if stage.fused() {
                 "fused-sliced-multiply"
             } else {
                 "sliced-multiply"
             };
-            report.add_step(label, time.total_s);
+            report.add_step(label, seconds);
             report.stats += stats;
             report.launches += 1;
         }
@@ -372,7 +358,7 @@ mod tests {
         let problem = KronProblem::uniform(2, 64, 2).unwrap();
         let plan = FastKron::plan::<f64>(&problem, &V100).unwrap();
         assert!(
-            plan.stages.iter().all(|s| !s.fused),
+            plan.stages.iter().all(|s| !s.fused()),
             "P = 64 > 32 must not fuse"
         );
         run_problem(&problem, 3);
@@ -397,11 +383,11 @@ mod tests {
         let problem = KronProblem::uniform(8, 4, 6).unwrap();
         let plan = FastKron::plan::<f32>(&problem, &V100).unwrap();
         assert!(
-            plan.stages.iter().any(|s| s.fused),
+            plan.stages.iter().any(|s| s.fused()),
             "P = 4, N = 6 should fuse; stages: {:?}",
             plan.stages
                 .iter()
-                .map(|s| (s.fused, s.factor_indices.clone()))
+                .map(|s| (s.fused(), s.factor_indices.clone()))
                 .collect::<Vec<_>>()
         );
         // Fused plan must launch fewer kernels than factors.
@@ -413,7 +399,7 @@ mod tests {
         let problem = KronProblem::uniform(8, 4, 6).unwrap();
         let plan = FastKron::plan_unfused::<f32>(&problem, &V100).unwrap();
         assert_eq!(plan.launches(), 6);
-        assert!(plan.stages.iter().all(|s| !s.fused));
+        assert!(plan.stages.iter().all(|s| !s.fused()));
     }
 
     #[test]

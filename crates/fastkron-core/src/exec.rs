@@ -5,8 +5,10 @@
 //! algorithm's cost is dominated by its memory shuffle (reshape → GEMM →
 //! transpose-inner), and that writing each output element *directly* to
 //! column `q·K/P + slice` in the kernel epilogue removes the transpose
-//! entirely. The module mirrors the emulated CUDA kernel's four steps
-//! ([`crate::kernel::SlicedMultiplyKernel`]) at row granularity:
+//! entirely. The module mirrors the four steps of a one-factor launch of
+//! the emulated CUDA kernel ([`crate::kernel::SlicedMultiplyKernel`]) at
+//! row granularity (the emulator's fused launch, which keeps several
+//! factors' intermediates in shared memory, has no CPU counterpart yet):
 //!
 //! 1. **Workspace** ([`Workspace`]): two ping-pong buffers, each sized once
 //!    from [`KronProblem::max_intermediate_elems`]. After construction, no
@@ -96,6 +98,7 @@ use kron_core::{DType, Element, Factor, FactorShape, KronError, KronProblem, Mat
 use rayon::ThreadPool;
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, PoisonError};
@@ -223,8 +226,10 @@ pub struct Workspace<T> {
     problem: KronProblem,
     /// Row stride of both buffers (`max_intermediate_cols`).
     stride: usize,
-    buf_a: Vec<T>,
-    buf_b: Vec<T>,
+    /// The ping-pong buffers, left uninitialised: each step writes the
+    /// rows and columns the next one reads (see [`Self::run_grid`]).
+    buf_a: Box<[MaybeUninit<T>]>,
+    buf_b: Box<[MaybeUninit<T>]>,
     /// Pinned `(row_groups, col_groups)` grid; `None` runs the measured
     /// one.
     partition: Option<(usize, usize)>,
@@ -250,8 +255,8 @@ impl<T: Element> Workspace<T> {
         Workspace {
             problem: problem.clone(),
             stride,
-            buf_a: vec![T::ZERO; elems],
-            buf_b: vec![T::ZERO; elems],
+            buf_a: Box::new_uninit_slice(elems),
+            buf_b: Box::new_uninit_slice(elems),
             partition: None,
             grids: grids_of(problem, T::DTYPE),
         }
@@ -399,8 +404,8 @@ impl<T: Element> Workspace<T> {
             factors,
             x: x.as_ptr(),
             y: y.as_mut_ptr(),
-            a: self.buf_a.as_mut_ptr(),
-            b: self.buf_b.as_mut_ptr(),
+            a: self.buf_a.as_mut_ptr().cast(),
+            b: self.buf_b.as_mut_ptr().cast(),
             k0: self.problem.input_cols(),
             l: self.problem.output_cols(),
             stride: self.stride,
@@ -415,7 +420,11 @@ impl<T: Element> Workspace<T> {
         // passed `check_factors`, and a `Factor` (sealed to `Matrix` and
         // `&Matrix`) borrows the same matrix every time, so every step
         // sees the checked shapes. Row tiles are disjoint, so no two tasks
-        // read or write one row.
+        // read or write one row. The buffers start uninitialised, and no
+        // step reads an element before it is written: step 0 reads `X`,
+        // and each later step reads, of its rows, exactly the `k_in`
+        // columns that the step before it wrote, on every grid and in
+        // every run of `tune`.
         if col_groups == 1 {
             pool.broadcast(row_tasks, &|t| unsafe { exec.chain(tile(t)) });
             return;

@@ -33,10 +33,13 @@
 //!   multiply on its own is [`kron_core::ftmmt::ftmmt_iteration`]: FTMMT
 //!   computes the same per-iteration map, and the tests use it as the
 //!   reference.
-//! * [`kernel`] / [`fused`] — thread-block-accurate emulation of the CUDA
-//!   kernels, usable both functionally (tests) and in address-only trace
-//!   mode (performance counters). The kernel epilogue and [`exec`] share
-//!   one output-column map, so the layers cannot drift apart.
+//! * [`kernel`] — thread-block-accurate emulation of the CUDA kernel, one
+//!   emulator for a launch of one factor (Figure 3) and for a fused launch
+//!   of several (Figure 7), usable both functionally (tests) and in
+//!   address-only trace mode (performance counters).
+//!   [`kernel::price_launch`] prices every simulated launch. The kernel
+//!   epilogue and [`exec`] share one output-column map, so the layers
+//!   cannot drift apart.
 //! * [`engine`] — the public planned API: [`FastKron::plan`] autotunes tile
 //!   sizes for a problem on a device, [`KronPlan::execute`] computes (on
 //!   the fused path), and [`KronPlan::simulate`] produces a simulated-time
@@ -46,7 +49,6 @@
 
 pub mod engine;
 pub mod exec;
-pub mod fused;
 pub mod kernel;
 pub mod tile;
 pub mod tuner;

@@ -55,16 +55,12 @@ impl TileConfig {
         (self.slices(p) / self.rk) * (self.tq / self.rq)
     }
 
-    /// Shared-memory bytes for the unfused kernel: `TM×Ks` of `X`
-    /// (`Ks = slices·TP`) plus `TP×TQ` of `F`.
-    pub fn shared_bytes(&self, p: usize, dtype: DType) -> usize {
-        (self.tm * self.slices(p) * self.tp + self.tp * self.tq) * dtype.bytes()
-    }
-
-    /// Shared-memory bytes for the fused kernel: two `TM×TK` buffers
-    /// (double-buffered intermediate) plus the factor tile.
-    pub fn shared_bytes_fused(&self, _p: usize, dtype: DType) -> usize {
-        (2 * self.tm * self.tk + self.tp * self.tq) * dtype.bytes()
+    /// Shared-memory bytes: `TM×Ks` of `X` (`Ks = slices·TP`), twice when
+    /// the launch double-buffers its intermediate (the fused kernel, whose
+    /// `TP = P` makes `Ks = TK`), plus `TP×TQ` of `F`.
+    pub fn shared_bytes(&self, p: usize, double_buffer: bool, dtype: DType) -> usize {
+        let x_tiles = if double_buffer { 2 } else { 1 };
+        (x_tiles * self.tm * self.slices(p) * self.tp + self.tp * self.tq) * dtype.bytes()
     }
 
     /// Estimated registers per thread: the `Yr[TM][RK][RQ]` accumulators,
@@ -122,27 +118,23 @@ impl TileConfig {
         (m.div_ceil(self.tm), k / self.tk, q / self.tq)
     }
 
-    /// Builds the [`LaunchConfig`] for the unfused kernel on iteration
-    /// shape `(m, k, p, q)`.
-    pub fn launch(&self, m: usize, k: usize, p: usize, q: usize, dtype: DType) -> LaunchConfig {
+    /// Builds the [`LaunchConfig`] for one launch on iteration shape
+    /// `(m, k, p, q)`; `double_buffer` sizes shared memory for the fused
+    /// kernel (see [`Self::shared_bytes`]).
+    pub fn launch(
+        &self,
+        m: usize,
+        k: usize,
+        p: usize,
+        q: usize,
+        double_buffer: bool,
+        dtype: DType,
+    ) -> LaunchConfig {
         let (gx, gy, gz) = self.grid(m, k, q);
         LaunchConfig {
             grid_blocks: gx * gy * gz,
             threads_per_block: self.threads(p),
-            shared_mem_per_block: self.shared_bytes(p, dtype),
-            regs_per_thread: self.regs_per_thread(dtype),
-        }
-    }
-
-    /// Builds the [`LaunchConfig`] for the fused kernel (grid has no
-    /// `Q/TQ` dimension because the fused kernel processes all `Q`
-    /// columns).
-    pub fn launch_fused(&self, m: usize, k: usize, p: usize, dtype: DType) -> LaunchConfig {
-        let (gx, gy, _) = self.grid(m, k, self.tq);
-        LaunchConfig {
-            grid_blocks: gx * gy,
-            threads_per_block: self.threads(p),
-            shared_mem_per_block: self.shared_bytes_fused(p, dtype),
+            shared_mem_per_block: self.shared_bytes(p, double_buffer, dtype),
             regs_per_thread: self.regs_per_thread(dtype),
         }
     }
@@ -229,7 +221,7 @@ mod tests {
         // Grid: {2/1, 512/512, 8/2} = {2, 1, 4}.
         assert_eq!(c.grid(2, 512, 8), (2, 1, 4));
         // Shared: Xs = 1×64×4, Fs = 4×2.
-        assert_eq!(c.shared_bytes(8, DType::F32), (256 + 8) * 4);
+        assert_eq!(c.shared_bytes(8, false, DType::F32), (256 + 8) * 4);
     }
 
     #[test]
@@ -257,7 +249,7 @@ mod tests {
     #[test]
     fn fused_shared_memory_doubles_x_buffer() {
         let c = cfg(1, 256, 4, 4, 2, 2, 2);
-        assert_eq!(c.shared_bytes_fused(4, DType::F32), (2 * 256 + 16) * 4);
+        assert_eq!(c.shared_bytes(4, true, DType::F32), (2 * 256 + 16) * 4);
     }
 
     #[test]
@@ -298,10 +290,11 @@ mod tests {
     #[allow(clippy::identity_op)]
     fn launch_geometry() {
         let c = cfg(1, 512, 2, 4, 2, 2, 2);
-        let l = c.launch(2, 512, 8, 8, DType::F32);
+        let l = c.launch(2, 512, 8, 8, false, DType::F32);
         assert_eq!(l.grid_blocks, 2 * 1 * 4);
         assert_eq!(l.threads_per_block, 32);
-        let lf = c.launch_fused(2, 512, 8, DType::F32);
+        // A fused tile has TQ = Q, so its grid has no Q/TQ dimension.
+        let lf = cfg(1, 512, 8, 8, 2, 2, 2).launch(2, 512, 8, 8, true, DType::F32);
         assert_eq!(lf.grid_blocks, 2);
     }
 }

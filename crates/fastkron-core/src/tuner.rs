@@ -235,11 +235,9 @@ impl AutoTuner {
                                     if threads == 0 || threads > device.max_threads_per_block {
                                         continue;
                                     }
-                                    let launch = if fused {
-                                        cfg.launch_fused(m, k, p, dtype)
-                                    } else {
-                                        cfg.launch(m, k, p, q, dtype)
-                                    };
+                                    // The fused search prices every depth,
+                                    // 1 included, at the fused footprint.
+                                    let launch = cfg.launch(m, k, p, q, fused, dtype);
                                     if self.cost.occupancy(&launch).is_err() {
                                         continue;
                                     }
@@ -440,7 +438,7 @@ mod tests {
         let k = p.pow(n);
         let tuned = tuner.tune(m, k, p, p, DType::F32).unwrap();
         let minimal = TileConfig::minimal(m, k, p, p);
-        let launch = minimal.launch(m, k, p, p, DType::F32);
+        let launch = minimal.launch(m, k, p, p, false, DType::F32);
         let stats = estimate_stats(&minimal, &V100, m, k, p, p, DType::F32, 1);
         let t_min = tuner
             .cost
@@ -475,7 +473,7 @@ mod tests {
         let tuner = AutoTuner::new(&V100);
         let k = 128usize.pow(2);
         let out = tuner.tune(16, k, 128, 128, DType::F64).unwrap();
-        let launch = out.config.launch(16, k, 128, 128, DType::F64);
+        let launch = out.config.launch(16, k, 128, 128, false, DType::F64);
         assert!(launch.shared_mem_per_block <= V100.shared_mem_per_block);
     }
 
@@ -499,7 +497,7 @@ mod tests {
             caching: Caching::Shift,
         };
         let est = estimate_stats(&cfg, &V100, m, k, 8, 8, DType::F32, 1);
-        let kern = SlicedMultiplyKernel::new(cfg, m, k, &f).unwrap();
+        let kern = SlicedMultiplyKernel::new(cfg, m, k, &[&f]).unwrap();
         let mut tracer = Tracer::new(&V100);
         let per_block = kern.trace_block(&mut tracer);
         let (gx, gy, gz) = cfg.grid(m, k, 8);

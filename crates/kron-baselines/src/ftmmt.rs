@@ -11,17 +11,18 @@
 //! 2. store each iteration's output in global memory and re-load it for
 //!    the next factor (no cross-iteration fusion).
 //!
-//! We model them with the same kernel emulator FastKron uses, constrained
-//! to that caching strategy and never fused, with tiles tuned per system's
-//! published behaviour. That makes Table 2 (shared-memory transactions,
-//! COGENT vs FastKron) a controlled experiment over one variable.
+//! We price them through the same kernel emulator and pricing function
+//! FastKron's plans use ([`fastkron_core::kernel::price_launch`]), one
+//! factor per launch (never fused) and constrained to that caching
+//! strategy, with tiles tuned per system's published behaviour. That makes
+//! Table 2 (shared-memory transactions, COGENT vs FastKron) a controlled
+//! experiment over the caching and fusion choices alone.
 
-use fastkron_core::kernel::SlicedMultiplyKernel;
+use fastkron_core::kernel::price_launch;
 use fastkron_core::tuner::{AutoTuner, Constraints};
 use fastkron_core::Caching;
 use gpu_sim::cost::CostModel;
 use gpu_sim::device::DeviceSpec;
-use gpu_sim::trace::Tracer;
 use gpu_sim::ExecReport;
 use kron_core::{Element, KronProblem, Matrix, Result};
 
@@ -85,7 +86,6 @@ impl FtmmtEngine {
         let tuner = AutoTuner::new(&self.device);
         let cost = CostModel::new(&self.device);
         let mut report = ExecReport::new(self.engine_name());
-        let mut tracer = Tracer::new(&self.device);
         for it in problem.iterations() {
             let (p, q) = (it.factor.p, it.factor.q);
             let constraints = self.constraints(p);
@@ -108,14 +108,9 @@ impl FtmmtEngine {
                         },
                     )
                 })?;
-            let cfg = outcome.config;
-            let zeros = Matrix::<T>::zeros(p, q);
-            let kern = SlicedMultiplyKernel::new(cfg, problem.m, it.input_cols, &zeros)?;
-            let per_block = kern.trace_block(&mut tracer);
-            let launch = cfg.launch(problem.m, it.input_cols, p, q, T::DTYPE);
-            let stats = per_block.scaled(launch.grid_blocks as u64);
-            let time = cost.kernel_time(&launch, &stats, T::DTYPE)?;
-            report.add_step("contraction", time.total_s);
+            let (stats, seconds) =
+                price_launch::<T>(&cost, outcome.config, problem.m, it.input_cols, (p, q), 1)?;
+            report.add_step("contraction", seconds);
             report.stats += stats;
             report.launches += 1;
         }

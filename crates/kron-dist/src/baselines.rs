@@ -13,13 +13,12 @@
 //!   grouped exchanges, so it still communicates once per factor.
 
 use crate::fabric::{CommModel, GpuGrid};
-use fastkron_core::kernel::SlicedMultiplyKernel;
+use fastkron_core::kernel::price_launch;
 use fastkron_core::tuner::{AutoTuner, Constraints};
 use fastkron_core::Caching;
 use gpu_sim::cost::CostModel;
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::models::{CublasModel, TransposeModel};
-use gpu_sim::trace::Tracer;
 use gpu_sim::ExecReport;
 use kron_core::{Element, KronError, KronProblem, Matrix, Result};
 
@@ -173,13 +172,7 @@ impl DistalEngine {
                 rk: None,
             },
         )?;
-        let zeros = Matrix::<T>::zeros(p, p);
-        let kern = SlicedMultiplyKernel::new(outcome.config, tgm, tgk, &zeros)?;
-        let mut tracer = Tracer::new(&self.device);
-        let per_block = kern.trace_block(&mut tracer);
-        let launch = outcome.config.launch(tgm, tgk, p, p, dtype);
-        let stats = per_block.scaled(launch.grid_blocks as u64);
-        let t_mul = cost.kernel_time(&launch, &stats, dtype)?.total_s;
+        let (stats, t_mul) = price_launch::<T>(&cost, outcome.config, tgm, tgk, (p, p), 1)?;
 
         let e = dtype.bytes() as u64;
         let block_bytes = (tgm * tgk) as u64 * e;

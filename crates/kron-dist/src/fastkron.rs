@@ -12,11 +12,10 @@
 
 use crate::engine::ShardedEngine;
 use crate::fabric::{CommModel, GpuGrid};
-use fastkron_core::kernel::SlicedMultiplyKernel;
+use fastkron_core::kernel::price_launch;
 use fastkron_core::tuner::AutoTuner;
 use gpu_sim::cost::CostModel;
 use gpu_sim::device::DeviceSpec;
-use gpu_sim::trace::Tracer;
 use gpu_sim::ExecReport;
 use kron_core::{Element, KronError, KronProblem, Matrix, Result};
 
@@ -101,16 +100,9 @@ pub(crate) fn simulate_sharded<T: Element>(
     let mut report = ExecReport::new(format!("FastKron-{}GPU", grid.gpus()));
 
     // One local sliced multiply on the TGM × TGK block.
-    let tuner = AutoTuner::new(device);
+    let outcome = AutoTuner::new(device).tune(s.tgm, s.tgk, s.p, s.p, T::DTYPE)?;
     let cost = CostModel::new(device);
-    let outcome = tuner.tune(s.tgm, s.tgk, s.p, s.p, T::DTYPE)?;
-    let zeros = Matrix::<T>::zeros(s.p, s.p);
-    let kern = SlicedMultiplyKernel::new(outcome.config, s.tgm, s.tgk, &zeros)?;
-    let mut tracer = Tracer::new(device);
-    let per_block = kern.trace_block(&mut tracer);
-    let launch = outcome.config.launch(s.tgm, s.tgk, s.p, s.p, T::DTYPE);
-    let stats = per_block.scaled(launch.grid_blocks as u64);
-    let t_mul = cost.kernel_time(&launch, &stats, T::DTYPE)?.total_s;
+    let (stats, t_mul) = price_launch::<T>(&cost, outcome.config, s.tgm, s.tgk, (s.p, s.p), 1)?;
 
     let e = T::DTYPE.bytes();
     let part_bytes = (s.tgm * s.tgk * e) as u64;

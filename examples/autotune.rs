@@ -50,7 +50,7 @@ fn main() {
             .map(|s| {
                 format!(
                     "{}[{}]",
-                    if s.fused { "fused" } else { "sliced" },
+                    if s.fused() { "fused" } else { "sliced" },
                     s.factor_indices.len()
                 )
             })

@@ -132,7 +132,7 @@ fn fusion_helps_small_p_not_large_p() {
 
     let large = KronProblem::uniform(64, 64, 2).unwrap();
     let plan = FastKron::plan::<f32>(&large, &V100).unwrap();
-    assert!(plan.stages.iter().all(|s| !s.fused), "P=64 must not fuse");
+    assert!(plan.stages.iter().all(|s| !s.fused()), "P=64 must not fuse");
 }
 
 #[test]
