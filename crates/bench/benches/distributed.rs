@@ -1,5 +1,6 @@
 //! Ablation: grouped (Nlocal) communication vs per-iteration exchanges,
-//! and wall-clock of the real threaded distributed execution.
+//! and wall-clock of the functional distributed execution, whose
+//! simulated devices step in lockstep on the caller's thread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::device::V100;
@@ -19,7 +20,7 @@ fn bench_distributed(c: &mut Criterion) {
         v_periter as f64 / v_grouped as f64
     );
 
-    // Functional: real threads + channels end to end.
+    // Functional: every device's local steps and exchanges, end to end.
     let mut group = c.benchmark_group("distributed_functional");
     group.sample_size(10);
     for gpus in [1usize, 4, 16] {

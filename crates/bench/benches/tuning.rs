@@ -20,7 +20,7 @@ fn bench_tuning(c: &mut Criterion) {
             b.iter(|| black_box(tuner.tune(m, k, p, p, DType::F32).unwrap()))
         });
         let tuned = tuner.tune(m, k, p, p, DType::F32).unwrap();
-        let minimal = TileConfig::minimal(m, k, p, p);
+        let minimal = TileConfig::minimal(k, p);
         let stats = estimate_stats(&minimal, &V100, m, k, p, p, DType::F32, 1);
         let t_min = cost
             .kernel_time(

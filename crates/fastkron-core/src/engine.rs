@@ -7,15 +7,23 @@
 //! runs the numbers, [`KronPlan::simulate`] prices the plan on the
 //! simulated GPU, and [`KronPlan::execute_emulated`] runs the
 //! thread-block-accurate kernels (tests / small problems).
+//!
+//! One planner, [`FastKron::plan_with`], plans every simulated
+//! single-device engine. It differs between them only in whether runs of
+//! identical square factors may fuse and in the rule that tunes one
+//! unfused launch: FastKron's plans pass [`AutoTuner::tune`] (shift
+//! caching, free tiles), and the COGENT and cuTensor models in
+//! kron-baselines pass their direct-caching constraints. The planner tunes
+//! each distinct launch once per plan.
 
 use crate::exec::Workspace;
 use crate::kernel::{price_launch, SlicedMultiplyKernel};
 use crate::tile::TileConfig;
-use crate::tuner::{AutoTuner, TuneReport};
-use gpu_sim::cost::{CostModel, LaunchConfig};
+use crate::tuner::{AutoTuner, TuneOutcome, TuneReport};
+use gpu_sim::cost::CostModel;
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::ExecReport;
-use kron_core::{Element, KronError, KronProblem, Matrix, Result};
+use kron_core::{DType, Element, KronError, KronProblem, Matrix, Result};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
@@ -23,8 +31,8 @@ use std::marker::PhantomData;
 /// experiments found this is true for P ≤ 32 and Q ≤ 32").
 pub const FUSION_MAX_P: usize = 32;
 
-/// One planned kernel launch covering `factor_indices.len()` consecutive
-/// sliced multiplications.
+/// One planned kernel launch: the planner's two decisions, which
+/// consecutive sliced multiplications it covers and with which tiles.
 #[derive(Debug, Clone)]
 pub struct PlanStage {
     /// Factor indices (0-based into [`KronProblem::factors`]) this stage
@@ -33,14 +41,6 @@ pub struct PlanStage {
     pub factor_indices: Vec<usize>,
     /// The tile configuration chosen by the tuner.
     pub config: TileConfig,
-    /// Launch geometry derived from the configuration.
-    pub launch: LaunchConfig,
-    /// Intermediate columns at stage entry.
-    pub k_in: usize,
-    /// Factor rows.
-    pub p: usize,
-    /// Factor columns.
-    pub q: usize,
 }
 
 impl PlanStage {
@@ -60,7 +60,7 @@ impl FastKron {
     /// # Errors
     /// Tuning errors when no configuration fits the device.
     pub fn plan<T: Element>(problem: &KronProblem, device: &DeviceSpec) -> Result<KronPlan<T>> {
-        Self::plan_inner(problem, device, true)
+        Self::plan_with(problem, device, true, AutoTuner::tune)
     }
 
     /// Plans without the fusion optimization — the paper's
@@ -72,132 +72,82 @@ impl FastKron {
         problem: &KronProblem,
         device: &DeviceSpec,
     ) -> Result<KronPlan<T>> {
-        Self::plan_inner(problem, device, false)
+        Self::plan_with(problem, device, false, AutoTuner::tune)
     }
 
-    /// Plans every iteration with one fixed configuration (no tuning);
-    /// for experiments that isolate a single kernel variant.
+    /// Plans every iteration of `problem` with `tune` as the rule that
+    /// tunes one unfused launch `(M, K, P, Q)` of a dtype on the device's
+    /// tuner: the planner behind [`Self::plan`], [`Self::plan_unfused`]
+    /// and the COGENT and cuTensor models. Each distinct search runs once
+    /// per plan. With `fusion`, a run of identical square factors with
+    /// `P ≤ FUSION_MAX_P` is also searched with [`AutoTuner::tune_fused`],
+    /// and fuses when that is cheaper per factor.
     ///
     /// # Errors
-    /// Config-validity errors against any iteration shape.
-    pub fn plan_with_config<T: Element>(
+    /// The errors `tune` returns, e.g. when no configuration fits the
+    /// device.
+    pub fn plan_with<T: Element>(
         problem: &KronProblem,
         device: &DeviceSpec,
-        config: TileConfig,
-    ) -> Result<KronPlan<T>> {
-        let mut stages = Vec::new();
-        for it in problem.iterations() {
-            let (k, p, q) = (it.input_cols, it.factor.p, it.factor.q);
-            config.validate(problem.m, k, p, q)?;
-            stages.push(PlanStage {
-                factor_indices: vec![it.factor_index],
-                config,
-                launch: config.launch(problem.m, k, p, q, false, T::DTYPE),
-                k_in: k,
-                p,
-                q,
-            });
-        }
-        Ok(KronPlan {
-            problem: problem.clone(),
-            device: device.clone(),
-            stages,
-            tune_report: TuneReport::default(),
-            _marker: PhantomData,
-        })
-    }
-
-    fn plan_inner<T: Element>(
-        problem: &KronProblem,
-        device: &DeviceSpec,
-        allow_fusion: bool,
+        fusion: bool,
+        mut tune: impl FnMut(&AutoTuner, usize, usize, usize, usize, DType) -> Result<TuneOutcome>,
     ) -> Result<KronPlan<T>> {
         let tuner = AutoTuner::new(device);
-        let mut stages: Vec<PlanStage> = Vec::new();
         let mut tune_report = TuneReport::default();
-        // Tuning cache: iteration shapes repeat for uniform problems.
-        // Key: (K, P, salt, fused); value: (config, nfused, per-factor s).
-        type TuneCache = HashMap<(usize, usize, usize, bool), (TileConfig, usize, f64)>;
-        let mut cache: TuneCache = HashMap::new();
+        // Each search's outcome, keyed on its inputs other than the plan's
+        // M and dtype: `(K, P, Q)`, plus the run length of a fused search.
+        let mut memo: HashMap<(usize, usize, usize, Option<usize>), Result<TuneOutcome>> =
+            HashMap::new();
+        let mut search = |key: (usize, usize, usize, Option<usize>)| {
+            memo.entry(key)
+                .or_insert_with(|| {
+                    let (k, p, q, run) = key;
+                    let out = match run {
+                        None => tune(&tuner, problem.m, k, p, q, T::DTYPE),
+                        Some(run) => tuner.tune_fused(problem.m, k, p, run, T::DTYPE),
+                    };
+                    if let Ok(out) = &out {
+                        tune_report.generated += out.report.generated;
+                        tune_report.scored += out.report.scored;
+                        tune_report.tuning_seconds += out.report.tuning_seconds;
+                    }
+                    out
+                })
+                .clone()
+        };
 
         let iterations: Vec<_> = problem.iterations().collect();
+        let mut stages = Vec::new();
         let mut i = 0;
         while i < iterations.len() {
             let it = &iterations[i];
-            let (p, q) = (it.factor.p, it.factor.q);
-            let k = it.input_cols;
-
-            // How many consecutive upcoming factors share this square shape
-            // (fusion candidates)?
-            let mut run = 1;
-            while i + run < iterations.len() && iterations[i + run].factor == it.factor && p == q {
-                run += 1;
-            }
-
-            let fuse_ok = allow_fusion && p == q && p <= FUSION_MAX_P && run > 1;
-
-            let unfused_key = (k, p, q.wrapping_mul(2) + 1, false);
-            let (ucfg, _, u_per_factor) = match cache.get(&unfused_key) {
-                Some(v) => *v,
-                None => {
-                    let out = tuner.tune(problem.m, k, p, q, T::DTYPE)?;
-                    tune_report.generated += out.report.generated;
-                    tune_report.scored += out.report.scored;
-                    tune_report.tuning_seconds += out.report.tuning_seconds;
-                    let v = (out.config, 1usize, out.est_seconds);
-                    cache.insert(unfused_key, v);
-                    v
-                }
-            };
-
-            let fused_choice = if fuse_ok {
-                let key = (k, p, run, true);
-                match cache.get(&key) {
-                    Some(v) => Some(*v),
-                    None => match tuner.tune_fused(problem.m, k, p, run, T::DTYPE) {
-                        Ok(out) => {
-                            tune_report.generated += out.report.generated;
-                            tune_report.scored += out.report.scored;
-                            tune_report.tuning_seconds += out.report.tuning_seconds;
-                            let v = (out.config, out.nfused, out.est_seconds / out.nfused as f64);
-                            cache.insert(key, v);
-                            Some(v)
-                        }
-                        Err(_) => None,
-                    },
-                }
+            let (k, p, q) = (it.input_cols, it.factor.p, it.factor.q);
+            // The identical factors from here on; square ones may fuse.
+            let run = iterations[i..]
+                .iter()
+                .take_while(|next| next.factor == it.factor)
+                .count();
+            let unfused = search((k, p, q, None))?;
+            let fused = if fusion && p == q && p <= FUSION_MAX_P && run > 1 {
+                search((k, p, q, Some(run))).ok()
             } else {
                 None
             };
-
-            let use_fused = fused_choice
-                .as_ref()
-                .is_some_and(|(_, nf, per_factor)| *nf > 1 && *per_factor < u_per_factor);
-
-            if use_fused {
-                let (cfg, nf, _) = fused_choice.unwrap();
-                let nf = nf.min(run);
-                let idxs: Vec<usize> = (0..nf).map(|j| iterations[i + j].factor_index).collect();
-                stages.push(PlanStage {
-                    factor_indices: idxs,
-                    config: cfg,
-                    launch: cfg.launch(problem.m, k, p, q, true, T::DTYPE),
-                    k_in: k,
-                    p,
-                    q,
-                });
-                i += nf;
-            } else {
-                stages.push(PlanStage {
-                    factor_indices: vec![it.factor_index],
-                    config: ucfg,
-                    launch: ucfg.launch(problem.m, k, p, q, false, T::DTYPE),
-                    k_in: k,
-                    p,
-                    q,
-                });
-                i += 1;
-            }
+            // Fuse when the fused launch is cheaper per factor.
+            let (config, depth) = match fused {
+                Some(f)
+                    if f.nfused > 1 && f.est_seconds / (f.nfused as f64) < unfused.est_seconds =>
+                {
+                    (f.config, f.nfused)
+                }
+                _ => (unfused.config, 1),
+            };
+            let factor_indices = iterations[i..i + depth].iter().map(|it| it.factor_index);
+            stages.push(PlanStage {
+                factor_indices: factor_indices.collect(),
+                config,
+            });
+            i += depth;
         }
 
         Ok(KronPlan {
@@ -275,7 +225,7 @@ impl<T: Element> KronPlan<T> {
         let mut y = x.clone();
         for stage in &self.stages {
             let group: Vec<&Matrix<T>> = stage.factor_indices.iter().map(|&i| factors[i]).collect();
-            let kern = SlicedMultiplyKernel::new(stage.config, self.problem.m, stage.k_in, &group)?;
+            let kern = SlicedMultiplyKernel::new(stage.config, self.problem.m, y.cols(), &group)?;
             y = kern.run_all(&y)?;
         }
         Ok(y)
@@ -291,15 +241,12 @@ impl<T: Element> KronPlan<T> {
     pub fn simulate(&self) -> Result<ExecReport> {
         let cost = CostModel::new(&self.device);
         let mut report = ExecReport::new("FastKron");
+        let mut k = self.problem.input_cols();
         for stage in &self.stages {
-            let (stats, seconds) = price_launch::<T>(
-                &cost,
-                stage.config,
-                self.problem.m,
-                stage.k_in,
-                (stage.p, stage.q),
-                stage.factor_indices.len(),
-            )?;
+            let f = self.problem.factors[stage.factor_indices[0]];
+            let depth = stage.factor_indices.len();
+            let (stats, seconds) =
+                price_launch::<T>(&cost, stage.config, self.problem.m, k, (f.p, f.q), depth)?;
             let label = if stage.fused() {
                 "fused-sliced-multiply"
             } else {
@@ -308,6 +255,9 @@ impl<T: Element> KronPlan<T> {
             report.add_step(label, seconds);
             report.stats += stats;
             report.launches += 1;
+            // A fused stage's factors are square: only a one-factor stage
+            // changes the width.
+            k = k / f.p * f.q;
         }
         Ok(report)
     }
@@ -430,6 +380,21 @@ mod tests {
     }
 
     #[test]
+    fn each_distinct_launch_is_tuned_once() {
+        // Five identical iterations: the plan costs one search.
+        let problem = KronProblem::uniform(1024, 16, 5).unwrap();
+        let plan = FastKron::plan_unfused::<f32>(&problem, &V100).unwrap();
+        let one = AutoTuner::new(&V100)
+            .tune(1024, problem.input_cols(), 16, 16, DType::F32)
+            .unwrap();
+        assert_eq!(plan.launches(), 5);
+        assert_eq!(
+            (plan.tune_report.generated, plan.tune_report.scored),
+            (one.report.generated, one.report.scored)
+        );
+    }
+
+    #[test]
     fn simulate_reports_positive_time_and_counters() {
         let problem = KronProblem::uniform(16, 8, 4).unwrap();
         let plan = FastKron::plan::<f32>(&problem, &V100).unwrap();
@@ -482,7 +447,17 @@ mod tests {
             rp: 1,
             caching: crate::tile::Caching::Direct,
         };
-        let plan = FastKron::plan_with_config::<f64>(&problem, &V100, cfg).unwrap();
+        // A rule that validates and returns the one configuration.
+        let plan = FastKron::plan_with::<f64>(&problem, &V100, false, |_, m, k, p, q, _| {
+            cfg.validate(m, k, p, q)?;
+            Ok(TuneOutcome {
+                config: cfg,
+                nfused: 1,
+                est_seconds: 0.0,
+                report: TuneReport::default(),
+            })
+        })
+        .unwrap();
         assert_eq!(plan.launches(), 3);
         run_problem_with(&plan, &problem, 9);
     }

@@ -43,7 +43,10 @@
 //! * [`engine`] — the public planned API: [`FastKron::plan`] autotunes tile
 //!   sizes for a problem on a device, [`KronPlan::execute`] computes (on
 //!   the fused path), and [`KronPlan::simulate`] produces a simulated-time
-//!   [`gpu_sim::ExecReport`].
+//!   [`gpu_sim::ExecReport`]. One planner, [`FastKron::plan_with`], plans
+//!   every simulated single-device engine: it tunes each distinct launch
+//!   once, through a rule that FastKron's plans and the COGENT and
+//!   cuTensor baselines each supply.
 
 #![deny(missing_docs)]
 

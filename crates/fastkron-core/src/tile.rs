@@ -139,15 +139,15 @@ impl TileConfig {
         }
     }
 
-    /// A conservative configuration valid for any `(m, k, p, q)` with
-    /// `k = S·p`: one slice and one column per thread, full factor staged.
-    /// Used as the tuner's fallback and in tests.
-    pub fn minimal(m: usize, k: usize, p: usize, q: usize) -> TileConfig {
-        let _ = m;
-        let _ = q;
+    /// A conservative configuration valid for any iteration of `k = S·p`
+    /// columns by a factor of `p` rows, whatever `M` and `Q`: one row per
+    /// block, one slice and one factor column per thread, `TP = P`. The
+    /// naive baseline that tests and the tuning bench hold the tuner
+    /// against.
+    pub fn minimal(k: usize, p: usize) -> TileConfig {
         TileConfig {
             tm: 1,
-            tk: k.min(p * p.max(2)).min(k),
+            tk: k.min(p * p.max(2)),
             tq: 1,
             tp: p,
             rk: 1,
@@ -280,7 +280,7 @@ mod tests {
             (16, 4096, 16, 16),
             (3, 50, 5, 2),
         ] {
-            let c = TileConfig::minimal(m, k, p, q);
+            let c = TileConfig::minimal(k, p);
             c.validate(m, k, p, q)
                 .unwrap_or_else(|e| panic!("minimal({m},{k},{p},{q}) invalid: {e}"));
         }

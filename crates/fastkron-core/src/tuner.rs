@@ -65,13 +65,14 @@ impl Default for Constraints {
     }
 }
 
+/// Upper bound on `TK` candidates examined per shape (guards problem
+/// shapes whose `K/P` has very many divisors).
+const MAX_TK_CANDIDATES: usize = 24;
+
 /// Tile-size autotuner for a device.
 #[derive(Debug, Clone)]
 pub struct AutoTuner {
     cost: CostModel,
-    /// Upper bound on `TK` candidates examined per shape (guards problem
-    /// shapes whose `K/P` has very many divisors).
-    pub max_tk_candidates: usize,
 }
 
 /// Returns the divisors of `n` in ascending order.
@@ -98,7 +99,6 @@ impl AutoTuner {
     pub fn new(device: &DeviceSpec) -> Self {
         AutoTuner {
             cost: CostModel::new(device),
-            max_tk_candidates: 24,
         }
     }
 
@@ -154,18 +154,18 @@ impl AutoTuner {
         self.search(m, k, p, p, dtype, true, remaining, Constraints::default())
     }
 
-    fn tk_candidates(&self, k: usize, p: usize, fused: bool) -> Vec<usize> {
+    fn tk_candidates(k: usize, p: usize, fused: bool) -> Vec<usize> {
         let s = k / p;
         let mut out: Vec<usize> = divisors(s)
             .into_iter()
             .map(|d| d * p)
             .filter(|&tk| !fused || tk >= p * p || tk == k)
             .collect();
-        if out.len() > self.max_tk_candidates {
+        if out.len() > MAX_TK_CANDIDATES {
             // Keep a spread: prefer the largest candidates (higher reuse)
             // plus a few small ones.
-            let keep_small = self.max_tk_candidates / 4;
-            let keep_large = self.max_tk_candidates - keep_small;
+            let keep_small = MAX_TK_CANDIDATES / 4;
+            let keep_large = MAX_TK_CANDIDATES - keep_small;
             let small: Vec<usize> = out.iter().copied().take(keep_small).collect();
             let large: Vec<usize> = out.iter().copied().skip(out.len() - keep_large).collect();
             out = small;
@@ -204,7 +204,7 @@ impl AutoTuner {
         let tq_candidates: Vec<usize> = if fused { vec![q] } else { divisors(q) };
         let caching = constraints.caching;
 
-        for &tk in &self.tk_candidates(k, p, fused) {
+        for &tk in &Self::tk_candidates(k, p, fused) {
             let slices = tk / p;
             for &tp in &tp_candidates {
                 for &tq in &tq_candidates {
@@ -437,7 +437,7 @@ mod tests {
         let (m, p, n) = (1024usize, 16usize, 4u32);
         let k = p.pow(n);
         let tuned = tuner.tune(m, k, p, p, DType::F32).unwrap();
-        let minimal = TileConfig::minimal(m, k, p, p);
+        let minimal = TileConfig::minimal(k, p);
         let launch = minimal.launch(m, k, p, p, false, DType::F32);
         let stats = estimate_stats(&minimal, &V100, m, k, p, p, DType::F32, 1);
         let t_min = tuner

@@ -11,22 +11,30 @@
 //! 2. store each iteration's output in global memory and re-load it for
 //!    the next factor (no cross-iteration fusion).
 //!
-//! We price them through the same kernel emulator and pricing function
-//! FastKron's plans use ([`fastkron_core::kernel::price_launch`]), one
-//! factor per launch (never fused) and constrained to that caching
-//! strategy, with tiles tuned per system's published behaviour. That makes
-//! Table 2 (shared-memory transactions, COGENT vs FastKron) a controlled
+//! Both plan through FastKron's one planner ([`FastKron::plan_with`]),
+//! which tunes each distinct launch once: one factor per launch (never
+//! fused), with their own rule for tuning a launch, direct caching under
+//! each system's published constraints. The plan is priced as FastKron's
+//! are, by the same kernel emulator and pricing function
+//! ([`fastkron_core::kernel::price_launch`]). That makes Table 2
+//! (shared-memory transactions, COGENT vs FastKron) a controlled
 //! experiment over the caching and fusion choices alone.
 
-use fastkron_core::kernel::price_launch;
-use fastkron_core::tuner::{AutoTuner, Constraints};
-use fastkron_core::Caching;
-use gpu_sim::cost::CostModel;
+use fastkron_core::tuner::{AutoTuner, Constraints, TuneOutcome};
+use fastkron_core::{Caching, FastKron, KronPlan};
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::ExecReport;
-use kron_core::{Element, KronProblem, Matrix, Result};
+use kron_core::{DType, Element, KronProblem, Matrix, Result};
 
 use crate::engine::Engine;
+
+/// Direct caching with free tiles: cuTensor's search, and COGENT's for
+/// `P ≥ 32` and as its fallback.
+const DIRECT: Constraints = Constraints {
+    caching: Caching::Direct,
+    tp: None,
+    rk: None,
+};
 
 /// Which FTMMT system is being modelled (they differ only in tuning
 /// freedom).
@@ -67,11 +75,7 @@ impl FtmmtEngine {
                 tp: Some(p),
                 rk: Some(1),
             },
-            Flavor::Cogent | Flavor::CuTensor => Constraints {
-                caching: Caching::Direct,
-                tp: None,
-                rk: None,
-            },
+            Flavor::Cogent | Flavor::CuTensor => DIRECT,
         }
     }
 
@@ -82,39 +86,28 @@ impl FtmmtEngine {
         }
     }
 
-    fn simulate_inner<T: Element>(&self, problem: &KronProblem) -> Result<ExecReport> {
-        let tuner = AutoTuner::new(&self.device);
-        let cost = CostModel::new(&self.device);
-        let mut report = ExecReport::new(self.engine_name());
-        for it in problem.iterations() {
-            let (p, q) = (it.factor.p, it.factor.q);
-            let constraints = self.constraints(p);
-            // COGENT's whole-factor staging may not fit shared memory for
-            // very large P; fall back to cuTensor-style tiling then (real
-            // COGENT also splits in that regime).
-            let outcome = tuner
-                .tune_constrained(problem.m, it.input_cols, p, q, T::DTYPE, constraints)
-                .or_else(|_| {
-                    tuner.tune_constrained(
-                        problem.m,
-                        it.input_cols,
-                        p,
-                        q,
-                        T::DTYPE,
-                        Constraints {
-                            caching: Caching::Direct,
-                            tp: None,
-                            rk: None,
-                        },
-                    )
-                })?;
-            let (stats, seconds) =
-                price_launch::<T>(&cost, outcome.config, problem.m, it.input_cols, (p, q), 1)?;
-            report.add_step("contraction", seconds);
-            report.stats += stats;
-            report.launches += 1;
-        }
-        Ok(report)
+    /// The system's rule for tuning one launch `(M, K, P, Q)`.
+    fn tune(
+        &self,
+        tuner: &AutoTuner,
+        m: usize,
+        k: usize,
+        p: usize,
+        q: usize,
+        dtype: DType,
+    ) -> Result<TuneOutcome> {
+        // COGENT's whole slice per thread (`TP = P`, `RK = 1`) may not fit
+        // a device with little shared memory; fall back to cuTensor-style
+        // tiling then (real COGENT also splits in that regime).
+        tuner
+            .tune_constrained(m, k, p, q, dtype, self.constraints(p))
+            .or_else(|_| tuner.tune_constrained(m, k, p, q, dtype, DIRECT))
+    }
+
+    fn plan<T: Element>(&self, problem: &KronProblem) -> Result<KronPlan<T>> {
+        FastKron::plan_with(problem, &self.device, false, |tuner, m, k, p, q, dtype| {
+            self.tune(tuner, m, k, p, q, dtype)
+        })
     }
 }
 
@@ -128,7 +121,9 @@ impl<T: Element> Engine<T> for FtmmtEngine {
     }
 
     fn simulate(&self, problem: &KronProblem) -> Result<ExecReport> {
-        self.simulate_inner::<T>(problem)
+        let mut report = self.plan::<T>(problem)?.simulate()?;
+        report.engine = self.engine_name().to_string();
+        Ok(report)
     }
 }
 
@@ -159,7 +154,7 @@ impl<T: Element> Engine<T> for CuTensorEngine {
     }
 
     fn simulate(&self, problem: &KronProblem) -> Result<ExecReport> {
-        self.inner.simulate_inner::<T>(problem)
+        Engine::<T>::simulate(&self.inner, problem)
     }
 }
 
@@ -168,8 +163,8 @@ mod tests {
     use super::*;
     use crate::engine::FastKronEngine;
     use gpu_sim::device::V100;
-    use kron_core::assert_matrices_close;
     use kron_core::naive::kron_matmul_naive;
+    use kron_core::{assert_matrices_close, KronError};
 
     #[test]
     fn execute_matches_naive() {
@@ -230,11 +225,71 @@ mod tests {
     }
 
     #[test]
-    fn large_p_falls_back_instead_of_failing() {
-        // P = 128 f64 cannot stage a whole factor; the COGENT model must
-        // still produce a report via the fallback tiling.
+    fn large_p_plans_free_direct_tiles() {
+        // At P ≥ 32 COGENT maps one element per lane: its search is
+        // cuTensor's, direct caching with free tiles (here `TP < P`), so
+        // it needs no fallback even where a whole factor cannot be staged
+        // (128 × 128 f64 is 128 KiB, against 96 KiB of shared memory).
         let problem = KronProblem::uniform(16, 128, 2).unwrap();
-        let r = Engine::<f64>::simulate(&FtmmtEngine::new(&V100), &problem).unwrap();
+        let cogent = FtmmtEngine::new(&V100);
+        let plan = cogent.plan::<f64>(&problem).unwrap();
+        assert!(plan
+            .stages
+            .iter()
+            .all(|s| s.config.caching == Caching::Direct && s.config.tp < 128));
+        let r = Engine::<f64>::simulate(&cogent, &problem).unwrap();
         assert!(r.seconds > 0.0);
+    }
+
+    #[test]
+    fn cogent_falls_back_when_whole_slices_do_not_fit() {
+        // 64 bytes of shared memory hold no whole 16-element slice per
+        // thread, so COGENT's constrained search fails; its plan comes
+        // from the unconstrained direct-caching fallback.
+        let mut tiny = V100.clone();
+        tiny.shared_mem_per_block = 64;
+        tiny.shared_mem_per_sm = 64;
+        let problem = KronProblem::uniform(16, 16, 3).unwrap();
+        let cogent = FtmmtEngine::new(&tiny);
+        let constrained =
+            FastKron::plan_with::<f32>(&problem, &tiny, false, |t, m, k, p, q, dt| {
+                t.tune_constrained(m, k, p, q, dt, cogent.constraints(p))
+            });
+        assert!(matches!(
+            constrained,
+            Err(KronError::InvalidTileConfig { .. })
+        ));
+        let r = Engine::<f32>::simulate(&cogent, &problem).unwrap();
+        assert!(r.seconds > 0.0);
+        let plan = cogent.plan::<f32>(&problem).unwrap();
+        assert!(plan
+            .stages
+            .iter()
+            .all(|s| s.config.caching == Caching::Direct && s.config.tp < 16));
+    }
+
+    #[test]
+    fn each_distinct_launch_is_tuned_once() {
+        // Five identical iterations: the plan costs one search under the
+        // engine's rule, however many launches repeat it.
+        let problem = KronProblem::uniform(1024, 16, 5).unwrap();
+        for engine in [FtmmtEngine::new(&V100), CuTensorEngine::new(&V100).inner] {
+            let mut searches = Vec::new();
+            FastKron::plan_with::<f32>(&problem, &V100, false, |t, m, k, p, q, dt| {
+                let out = engine.tune(t, m, k, p, q, dt)?;
+                searches.push(out.report.clone());
+                Ok(out)
+            })
+            .unwrap();
+            assert_eq!(searches.len(), 1, "{}", engine.engine_name());
+            let plan = engine.plan::<f32>(&problem).unwrap();
+            assert_eq!(plan.launches(), 5);
+            assert_eq!(
+                (plan.tune_report.generated, plan.tune_report.scored),
+                (searches[0].generated, searches[0].scored),
+                "{}",
+                engine.engine_name()
+            );
+        }
     }
 }

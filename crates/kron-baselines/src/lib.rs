@@ -10,12 +10,14 @@
 //! * [`FtmmtEngine`] — COGENT (CGO'19 tensor-contraction code generator):
 //!   fused transpose+multiply per factor, *direct* shared-memory caching
 //!   with a whole slice per thread (§2.2), per-iteration global
-//!   intermediates. Timed by tracing the same kernel emulator FastKron
-//!   uses, constrained to COGENT's caching strategy — this is what makes
+//!   intermediates. Planned by FastKron's one planner
+//!   ([`fastkron_core::FastKron::plan_with`]) with fusion off and a tuning
+//!   rule constrained to COGENT's caching strategy, then priced by the
+//!   same kernel emulator FastKron's plans are — this is what makes
 //!   Table 2 (shared-memory transactions) a controlled comparison.
-//! * [`CuTensorEngine`] — NVIDIA cuTensor: same FTMMT structure, direct
-//!   caching, runtime-autotuned tiles (the paper finds it within ~10% of
-//!   COGENT and "as good as manually tuned CUTLASS").
+//! * [`CuTensorEngine`] — NVIDIA cuTensor: same FTMMT structure and
+//!   planner, direct caching, runtime-autotuned tiles (the paper finds it
+//!   within ~10% of COGENT and "as good as manually tuned CUTLASS").
 //! * [`NaiveEngine`] — materialize `F1 ⊗ … ⊗ FN`, one huge GEMM; the
 //!   `O(M·Pᴺ·Qᴺ)` strawman of §2.
 //!
