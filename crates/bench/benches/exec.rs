@@ -11,9 +11,8 @@
 //! elsewhere.
 //!
 //! Timing protocol per engine/case: one warm-up run, then enough timed
-//! runs to cover ~300 ms (2..=10), reporting the minimum (the shim
-//! criterion has no statistics machinery; min-of-N is the standard
-//! low-noise estimator for single-threaded kernels).
+//! runs to cover ~300 ms (2..=10), reporting the minimum (min-of-N is
+//! the standard low-noise estimator for single-threaded kernels).
 
 use bench::{fig9_label, figure9_cases};
 use fastkron_core::exec::Workspace;

@@ -142,8 +142,7 @@ impl TileConfig {
     /// A conservative configuration valid for any iteration of `k = S·p`
     /// columns by a factor of `p` rows, whatever `M` and `Q`: one row per
     /// block, one slice and one factor column per thread, `TP = P`. The
-    /// naive baseline that tests and the tuning bench hold the tuner
-    /// against.
+    /// naive baseline that tests hold the tuner against.
     pub fn minimal(k: usize, p: usize) -> TileConfig {
         TileConfig {
             tm: 1,

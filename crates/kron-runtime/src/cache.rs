@@ -57,13 +57,19 @@
 //!
 //! ## Pinning
 //!
-//! Lookups hand out a [`PinnedEntry`] — an `Arc` to the entry plus a pin
-//! count — so an in-flight batch can never have its engine dropped
-//! underneath it: policy eviction (LRU, bytes, and idle) skips pinned
-//! entries entirely, and the targeted post-`DeviceFailure` eviction
-//! ([`PlanCache::evict_failed`]) merely detaches the entry from the map —
-//! the engine lives until the last pin drops. [`crate::Runtime::pin_model`]
-//! exposes the same mechanism to clients for keeping a hot model resident.
+//! Lookups hand out a [`PinnedEntry`] — a clone of the entry's `Arc`, whose
+//! strong count is the pin count — so an in-flight batch can never have
+//! its engine dropped underneath it: policy eviction (LRU, bytes, and
+//! idle) skips pinned entries entirely, and the targeted
+//! post-`DeviceFailure` eviction ([`PlanCache::evict_failed`]) merely
+//! detaches the entry from the map — the engine lives until the last pin
+//! drops. [`crate::Runtime::pin_model`] exposes the same mechanism to
+//! clients for keeping a hot model resident.
+//!
+//! A lookup reads the [`PlanKey`] the map keeps beside each entry and
+//! never locks the entry itself, so a lookup of a shape that another
+//! thread is executing on does not wait for that execute while it holds
+//! the cache mutex.
 //!
 //! Evictions and rebuilds are counted in the runtime's metrics plane
 //! ([`crate::RuntimeStats::evictions`], [`crate::RuntimeStats::rebuilds`]),
@@ -75,7 +81,7 @@ use crate::metrics::MetricsHub;
 use crate::runtime::sealed::ErasedDtype;
 use crate::runtime::{Backend, ModelInner};
 use crate::trace::{EvictReason, ServeEventKind};
-use crossbeam::sync::atomic::{AtomicUsize, Ordering};
+use crossbeam::sync::atomic::Ordering;
 use fastkron_core::Workspace;
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::ExecSummary;
@@ -148,13 +154,11 @@ pub(crate) enum Compute<T: Element> {
     Sharded(Box<ShardedEngine<T>>),
 }
 
-/// One cached execution state: the structural key, the compute state, and
-/// the gather/scatter staging pair. Every execute goes through
-/// [`Self::run`]: a lone request on a local entry runs in place from its
-/// own buffers, everything else over the staging pair.
+/// One cached execution state: the compute state and the gather/scatter
+/// staging pair. Every execute goes through [`Self::run`]: a lone request
+/// on a local entry runs in place from its own buffers, everything else
+/// over the staging pair.
 pub(crate) struct CachedPlan<T: Element> {
-    /// Structural identity of this entry.
-    pub(crate) key: PlanKey,
     /// The compute state requests execute through.
     pub(crate) compute: Compute<T>,
     /// Row-stacked input/output staging for multi-request batches (and for
@@ -168,16 +172,19 @@ impl<T: Element> CachedPlan<T> {
         matches!(self.compute, Compute::Sharded(_))
     }
 
-    /// The batch staging buffers, allocating them on first use.
+    /// The batch staging buffers, allocating them on first use at the
+    /// capacity problem the compute state was built for.
     pub(crate) fn batch_buffers(&mut self) -> &mut (Matrix<T>, Matrix<T>) {
-        if self.batch.is_none() {
-            let problem = &self.key.problem;
-            self.batch = Some((
+        let problem = match &self.compute {
+            Compute::Local(workspace) => workspace.problem(),
+            Compute::Sharded(engine) => engine.problem(),
+        };
+        self.batch.get_or_insert_with(|| {
+            (
                 Matrix::zeros(problem.m, problem.input_cols()),
                 Matrix::zeros(problem.m, problem.output_cols()),
-            ));
-        }
-        self.batch.as_mut().expect("just ensured")
+            )
+        })
     }
 
     /// Arms a one-shot device fault on a sharded entry; returns whether
@@ -266,62 +273,43 @@ pub(crate) enum ErasedPlan {
     F64(CachedPlan<f64>),
 }
 
-impl ErasedPlan {
-    /// The structural identity of the entry, whichever dtype it holds.
-    pub(crate) fn key(&self) -> &PlanKey {
-        match self {
-            ErasedPlan::F32(p) => &p.key,
-            ErasedPlan::F64(p) => &p.key,
-        }
-    }
-}
-
 /// A pinned reference to one cache entry. While any pin is alive the
 /// entry is exempt from policy eviction, and the `Arc` guarantees the
 /// engine outlives every in-flight use even if the entry is detached from
 /// the map (post-failure eviction). Dropping the pin releases both.
 pub(crate) struct PinnedEntry {
     entry: Arc<Mutex<ErasedPlan>>,
-    pins: Arc<AtomicUsize>,
 }
 
 impl PinnedEntry {
     fn new(slot: &Slot) -> Self {
-        slot.pins.fetch_add(1, Ordering::SeqCst);
         PinnedEntry {
             entry: Arc::clone(&slot.entry),
-            pins: Arc::clone(&slot.pins),
         }
     }
 
     /// Locks the entry for exclusive use (the scheduler holds this for
     /// the duration of one gather/execute/scatter). The guard yields the
-    /// erased enum; the lookup that produced this pin already verified
-    /// the dtype, so the lane's typed unwrap cannot fail.
+    /// erased enum; the lookup that produced this pin was keyed by the
+    /// dtype, so the lane's typed unwrap cannot fail.
     pub(crate) fn lock(&self) -> MutexGuard<'_, ErasedPlan> {
         self.entry.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-impl Drop for PinnedEntry {
-    fn drop(&mut self) {
-        self.pins.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Map value: the shared erased entry, its pin count, recency
-/// bookkeeping, and the byte footprint it is accounted at.
+/// Map value: the shared erased entry, the key it was built for, and
+/// recency bookkeeping.
 struct Slot {
     entry: Arc<Mutex<ErasedPlan>>,
-    pins: Arc<AtomicUsize>,
+    /// Structural identity of the built entry. Lookups and
+    /// [`PlanCache::keys`] read it here without locking the entry, and its
+    /// [`PlanKey::estimated_bytes`] is the byte-budget accounting unit.
+    key: PlanKey,
     /// Monotonic touch sequence — the LRU order (deterministic even when
     /// a manual clock never advances).
     last_used_seq: u64,
     /// Clock time of the last touch — the idle-timeout basis.
     last_used_us: u64,
-    /// [`PlanKey::estimated_bytes`] of the built entry — the byte-budget
-    /// accounting unit.
-    bytes: usize,
     /// The device limit the entry was built under (see
     /// [`PlanCache::get_or_create`]'s `limit`): a hit must match the
     /// current limit, so a degraded entry is rebuilt at full width once
@@ -331,8 +319,12 @@ struct Slot {
 }
 
 impl Slot {
+    /// Whether a [`PinnedEntry`] holds the entry: each pin is a clone of
+    /// `entry`. Pins are made only under the cache mutex, so a pin that
+    /// drops concurrently can only leave this `true` a moment too long,
+    /// which skips one eviction.
     fn pinned(&self) -> bool {
-        self.pins.load(Ordering::SeqCst) > 0
+        Arc::strong_count(&self.entry) > 1
     }
 }
 
@@ -370,8 +362,8 @@ pub(crate) struct PlanCache {
     /// that), so it stays small however long the runtime serves.
     evicted_keys: HashSet<MapKey>,
     use_seq: u64,
-    /// Sum of every resident slot's `bytes` — the budget's ledger, which
-    /// the `cached_bytes` gauge reads.
+    /// Sum of every resident slot's estimated bytes — the budget's
+    /// ledger, which the `cached_bytes` gauge reads.
     total_bytes: usize,
     /// Metrics plane evictions, rebuilds, local fallbacks, and per-model
     /// plan lookups are recorded into.
@@ -430,16 +422,7 @@ impl PlanCache {
 
     /// The structural identities of every cached entry (snapshot).
     pub fn keys(&self) -> Vec<PlanKey> {
-        self.entries
-            .values()
-            .map(|s| {
-                s.entry
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .key()
-                    .clone()
-            })
-            .collect()
+        self.entries.values().map(|s| s.key.clone()).collect()
     }
 
     /// Evicts one slot, if present: removes it from the map and the byte
@@ -450,7 +433,7 @@ impl PlanCache {
         let Some(slot) = self.entries.remove(&key) else {
             return;
         };
-        self.total_bytes -= slot.bytes;
+        self.total_bytes -= slot.key.estimated_bytes();
         self.hub.stats.evictions.fetch_add(1, Ordering::Relaxed);
         if self.evicted_keys.len() >= EVICTED_KEYS_CAP {
             self.evicted_keys.clear();
@@ -526,9 +509,9 @@ impl PlanCache {
     /// the backend has") — a resident entry built under a different
     /// effective limit is rebuilt in place, so healing and degradation
     /// both converge. Returns the entry pinned; the pin must outlive
-    /// every use of the entry this serve. The lookup verifies the dtype
-    /// and the full shape chain, so a later [`ErasedDtype::plan_mut`] on
-    /// the pinned entry is infallible.
+    /// every use of the entry this serve. The lookup is keyed by the dtype
+    /// and verifies the full shape chain, so a later
+    /// [`ErasedDtype::plan_mut`] on the pinned entry is infallible.
     pub(crate) fn get_or_create<T: ErasedDtype>(
         &mut self,
         model: &ModelInner<T>,
@@ -550,7 +533,7 @@ impl PlanCache {
         // eviction included. An in-flight pin keeps the old engine alive
         // until it drops.
         if let Some(stale) = self.entries.remove(&map_key) {
-            self.total_bytes -= stale.bytes;
+            self.total_bytes -= stale.key.estimated_bytes();
         }
 
         self.hub
@@ -575,17 +558,16 @@ impl PlanCache {
             }
         }
         self.make_room(bytes);
-        let built = self.build_entry(key, grid)?;
+        let built = self.build_entry(&key, grid)?;
         if self.evicted_keys.remove(&map_key) {
             self.hub.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
         }
         self.total_bytes += bytes;
         let slot = self.entries.entry(map_key).or_insert(Slot {
             entry: Arc::new(Mutex::new(T::wrap_plan(built))),
-            pins: Arc::new(AtomicUsize::new(0)),
+            key,
             last_used_seq: seq,
             last_used_us: now,
-            bytes,
             built_limit: eff_limit,
         });
         Ok(PinnedEntry::new(slot))
@@ -610,8 +592,10 @@ impl PlanCache {
     /// The one freshness check: returns `model`'s resident entry at
     /// `capacity` rows pinned iff it was built under effective device
     /// limit `eff_limit` for `model`'s shape chain (and is local when
-    /// `local_only`). A fresh entry is stamped most recently used and
-    /// its plan hit recorded; a stale or absent one is left untouched.
+    /// `local_only`). It reads the slot's key, never the entry, so an
+    /// execute holding the entry cannot stall it. A fresh entry is
+    /// stamped most recently used and its plan hit recorded; a stale or
+    /// absent one is left untouched.
     fn hit<T: ErasedDtype>(
         &mut self,
         model: &ModelInner<T>,
@@ -622,12 +606,10 @@ impl PlanCache {
         let slot = self
             .entries
             .get_mut(&(T::DTYPE, model.shape_key, capacity))?;
-        let fresh = slot.built_limit == eff_limit && {
-            let mut entry = slot.entry.lock().unwrap_or_else(|e| e.into_inner());
-            T::plan_mut(&mut entry).is_some_and(|p| {
-                p.key.problem.factors == model.shapes && !(local_only && p.is_sharded())
-            })
-        };
+        let key = &slot.key;
+        let fresh = slot.built_limit == eff_limit
+            && key.problem.factors == model.shapes
+            && !(local_only && matches!(key.backend, ExecBackend::Grid { .. }));
         if !fresh {
             return None;
         }
@@ -711,7 +693,7 @@ impl PlanCache {
     /// offered a `grid` counts as a local fallback.
     fn build_entry<T: ErasedDtype>(
         &self,
-        key: PlanKey,
+        key: &PlanKey,
         grid: Option<GpuGrid>,
     ) -> Result<CachedPlan<T>> {
         let compute = match (key.backend, grid, &self.backend) {
@@ -733,7 +715,6 @@ impl PlanCache {
             }
         };
         Ok(CachedPlan {
-            key,
             compute,
             batch: None,
         })
@@ -832,6 +813,37 @@ mod tests {
         let _pin_c = cache.get_or_create(&c, 8, usize::MAX).unwrap();
         assert!(cache.len() <= 2);
         assert!(cache.hub.stats.evictions.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn lookups_do_not_wait_for_an_entry_in_use() {
+        let cache = Mutex::new(cache(CachePolicy::default(), Clock::manual()));
+        let a = model(&[(2, 2), (2, 2)], 0);
+        let b = model(&[(3, 3)], 1);
+        let pin = cache
+            .lock()
+            .unwrap()
+            .get_or_create(&a, 8, usize::MAX)
+            .unwrap();
+        // An execute holds A's entry lock from gather to reply.
+        let in_use = pin.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for m in [&a, &b] {
+                    let found = cache.lock().unwrap().get_or_create(m, 8, usize::MAX);
+                    tx.send(found.is_ok()).unwrap();
+                }
+            });
+            let wait = std::time::Duration::from_secs(2);
+            let looked_up = [rx.recv_timeout(wait), rx.recv_timeout(wait)];
+            // Release A so a lookup blocked on it can finish and the scope
+            // can join.
+            drop(in_use);
+            assert_eq!(looked_up, [Ok(true), Ok(true)], "(A, B) lookups");
+        });
+        let (plan_hits, plan_misses) = cache.lock().unwrap().hub.plan_lookups();
+        assert_eq!((plan_hits, plan_misses), (1, 2));
     }
 
     #[test]

@@ -682,23 +682,14 @@ pub(crate) struct Slot<T: Element> {
     hub: Arc<MetricsHub>,
 }
 
-/// A completed reply: outcome, the recycled buffers, the global serve
-/// sequence number, and (for sharded executes) the request's prorated
-/// share of the batch's simulated execution — all `Copy` or moved, so
-/// replies never allocate.
+/// A completed reply: outcome, the recycled buffers, and the
+/// [`ServeReceipt`] the waiter reads — all `Copy` or moved, so replies
+/// never allocate.
 pub(crate) struct Reply<T: Element> {
     pub(crate) result: Result<()>,
     pub(crate) x: Matrix<T>,
     pub(crate) y: Matrix<T>,
-    pub(crate) seq: u64,
-    pub(crate) summary: Option<ExecSummary>,
-    /// Executes the serving batch went through (1 = first try served).
-    pub(crate) attempts: u32,
-    /// `{GM, GK}` of the grid the successful execute ran on, `None` for
-    /// local (single-device) execution or an unserved request.
-    pub(crate) grid: Option<(usize, usize)>,
-    /// Per-stage latency breakdown of this request.
-    pub(crate) timings: StageTimings,
+    pub(crate) receipt: ServeReceipt,
 }
 
 struct SlotInner<T: Element> {
@@ -1233,7 +1224,7 @@ impl<T: Element> Ticket<T> {
     /// As [`Self::wait`].
     pub fn wait_with_stats(self) -> Result<(Matrix<T>, Option<ExecSummary>)> {
         let reply = self.slot.take_blocking();
-        reply.result.map(|()| (reply.y, reply.summary))
+        reply.result.map(|()| (reply.y, reply.receipt.shard))
     }
 
     /// Like [`Self::wait`], additionally returning the [`ServeReceipt`]:
@@ -1247,18 +1238,7 @@ impl<T: Element> Ticket<T> {
     /// As [`Self::wait`].
     pub fn wait_with_receipt(self) -> Result<(Matrix<T>, ServeReceipt)> {
         let reply = self.slot.take_blocking();
-        reply.result.map(|()| {
-            (
-                reply.y,
-                ServeReceipt {
-                    seq: reply.seq,
-                    shard: reply.summary,
-                    attempts: reply.attempts,
-                    grid: reply.grid,
-                    timings: reply.timings,
-                },
-            )
-        })
+        reply.result.map(|()| (reply.y, reply.receipt))
     }
 }
 
@@ -1379,7 +1359,7 @@ impl<T: ServeElement> Session<T> {
         if reply.result.is_ok() {
             // Failed replies carry no attribution; keep the last
             // successful call's summary, as documented.
-            self.last_summary = reply.summary;
+            self.last_summary = reply.receipt.shard;
         }
         reply.result.map(|()| (reply.x, reply.y))
     }

@@ -87,7 +87,7 @@ use crate::metrics::{MetricsHub, Outcome};
 use crate::runtime::sealed::ErasedDtype;
 use crate::runtime::{
     bypass_release_claim, bypass_try_claim, ErasedRequest, Msg, Reply, Request, RetryPolicy,
-    RuntimeConfig, Shared, StatsInner,
+    RuntimeConfig, ServeReceipt, Shared, StatsInner,
 };
 use crate::trace::{ServeEventKind, StageTimings};
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
@@ -436,11 +436,13 @@ impl ServeCtx<'_> {
             result: result.map(|_| ()),
             x: r.x,
             y: r.y,
-            seq,
-            summary,
-            attempts,
-            grid,
-            timings,
+            receipt: ServeReceipt {
+                seq,
+                shard: summary,
+                attempts,
+                grid,
+                timings,
+            },
         });
     }
 

@@ -18,11 +18,12 @@
 //!    metrics plane's per-reply recorders, the slot reply protocol, the
 //!    ring push/pop, the channel's send and receive paths, the submit
 //!    path, the scheduler's window serve loop and its shed and
-//!    execute-and-reply paths, the fused execute's `execute_rows` and
-//!    `run` with the grid tuner's per-execute functions, and the thread
-//!    pool's dispatch: `broadcast`, `broadcast_chunks` and the `run_task`
-//!    and `worker_loop` that run its tasks) must not call allocating std
-//!    constructors.
+//!    execute-and-reply paths, the plan cache's warm lookup (`hit`,
+//!    `get_warm`) and its entries' `run`, the fused execute's
+//!    `execute_rows` and `run` with the grid tuner's per-execute
+//!    functions, and the thread pool's dispatch: `broadcast`,
+//!    `broadcast_chunks` and the `run_task` and `worker_loop` that run
+//!    its tasks) must not call allocating std constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` in a statement
 //!    touching a protocol atomic (gate state, bypass claim, seqlock seq,
 //!    ring head/tail, sleeper count, channel sender/receiver counts) must
@@ -82,6 +83,10 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
             "serve_group",
             "serve_chunk",
         ],
+    ),
+    (
+        "crates/kron-runtime/src/cache.rs",
+        &["hit", "get_warm", "run"],
     ),
     (
         "crates/kron-runtime/src/runtime.rs",
