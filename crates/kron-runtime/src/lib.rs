@@ -80,10 +80,11 @@
 //!
 //! Admission is **lock-free and multi-producer-scalable**: every submit
 //! pushes onto a bounded Vyukov-style MPMC ring (the vendored
-//! `crossbeam::channel::bounded`) guarded by a striped atomic
-//! sender-count gate — no mutex anywhere on the submit path, so N
-//! submitter threads scale instead of convoying on one send lock (the
-//! serve bench's multi-producer gate pins this).
+//! `crossbeam::channel::bounded`, one handle per lane that submitters,
+//! the lane's scheduler and stealing siblings all share) guarded by a
+//! striped atomic sender-count gate — no mutex anywhere on the submit
+//! path, so N submitter threads scale instead of convoying on one send
+//! lock (the serve bench's multi-producer gate pins this).
 //! [`RuntimeConfig::scheduler_lanes`]
 //! (1–[`MAX_LANES`], default 1) shards the scheduler itself into
 //! per-lane service threads:
@@ -101,11 +102,13 @@
 //!   [`LaneStats::inflight`] gauge (not a global load), so two
 //!   concurrent submitters can never both observe "idle" and race into
 //!   the inline lane; the loser falls back to its scheduler ring.
-//! * **Striped shutdown** — each lane keeps the "Shutdown is the last
-//!   message" guarantee through its own atomic gate: close marks the
-//!   gate, waits for in-flight senders to drain, then sends the final
-//!   `Shutdown` — and a scheduler panic closes every gate so later
-//!   submits fail fast with [`kron_core::KronError::Shutdown`].
+//! * **Striped shutdown** — a lane's atomic gate is its one stop
+//!   signal, and it keeps the "Shutdown is the last message" guarantee:
+//!   close marks the gate, waits for in-flight senders to drain, then
+//!   sends the final `Shutdown`. A scheduler panic closes every gate
+//!   before it fails a ticket, so later submits, bypass-eligible ones
+//!   included, fail fast with [`kron_core::KronError::Shutdown`]. The
+//!   ring itself never disconnects.
 //! * **Per-lane observability** — [`RuntimeStats::lane_stats`]
 //!   ([`RuntimeStats::lanes`] for the live prefix) carries each lane's
 //!   depth, inflight, served/batched/solo/bypassed/error counters, and
@@ -254,9 +257,10 @@
 //!   [`kron_core::KronError::DeviceTimeout`], which then feeds the same
 //!   retry/breaker machinery.
 //! * **Scheduler panic containment** — the scheduler loop runs under
-//!   `catch_unwind`; a panic poisons the runtime: every pending
-//!   [`Ticket::wait`] fails with [`kron_core::KronError::Shutdown`] and
-//!   later submits error instead of hanging on a dead thread.
+//!   `catch_unwind`; a panic poisons the runtime: it closes every lane's
+//!   gate, then every pending [`Ticket::wait`] fails with
+//!   [`kron_core::KronError::Shutdown`] and later submits error instead
+//!   of hanging on a dead thread.
 //!
 //! Faults are injected deterministically through the **chaos plane**:
 //!   [`Runtime::install_fault_plan`] scripts [`FaultPlan`]s of device
@@ -327,7 +331,9 @@
 //!   [`ServeEvent`]s (admissions, sheds, batch formation, executes,
 //!   faults, retries, degrades, breaker transitions, evictions), drained
 //!   in causal order via [`Runtime::drain_events`] — chaos drills and
-//!   test failures produce a post-mortem trace, not just counters.
+//!   test failures produce a post-mortem trace, not just counters. It is
+//!   lossy by design: a writer whose slot is mid-write, or already holds
+//!   a newer event, drops its own.
 //! * **Snapshot/export** — [`Runtime::metrics_snapshot`] folds counters,
 //!   histograms, registries, and device health into one
 //!   [`MetricsSnapshot`] that renders to stable JSON
@@ -354,7 +360,8 @@
 //!   then drive the *production* protocol code through every thread
 //!   interleaving within a preemption bound — proving gate close vs.
 //!   send linearizes, the bypass claim is mutually exclusive, seqlock
-//!   drains never tear, and the sleeper handshake never loses a wakeup:
+//!   drains never tear (with two writers a lap apart on one slot too),
+//!   and the sleeper handshake never loses a wakeup:
 //!
 //!   ```sh
 //!   RUSTFLAGS="--cfg kron_loom" cargo test -p kron-runtime --lib modelcheck_tests
@@ -363,7 +370,8 @@
 //!
 //!   Mutation-validation tests re-introduce historical bug shapes (the
 //!   check-then-claim bypass race, a dropped handshake fence, a skipped
-//!   seqlock re-check) and assert the checker still flags them.
+//!   seqlock re-check, a recorder writer that stores its odd `seq`
+//!   without claiming the slot) and assert the checker still flags them.
 //! * **Source-level linting** — `cargo xtask analyze` (CI, exit 1)
 //!   enforces `// SAFETY:` comments on every `unsafe`, bans panics on
 //!   the scheduler/submit hot path, bans allocation inside the
@@ -389,7 +397,7 @@ mod scheduler;
 mod trace;
 
 // Model-check suites for the admission protocols (LaneGate, the bypass
-// CAS claim, the flight-recorder seqlock). Compiled only under
+// CAS claim, the flight-recorder seqlock and its slot claim). Compiled only under
 // `RUSTFLAGS="--cfg kron_loom"`, where the `crossbeam::sync` facade
 // resolves to `kron-modelcheck`; run them by name filter — the other
 // unit tests are not model-aware:

@@ -14,16 +14,19 @@
 //!   no gauge underflow, no double-win.
 //! * the [`FlightRecorder`] seqlock — drains never observe torn or
 //!   unpublished event bytes, at ring capacities small enough that
-//!   writers lap readers inside the exploration budget.
+//!   writers lap readers inside the exploration budget, and two writers
+//!   a lap apart on one slot never tear an event a drain keeps (the
+//!   production [`claim_event_slot`] under a shadow slot whose event
+//!   the checker can see torn).
 //!
 //! Plus mutation validation: a check-then-claim replica of the bypass
-//! race PR 9's CAS fixed, and a no-recheck replica of the seqlock
-//! drain, both asserted to be *caught*. If those tests fail, the
-//! checker has gone blind to the bug classes this module exists to
-//! prevent.
+//! race PR 9's CAS fixed, a no-recheck replica of the seqlock drain,
+//! and the unconditional odd-`seq` store the recorder's claim replaced,
+//! each asserted to be *caught*. If those tests fail, the checker has
+//! gone blind to the bug classes this module exists to prevent.
 
 use crate::runtime::{bypass_release_claim, bypass_try_claim, LaneGate};
-use crate::trace::{FlightRecorder, ServeEvent, ServeEventKind};
+use crate::trace::{claim_event_slot, FlightRecorder, ServeEvent, ServeEventKind};
 use crossbeam::queue::ArrayQueue;
 use crossbeam::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::sync::Arc;
@@ -332,5 +335,101 @@ fn checker_catches_seqlock_missing_recheck() {
     assert!(
         matches!(failure.kind, FailureKind::Panic),
         "expected the torn-read assert to fire, got: {failure}"
+    );
+}
+
+/// Shadow of one flight-recorder slot, with the event split into two
+/// atomic halves so the checker can see a torn event (the recorder's
+/// `MaybeUninit` bytes are invisible to it). Writers claim through the
+/// production [`claim_event_slot`] and then mirror the rest of
+/// `FlightRecorder::record`; reads mirror `FlightRecorder::drain`, which
+/// keeps a slot only at the publication of the ticket it wants.
+struct ShadowEventSlot {
+    seq: AtomicU64,
+    lo: AtomicU64,
+    hi: AtomicU64,
+    /// MUTANT SITE: `false` claims with the unconditional odd store the
+    /// recorder shipped before its claim CAS.
+    claim: bool,
+}
+
+impl ShadowEventSlot {
+    fn record(&self, t: u64, v: u64) {
+        if self.claim {
+            if !claim_event_slot(&self.seq, t) {
+                return;
+            }
+        } else {
+            self.seq.store(2 * t + 1, Ordering::Relaxed);
+        }
+        fence(Ordering::Release);
+        self.lo.store(v, Ordering::Relaxed);
+        self.hi.store(v, Ordering::Relaxed);
+        self.seq.store(2 * (t + 1), Ordering::Release);
+    }
+
+    fn read(&self, t: u64) -> Option<u64> {
+        let want = 2 * (t + 1);
+        if self.seq.load(Ordering::Acquire) != want {
+            return None;
+        }
+        let lo = self.lo.load(Ordering::Relaxed);
+        let hi = self.hi.load(Ordering::Relaxed);
+        fence(Ordering::Acquire);
+        if self.seq.load(Ordering::Acquire) != want {
+            return None;
+        }
+        assert_eq!(lo, hi, "drain kept a torn event");
+        Some(lo)
+    }
+}
+
+/// One model execution: two writers a lap apart and a drain on one
+/// shadow slot (capacity 1, so tickets 0 and 1 share it).
+fn lapped_writers(claim: bool) {
+    let slot = Arc::new(ShadowEventSlot {
+        seq: AtomicU64::new(0),
+        lo: AtomicU64::new(0),
+        hi: AtomicU64::new(0),
+        claim,
+    });
+    let writers: Vec<_> = [(0u64, 7u64), (1, 9)]
+        .into_iter()
+        .map(|(t, v)| {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || slot.record(t, v))
+        })
+        .collect();
+    // The drain wants ticket 1, the newest, as `drain` does once the ring
+    // has lapped.
+    if let Some(v) = slot.read(1) {
+        assert_eq!(v, 9, "drain kept another ticket's event");
+    }
+    for w in writers {
+        w.join().unwrap();
+    }
+}
+
+#[test]
+fn flight_recorder_lapped_writers_never_tear() {
+    // Two writers a lap apart race for one slot while a drain reads it.
+    // The claim lets at most one of them write, and `seq` only grows, so
+    // a drain that reads ticket 1's publication before and after its
+    // copy read ticket 1's bytes alone.
+    check_pass("lapped-writers", || lapped_writers(true));
+}
+
+#[test]
+fn checker_catches_lapped_writer_tear() {
+    // Mutation validation: with the unconditional odd store, ticket 0's
+    // writer can write over ticket 1's published event while a drain
+    // copies it, and the drain's seq re-check still reads ticket 1's
+    // publication, so it keeps the torn halves.
+    let failure = explorer()
+        .check(|| lapped_writers(false))
+        .expect_err("the unconditional-store mutant must tear an event under some schedule");
+    assert!(
+        matches!(failure.kind, FailureKind::Panic),
+        "expected the torn-event assert to fire, got: {failure}"
     );
 }

@@ -8,6 +8,12 @@
 //! `lane_of`), and idle lanes steal queued work from busy siblings. The
 //! per-lane scheduler threads live in [`crate::scheduler`].
 //!
+//! A lane has one stop signal: its closed gate, behind which the closer
+//! sends the lane's final [`Msg::Shutdown`]. Orderly shutdown closes
+//! each gate and sends `Shutdown`; a scheduler panic closes every gate,
+//! so no submit, bypassed or not, is admitted after it. The ring itself
+//! never disconnects.
+//!
 //! The erasure boundary is the request channel: typed entry points
 //! (`submit`, `Session::call`, …) wrap their [`Request<T>`] into the
 //! two-armed [`ErasedRequest`] enum via the sealed [`sealed::ErasedDtype`]
@@ -23,7 +29,7 @@ use crate::health::{BreakerPolicy, DeviceHealth, DeviceHealthReport};
 use crate::metrics::{Field, MetricKind, MetricsHub, MetricsSnapshot, ModelStats, Outcome, Stage};
 use crate::scheduler::{arm_scripted_fault, Scheduler, ServeCtx, WINDOW};
 use crate::trace::{ServeEvent, ServeEventKind, StageTimings};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Channel};
 use gpu_sim::device::{DeviceSpec, V100};
 use gpu_sim::ExecSummary;
 use kron_core::{DType, Element, FactorShape, KronError, KronProblem, Matrix, PlanKey, Result};
@@ -33,7 +39,7 @@ use kron_core::{DType, Element, FactorShape, KronError, KronProblem, Matrix, Pla
 // `std` types. `Mutex`/`Condvar`/`Arc` stay `std`: model executions here
 // only exercise the atomic protocols, and the blocking paths are not
 // driven inside model threads.
-use crossbeam::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crossbeam::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -984,11 +990,11 @@ impl ServeElement for f32 {}
 impl ServeElement for f64 {}
 
 /// One scheduler lane's admission surface: its bounded lock-free ring
-/// (both ends — the receiver is cloned by sibling lanes for
-/// work-stealing) and its striped gate.
+/// (one handle: submitters send on it, the lane's scheduler receives
+/// from it, and sibling lanes steal from it) and its striped gate, the
+/// lane's one stop signal.
 pub(crate) struct LaneHandle {
-    pub(crate) tx: Sender<Msg>,
-    pub(crate) rx: Receiver<Msg>,
+    pub(crate) ring: Channel<Msg>,
     pub(crate) gate: LaneGate,
 }
 
@@ -1110,12 +1116,11 @@ impl Drop for GateEntry<'_> {
 pub(crate) struct Shared {
     /// The scheduler lanes. Requests hash to a lane by plan identity
     /// (`lane_of(dtype, shape_key)`), so one model's traffic — and any
-    /// linked batch — always lands on one lane's ring.
+    /// linked batch — always lands on one lane's ring. A lane's closed
+    /// gate is its one stop signal, for orderly shutdown and a scheduler
+    /// panic alike: the poison path closes every lane's gate before it
+    /// fails a ticket, and nothing is admitted through a closed gate.
     pub(crate) lanes: Box<[LaneHandle]>,
-    /// `true` once any scheduler lane died to a panic: every gate is
-    /// closed, the dead lane's pending tickets are failed with
-    /// [`KronError::Shutdown`], and no new request is ever admitted.
-    pub(crate) poisoned: AtomicBool,
     /// The plan cache, shared so clients can pin models, sweep idle
     /// entries, and introspect residency without a scheduler round-trip.
     /// Lock order: the cache lock is never taken while holding an entry
@@ -1186,7 +1191,7 @@ impl Shared {
                     priority: req.priority,
                 },
             );
-            let _ = handle.tx.send(Msg::Request(T::erase(req)));
+            handle.ring.send(Msg::Request(T::erase(req)));
         }
         drop(entry);
         Ok(())
@@ -1419,18 +1424,13 @@ impl Runtime {
         // feel backpressure (a spin in `send`) when a lane is more than
         // one full window behind — at which point siblings are stealing.
         let lanes = (0..cfg.scheduler_lanes)
-            .map(|_| {
-                let (tx, rx) = bounded(2 * WINDOW);
-                LaneHandle {
-                    tx,
-                    rx,
-                    gate: LaneGate::new(),
-                }
+            .map(|_| LaneHandle {
+                ring: bounded(2 * WINDOW),
+                gate: LaneGate::new(),
             })
             .collect();
         let shared = Arc::new(Shared {
             lanes,
-            poisoned: AtomicBool::new(false),
             cache,
             clock: cfg.clock.clone(),
             plane: FaultPlane::new(Arc::clone(&hub)),
@@ -1826,7 +1826,7 @@ impl Runtime {
         };
         let c = &shared.hub.stats;
         let lane_stats: [LaneStats; MAX_LANES] = std::array::from_fn(|i| {
-            let depth = shared.lanes.get(i).map_or(0, |l| l.tx.len() as u64);
+            let depth = shared.lanes.get(i).map_or(0, |l| l.ring.len() as u64);
             c.lane(i).snapshot(depth)
         });
         let live = &lane_stats[..shared.lanes.len()];
@@ -1909,7 +1909,8 @@ impl Runtime {
 
     /// Drains the flight recorder: every [`ServeEvent`] recorded since
     /// the last drain (bounded by the ring's capacity — the oldest
-    /// events are overwritten under sustained load), in causal record
+    /// events are overwritten under sustained load, and a writer that
+    /// finds its slot mid-write drops its event), in causal record
     /// order. The post-mortem trace for chaos drills and test failures.
     pub fn drain_events(&self) -> Vec<ServeEvent> {
         self.shared.hub.drain_events()
@@ -1937,7 +1938,7 @@ impl Runtime {
             // empty ring nobody consumes and the join below observes
             // the already-dead thread.
             lane.gate.close();
-            let _ = lane.tx.send(Msg::Shutdown);
+            lane.ring.send(Msg::Shutdown);
         }
         for handle in handles {
             let _ = handle.join();

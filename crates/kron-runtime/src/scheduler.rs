@@ -79,22 +79,21 @@
 //! [`Clock`], so a manual clock makes the whole scheduling pipeline
 //! deterministic for tests.
 
-use crate::cache::{CachedPlan, PinnedEntry, PlanCache};
+use crate::cache::{CachedPlan, PinnedEntry};
 use crate::clock::Clock;
 use crate::fault::{FaultKind, FaultPlane};
-use crate::health::DeviceHealth;
-use crate::metrics::{MetricsHub, Outcome};
+use crate::metrics::Outcome;
 use crate::runtime::sealed::ErasedDtype;
 use crate::runtime::{
     bypass_release_claim, bypass_try_claim, ErasedRequest, Msg, Reply, Request, RetryPolicy,
     RuntimeConfig, ServeReceipt, Shared, StatsInner,
 };
 use crate::trace::{ServeEventKind, StageTimings};
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::Channel;
 use crossbeam::sync::atomic::Ordering;
 use kron_core::{DType, Element, KronError};
 use std::cmp::Reverse;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How often a lingering scheduler re-reads a **manual** clock while
@@ -263,21 +262,17 @@ fn wait_until(clock: &Clock, at_us: u64) {
     }
 }
 
-/// Everything one serve needs from the runtime's [`Shared`] state,
-/// borrowed field by field so a `&mut` lane can serve while the context
-/// borrows the rest. [`ServeCtx::new`] builds one per scheduler cycle,
+/// One serve's view of the runtime: the [`Shared`] state it serves
+/// against (plan cache, chaos plane, health ledger, clock, metrics hub
+/// and configuration; every reply flows through [`ServeCtx::finish`],
+/// which records into the hub), plus the window and lane it serves for.
+/// The typed lanes a scheduler serves from live in the [`Scheduler`],
+/// not in `Shared`, so a `&mut` lane can serve while the context
+/// borrows `Shared`. [`ServeCtx::new`] builds one per scheduler cycle,
 /// per inline bypass serve, and for the `pin_model` pre-warm's fault
 /// bookkeeping.
 pub(crate) struct ServeCtx<'a> {
-    cache: &'a Mutex<PlanCache>,
-    plane: &'a FaultPlane,
-    health: &'a DeviceHealth,
-    clock: &'a Clock,
-    /// The metrics plane: counters, stage histograms, registries, and the
-    /// flight recorder. Every reply flows through [`ServeCtx::finish`],
-    /// which records into it.
-    hub: &'a MetricsHub,
-    cfg: &'a RuntimeConfig,
+    shared: &'a Shared,
     /// Clock time when this cycle's linger window closed — the boundary
     /// between a request's linger stage and its execution stages.
     window_close_us: u64,
@@ -304,12 +299,7 @@ impl<'a> ServeCtx<'a> {
     /// `window_close_us`.
     pub(crate) fn new(shared: &'a Shared, lane: usize, window_close_us: u64) -> Self {
         ServeCtx {
-            cache: &shared.cache,
-            plane: &shared.plane,
-            health: &shared.health,
-            clock: &shared.clock,
-            hub: &shared.hub,
-            cfg: &shared.cfg,
+            shared,
             window_close_us,
             lane,
         }
@@ -320,15 +310,15 @@ impl ServeCtx<'_> {
     /// Devices the configured backend spans (1 for single-node): the top
     /// rung of the degradation ladder and the "not degraded" reference.
     fn configured_gpus(&self) -> usize {
-        self.cfg.backend.gpus()
+        self.shared.cfg.backend.gpus()
     }
 
     /// The plan-cache capacity `rows` rows execute at: the batch capacity
     /// whenever they fit one batch, else the next power of two, so nearby
     /// large sizes share one workspace.
     fn capacity(&self, rows: usize) -> usize {
-        if rows <= self.cfg.max_batch_rows {
-            self.cfg.max_batch_rows
+        if rows <= self.shared.cfg.max_batch_rows {
+            self.shared.cfg.max_batch_rows
         } else {
             rows.next_power_of_two()
         }
@@ -349,22 +339,23 @@ impl ServeCtx<'_> {
         shape_key: u64,
         capacity: usize,
     ) -> bool {
+        let shared = self.shared;
         let (KronError::DeviceFailure { gpu, .. } | KronError::DeviceTimeout { gpu, .. }) = err
         else {
             return false;
         };
         let timeout = matches!(err, KronError::DeviceTimeout { .. });
-        let now = self.clock.now_us();
-        self.hub.record_device_fault(*gpu, timeout);
-        self.hub.event(
+        let now = shared.clock.now_us();
+        shared.hub.record_device_fault(*gpu, timeout);
+        shared.hub.event(
             now,
             ServeEventKind::Fault {
                 gpu: *gpu as u32,
                 timeout,
             },
         );
-        self.health.record_failure(*gpu, now);
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        shared.health.record_failure(*gpu, now);
+        let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
         cache.evict_failed(dtype, shape_key, capacity);
         true
     }
@@ -390,11 +381,12 @@ impl ServeCtx<'_> {
         attempts: u32,
         grid: Option<(usize, usize)>,
     ) {
+        let shared = self.shared;
         let shape_key = r.model.shape_key;
         let capacity = self.capacity(r.x.rows());
         timings.queue_us = r.drained_us.saturating_sub(r.enqueued_us);
         timings.linger_us = self.window_close_us.saturating_sub(r.drained_us);
-        let stats = &self.hub.stats;
+        let stats = &shared.hub.stats;
         let lane = stats.lane(self.lane);
         let outcome = match &result {
             Ok(class) => {
@@ -414,8 +406,8 @@ impl ServeCtx<'_> {
                 now_us,
             }) => {
                 lane.error_replies.fetch_add(1, Ordering::Relaxed);
-                self.hub.event(
-                    self.clock.now_us(),
+                shared.hub.event(
+                    shared.clock.now_us(),
                     ServeEventKind::Shed {
                         deadline_us: *deadline_us,
                         now_us: *now_us,
@@ -429,8 +421,9 @@ impl ServeCtx<'_> {
             }
         };
         let seq = stats.served.fetch_add(1, Ordering::Relaxed);
-        self.hub.record_timings(&timings, outcome);
-        self.hub
+        shared.hub.record_timings(&timings, outcome);
+        shared
+            .hub
             .record_model_serve(T::DTYPE, shape_key, capacity, outcome, timings.total_us());
         r.slot.fill(Reply {
             result: result.map(|_| ()),
@@ -498,6 +491,7 @@ impl ServeCtx<'_> {
         mut timings: StageTimings,
         class: ReplyClass,
     ) -> Option<StageTimings> {
+        let shared = self.shared;
         let model = &reqs[live[0]].as_ref().expect("unserved").model;
         let (model_id, shape_key) = (model.id, model.shape_key);
         let (k, l) = (model.input_cols(), model.output_cols());
@@ -507,7 +501,7 @@ impl ServeCtx<'_> {
             .sum();
         let mut guard = pinned.lock();
         let entry = T::plan_mut(&mut guard).expect("dtype verified at cache lookup");
-        arm_scripted_fault(entry, self.plane, self.clock);
+        arm_scripted_fault(entry, &shared.plane, &shared.clock);
         let in_place = live.len() == 1 && !entry.is_sharded();
         if !in_place {
             let bx = entry.batch_buffers().0.as_mut_slice();
@@ -518,17 +512,17 @@ impl ServeCtx<'_> {
                 off += x.rows();
             }
         }
-        let exec_start = self.clock.now_us();
+        let exec_start = shared.clock.now_us();
         let r = reqs[live[0]].as_mut().expect("unserved");
         let result = entry.run(
             r.model.factors(),
             rows,
             in_place.then_some((&r.x, &mut r.y)),
         );
-        let exec_end = self.clock.now_us();
+        let exec_end = shared.clock.now_us();
         timings.exec_us = exec_end.saturating_sub(exec_start);
         let grid = entry.grid();
-        self.hub.event(
+        shared.hub.event(
             exec_end,
             ServeEventKind::Execute {
                 rows: rows as u32,
@@ -538,7 +532,7 @@ impl ServeCtx<'_> {
             },
         );
         if class == ReplyClass::Bypass {
-            self.hub.event(
+            shared.hub.event(
                 exec_end,
                 ServeEventKind::Bypass {
                     dtype: T::DTYPE,
@@ -555,11 +549,11 @@ impl ServeCtx<'_> {
             drop(guard);
             drop(pinned);
             let faulted = self.device_fault(&err, T::DTYPE, shape_key, self.capacity(rows));
-            if faulted && attempt <= self.cfg.retry.max_attempts {
+            if faulted && attempt <= shared.cfg.retry.max_attempts {
                 return Some(timings);
             }
             if class == ReplyClass::Batched {
-                self.hub.stats.batches.fetch_add(1, Ordering::Relaxed);
+                shared.hub.stats.batches.fetch_add(1, Ordering::Relaxed);
             }
             for &i in live {
                 let r = reqs[i].take().expect("unserved");
@@ -567,22 +561,24 @@ impl ServeCtx<'_> {
             }
             return None;
         }
-        let stats = &self.hub.stats;
+        let stats = &shared.hub.stats;
         if let Some(g) = grid {
             stats.sharded_batches.fetch_add(1, Ordering::Relaxed);
             if let Some(s) = entry.shard_summary(rows) {
                 stats.comm_bytes.fetch_add(s.comm_bytes, Ordering::Relaxed);
             }
             for gpu in 0..g.gpus() {
-                self.hub.record_device_execute(gpu, timings.exec_us);
+                shared.hub.record_device_execute(gpu, timings.exec_us);
             }
-            if self.health.is_suspect() {
-                self.health.record_success(g.gpus(), self.clock.now_us());
+            if shared.health.is_suspect() {
+                shared
+                    .health
+                    .record_success(g.gpus(), shared.clock.now_us());
             }
             if limit < self.configured_gpus() {
                 stats.degraded_batches.fetch_add(1, Ordering::Relaxed);
-                self.hub.event(
-                    self.clock.now_us(),
+                shared.hub.event(
+                    shared.clock.now_us(),
                     ServeEventKind::Degrade {
                         from_gpus: self.configured_gpus() as u32,
                         to_gpus: limit as u32,
@@ -602,7 +598,7 @@ impl ServeCtx<'_> {
                 let by = entry.batch_buffers().1.as_slice();
                 r.y.as_mut_slice()
                     .copy_from_slice(&by[off * l..(off + m) * l]);
-                timings.scatter_us = self.clock.now_us().saturating_sub(exec_end);
+                timings.scatter_us = shared.clock.now_us().saturating_sub(exec_end);
             }
             off += m;
             let summary = entry.shard_summary(m);
@@ -629,8 +625,11 @@ fn take_late<T: Element>(slot: &mut Option<Request<T>>, now: u64) -> Option<(Req
 /// Idleness is a CAS claim ([`bypass_try_claim`]), not a load, so of two
 /// submitters that find the lane idle exactly one wins. The claim
 /// transfers to the slot on admission (`Slot::admit_claimed`) and is
-/// released on every exit that hands the request back, a poisoned
-/// runtime or closed gate included (the send path reports those).
+/// released on every exit that hands the request back, a closed gate
+/// included (the send path reports it). A closed gate is the lane's one
+/// stop signal: orderly shutdown closes it, and a scheduler panic closes
+/// every lane's gate before it fails any ticket, so no request is served
+/// inline once the runtime stops admitting.
 /// An eligible request completes inline in two cases:
 ///
 /// - an already-expired deadline is shed with
@@ -638,9 +637,10 @@ fn take_late<T: Element>(slot: &mut Option<Request<T>>, now: u64) -> Option<(Req
 ///   exactly as the scheduler sheds cold, so neither lane counts a
 ///   plan-cache lookup for a shed request;
 /// - the plan cache holds a warm **local** entry at full device width
-///   ([`PlanCache::get_warm`]): the request is admitted and runs through
-///   the scheduler's own [`ServeCtx::execute_and_reply`] as a chunk of
-///   one, so it executes in place exactly as a scheduler solo does.
+///   ([`crate::cache::PlanCache::get_warm`]): the request is admitted
+///   and runs through the scheduler's own
+///   [`ServeCtx::execute_and_reply`] as a chunk of one, so it executes
+///   in place exactly as a scheduler solo does.
 ///
 /// Otherwise (cold plan, degraded/rebuilding entry, or a sharded entry
 /// — which must keep its retry ladder, watchdog, and device-health
@@ -658,7 +658,7 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
     if !shared.cfg.inline_bypass || !bypass_try_claim(lane_inflight) {
         return Some(r);
     }
-    if shared.poisoned.load(Ordering::Acquire) || shared.lanes[lane].gate.is_closed() {
+    if shared.lanes[lane].gate.is_closed() {
         bypass_release_claim(lane_inflight);
         return Some(r);
     }
@@ -678,9 +678,9 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
         ctx.shed(r, deadline_us, now, 0, StageTimings::default());
         return None;
     }
-    let plan_start = ctx.clock.now_us();
+    let plan_start = shared.clock.now_us();
     let pinned = {
-        let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
         cache.get_warm(&r.model, ctx.capacity(r.x.rows()))
     };
     let Some(pinned) = pinned else {
@@ -688,14 +688,14 @@ pub(crate) fn try_bypass<T: ErasedDtype>(
         return Some(r);
     };
     let timings = StageTimings {
-        plan_us: ctx.clock.now_us().saturating_sub(plan_start),
+        plan_us: shared.clock.now_us().saturating_sub(plan_start),
         ..StageTimings::default()
     };
     admit(&r);
     // Fold a depth-1 cycle into the shared load signal and republish an
     // adaptive window, as a scheduler cycle would.
-    let window_us = fold_cycle(stats, ctx.cfg, 1);
-    if ctx.cfg.adaptive_linger {
+    let window_us = fold_cycle(stats, &shared.cfg, 1);
+    if shared.cfg.adaptive_linger {
         stats.current_linger_us.store(window_us, Ordering::Relaxed);
     }
     let retry = ctx.execute_and_reply(
@@ -834,7 +834,7 @@ impl<T: ErasedDtype> TypedLane<T> {
     /// Serves one group's members (pending indices, in arrival order) in
     /// row-budgeted chunks.
     fn serve_group(&mut self, idxs: &[usize], ctx: &ServeCtx) {
-        let max_batch_rows = ctx.cfg.max_batch_rows;
+        let max_batch_rows = ctx.shared.cfg.max_batch_rows;
         let mut start = 0;
         while start < idxs.len() {
             let mut rows = 0;
@@ -866,7 +866,7 @@ impl<T: ErasedDtype> TypedLane<T> {
         ctx: &ServeCtx,
         base: StageTimings,
     ) {
-        let now = ctx.clock.now_us();
+        let now = ctx.shared.clock.now_us();
         live.retain(|&i| {
             let Some((r, deadline_us)) = take_late(&mut self.pending[i], now) else {
                 return true;
@@ -887,6 +887,7 @@ impl<T: ErasedDtype> TypedLane<T> {
     /// off, sheds the members whose deadline passed meanwhile, and tries
     /// again on a rebuilt (possibly degraded) entry.
     fn serve_chunk(&mut self, idxs: &[usize], ctx: &ServeCtx) {
+        let shared = ctx.shared;
         debug_assert!(!idxs.is_empty());
         let mut live = std::mem::take(&mut self.retry_scratch);
         live.clear();
@@ -901,9 +902,9 @@ impl<T: ErasedDtype> TypedLane<T> {
         } else {
             ReplyClass::Solo
         };
-        let serve_start = ctx.clock.now_us();
+        let serve_start = shared.clock.now_us();
         if class == ReplyClass::Batched {
-            ctx.hub.event(
+            shared.hub.event(
                 serve_start,
                 ServeEventKind::BatchFormed {
                     model: self.pending[idxs[0]].as_ref().expect("unserved").model.id,
@@ -915,16 +916,18 @@ impl<T: ErasedDtype> TypedLane<T> {
         // `attempt` counts executes performed; the reply's `attempts`.
         let mut attempt: u32 = 0;
         loop {
-            let plan_start = ctx.clock.now_us();
-            let allowed = ctx.health.allowed_gpus(plan_start, ctx.configured_gpus());
-            let limit = attempt_limit(&ctx.cfg.retry, ctx.configured_gpus(), attempt, allowed);
+            let plan_start = shared.clock.now_us();
+            let allowed = shared
+                .health
+                .allowed_gpus(plan_start, ctx.configured_gpus());
+            let limit = attempt_limit(&shared.cfg.retry, ctx.configured_gpus(), attempt, allowed);
             let pinned = {
                 let model = &self.pending[live[0]].as_ref().expect("unserved").model;
-                let mut cache = ctx.cache.lock().unwrap_or_else(|e| e.into_inner());
+                let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
                 cache.get_or_create(model, capacity, limit)
             };
             let timings = StageTimings {
-                plan_us: ctx.clock.now_us().saturating_sub(plan_start),
+                plan_us: shared.clock.now_us().saturating_sub(plan_start),
                 // Backoff waited out before this attempt (0 on the first).
                 retry_us: plan_start.saturating_sub(serve_start),
                 ..StageTimings::default()
@@ -953,16 +956,19 @@ impl<T: ErasedDtype> TypedLane<T> {
             ) else {
                 break;
             };
-            ctx.hub.stats.retries.fetch_add(1, Ordering::Relaxed);
-            ctx.hub.event(
-                ctx.clock.now_us(),
+            shared.hub.stats.retries.fetch_add(1, Ordering::Relaxed);
+            shared.hub.event(
+                shared.clock.now_us(),
                 ServeEventKind::Retry {
                     attempt: attempt + 1,
                     limit_gpus: limit as u32,
                 },
             );
-            if ctx.cfg.retry.backoff_us > 0 {
-                wait_until(ctx.clock, ctx.clock.now_us() + ctx.cfg.retry.backoff_us);
+            if shared.cfg.retry.backoff_us > 0 {
+                wait_until(
+                    &shared.clock,
+                    shared.clock.now_us() + shared.cfg.retry.backoff_us,
+                );
             }
             self.shed_expired_retries(&mut live, attempt, ctx, failed);
             if live.is_empty() {
@@ -982,13 +988,11 @@ pub(crate) struct Scheduler {
     /// of the per-lane counters it bumps in the metrics plane.
     lane: usize,
     /// The runtime state every lane shares with the runtime handle: the
-    /// lanes' rings and gates (work-stealing pops from sibling rings
-    /// through them; [`Self::poison`] closes every gate and sets the
-    /// poison flag), the plan cache, counters, clock, chaos plane,
+    /// lanes' rings and gates (this lane receives from its own ring,
+    /// work-stealing pops from sibling rings, and [`Self::poison`]
+    /// closes every gate), the plan cache, counters, clock, chaos plane,
     /// health ledger, metrics hub, and configuration.
     shared: Arc<Shared>,
-    /// This lane's own receiver (a clone of `shared.lanes[lane].rx`).
-    rx: Receiver<Msg>,
     /// Per-lane arrival counter — the cross-dtype FIFO tie-break within
     /// this lane's windows.
     next_arrival: u64,
@@ -1002,11 +1006,9 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     pub(crate) fn new(lane: usize, shared: Arc<Shared>) -> Self {
-        let rx = shared.lanes[lane].rx.clone();
         Scheduler {
             lane,
             shared,
-            rx,
             next_arrival: 0,
             f32_lane: TypedLane::new(),
             f64_lane: TypedLane::new(),
@@ -1033,6 +1035,11 @@ impl Scheduler {
         }
     }
 
+    /// This lane's own ring.
+    fn ring(&self) -> &Channel<Msg> {
+        &self.shared.lanes[self.lane].ring
+    }
+
     /// Requests drained into the current window, across both lanes.
     fn pending_len(&self) -> usize {
         self.f32_lane.pending.len() + self.f64_lane.pending.len()
@@ -1053,7 +1060,7 @@ impl Scheduler {
     /// Moves everything queued on this lane's ring into the window,
     /// dropping a `Shutdown`: the scheduler is already on its way out.
     fn drain_ring(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
+        while let Some(msg) = self.ring().try_recv() {
             self.take(msg);
         }
     }
@@ -1077,16 +1084,18 @@ impl Scheduler {
         }
     }
 
-    /// Marks the runtime poisoned and fails everything queued or drained
+    /// Closes every lane's gate and fails everything queued or drained
     /// on **this** lane (sibling lanes are healthy and keep serving
     /// their own queues). Closing the striped gates first means no new
-    /// request can start entering any ring; waiting for this lane's
-    /// senders to drain makes the sweep below complete, not racy. The
-    /// wait drains the ring concurrently — a sender spinning on a full
-    /// ring needs this thread to consume, so a blocking wait without the
-    /// drain would deadlock.
+    /// request can start entering any ring, and no submit can take the
+    /// bypass lane ([`try_bypass`] refuses on a closed gate): every gate
+    /// is closed before the first ticket below fails, so a client that
+    /// sees that failure sees the runtime stopped. Waiting for this
+    /// lane's senders to drain makes the sweep below complete, not racy.
+    /// The wait drains the ring concurrently — a sender spinning on a
+    /// full ring needs this thread to consume, so a blocking wait
+    /// without the drain would deadlock.
     fn poison(&mut self) {
-        self.shared.poisoned.store(true, Ordering::SeqCst);
         for lane in self.shared.lanes.iter() {
             lane.gate.begin_close();
         }
@@ -1108,34 +1117,25 @@ impl Scheduler {
     /// One loop iteration: obtain a message (blocking on the single-lane
     /// layout; try-own / steal / short park on the sharded layout),
     /// drain a batch window, serve it. Returns `false` when the loop
-    /// should exit (shutdown, or every sender gone).
+    /// should exit: the lane took its `Shutdown`.
     fn step(&mut self) -> bool {
         let msg = if self.shared.lanes.len() == 1 {
             // Single lane (the default): the classic blocking drain — no
             // stealing, no polling, exact legacy service order.
-            let Ok(msg) = self.rx.recv() else {
-                return false;
-            };
+            self.ring().recv()
+        } else if let Some(msg) = self.ring().try_recv() {
             msg
         } else {
-            match self.rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Disconnected) => return false,
-                Err(TryRecvError::Empty) => {
-                    // Own ring idle: steal from the deepest sibling
-                    // before parking, then park briefly so stealing
-                    // keeps happening even without local traffic to
-                    // wake this lane.
-                    if self.try_steal() {
-                        return true;
-                    }
-                    match self.rx.recv_timeout(STEAL_POLL) {
-                        Ok(msg) => msg,
-                        Err(RecvTimeoutError::Timeout) => return true,
-                        Err(RecvTimeoutError::Disconnected) => return false,
-                    }
-                }
+            // Own ring idle: steal from the deepest sibling before
+            // parking, then park briefly so stealing keeps happening even
+            // without local traffic to wake this lane.
+            if self.try_steal() {
+                return true;
             }
+            let Some(msg) = self.ring().recv_timeout(STEAL_POLL) else {
+                return true;
+            };
+            msg
         };
         let mut open = self.take(msg);
         if open {
@@ -1150,9 +1150,9 @@ impl Scheduler {
             stats.current_linger_us.store(window_us, Ordering::Relaxed);
             let deadline = (window_us > 0).then(|| self.shared.clock.now_us() + window_us);
             while open && self.pending_len() < WINDOW {
-                match self.rx.try_recv() {
-                    Ok(msg) => open = self.take(msg),
-                    Err(_) => {
+                match self.ring().try_recv() {
+                    Some(msg) => open = self.take(msg),
+                    None => {
                         // Queue momentarily empty: park until the linger
                         // deadline for a late arrival (no spinning —
                         // producers get the CPU).
@@ -1166,14 +1166,12 @@ impl Scheduler {
                         } else {
                             Duration::from_micros(d - now)
                         };
-                        match self.rx.recv_timeout(wait) {
-                            Ok(msg) => open = self.take(msg),
-                            Err(RecvTimeoutError::Timeout) if self.shared.clock.is_manual() => {
-                                // Re-read the virtual clock; the test may
-                                // have advanced it.
-                                continue;
-                            }
-                            Err(_) => break,
+                        match self.ring().recv_timeout(wait) {
+                            Some(msg) => open = self.take(msg),
+                            // Re-read the virtual clock; the test may
+                            // have advanced it.
+                            None if self.shared.clock.is_manual() => continue,
+                            None => break,
                         }
                     }
                 }
@@ -1209,7 +1207,7 @@ impl Scheduler {
             if i == self.lane {
                 continue;
             }
-            let len = lane.rx.len();
+            let len = lane.ring.len();
             if len > depth {
                 depth = len;
                 victim = i;
@@ -1221,16 +1219,17 @@ impl Scheduler {
         let budget = depth / 2;
         let mut stolen = 0u32;
         for _ in 0..budget {
-            match self.shared.lanes[victim].rx.try_recv() {
-                Ok(Msg::Request(r)) => {
+            let ring = &self.shared.lanes[victim].ring;
+            match ring.try_recv() {
+                Some(Msg::Request(r)) => {
                     self.enqueue(r);
                     stolen += 1;
                 }
-                Ok(Msg::Shutdown) => {
-                    let _ = self.shared.lanes[victim].tx.send(Msg::Shutdown);
+                Some(Msg::Shutdown) => {
+                    ring.send(Msg::Shutdown);
                     break;
                 }
-                Err(_) => break,
+                None => break,
             }
         }
         if stolen == 0 {
@@ -1313,6 +1312,42 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A poisoned single-node runtime refuses bypass-eligible requests:
+    /// the scheduler panic closes every gate before it fails a ticket,
+    /// and [`try_bypass`] refuses on a closed gate, so a warm local entry
+    /// on an idle lane serves nothing inline afterwards.
+    #[test]
+    fn poisoned_runtime_refuses_bypass_eligible_requests() {
+        use crate::{FaultPlan, Runtime};
+        use kron_core::Matrix;
+        let runtime = Runtime::new(RuntimeConfig {
+            clock: Clock::manual(),
+            ..RuntimeConfig::default()
+        });
+        let factor = Matrix::from_fn(4, 4, |r, c| (3 * r + c) as f64 - 7.0);
+        let model = runtime.load_model(vec![factor.clone(), factor]).unwrap();
+        let x = || Matrix::from_fn(2, model.input_cols(), |r, c| (r + 2 * c) as f64);
+        let _pin = runtime.pin_model(&model).unwrap();
+        runtime
+            .install_fault_plan(FaultPlan::new().scheduler_panic_at_time(0))
+            .unwrap();
+        // A linked batch never bypasses: it reaches the scheduler, whose
+        // first serve panics and poisons the runtime.
+        for ticket in runtime.submit_linked(vec![(&model, x())]).unwrap() {
+            assert!(matches!(ticket.wait(), Err(KronError::Shutdown)));
+        }
+        // The lane is idle again and the pinned entry is warm and local,
+        // so both requests below would be served inline by an open lane.
+        assert_eq!(runtime.stats().inflight_requests, 0);
+        let submit = runtime.submit(&model, x());
+        assert!(matches!(submit, Err(KronError::Shutdown)), "{submit:?}");
+        let mut session = runtime.session();
+        let call = session.call(&model, x(), Matrix::zeros(2, model.output_cols()));
+        assert!(matches!(call, Err(KronError::Shutdown)), "{call:?}");
+        assert_eq!(runtime.stats().bypassed_requests, 0);
+        runtime.shutdown();
+    }
 
     #[test]
     fn adaptive_linger_collapses_at_depth_one_and_saturates() {

@@ -293,29 +293,56 @@ pub(crate) const EVENT_CAPACITY: usize = 1024;
 
 /// One seqlock-protected slot: `seq` is odd (`2t+1`) while ticket `t`'s
 /// write is in flight and even (`2(t+1)`) once it is published, so a
-/// drain can detect and discard slots it raced with.
+/// drain can detect and discard slots it raced with. Writers claim the
+/// slot with [`claim_event_slot`], so `seq` only ever grows.
 struct EventSlot {
     seq: AtomicU64,
     data: UnsafeCell<MaybeUninit<ServeEvent>>,
 }
 
 /// Fixed-capacity lock-free ring of recent [`ServeEvent`]s. Writers
-/// claim a monotonically increasing ticket and overwrite the slot at
-/// `ticket % capacity`; drains read every published slot since the last
-/// drain (bounded by capacity) in ticket order, skipping slots a
-/// concurrent writer is mid-overwrite on. Recording never allocates and
-/// never blocks.
+/// take a monotonically increasing ticket and overwrite the slot at
+/// `ticket % capacity` once they claim it; drains read every published
+/// slot since the last drain (bounded by capacity) in ticket order,
+/// skipping slots a concurrent writer is mid-overwrite on. Recording
+/// never allocates and never blocks, and it is lossy: a writer that
+/// finds its slot held by another write, or already published by a
+/// newer ticket, drops its event.
 pub(crate) struct FlightRecorder {
     head: AtomicU64,
     drained: AtomicU64,
     slots: Box<[EventSlot]>,
 }
 
-// SAFETY: slot data is only read through the seqlock protocol below —
-// a drain accepts a slot's bytes only when `seq` reads the same even
-// publication value before and after the copy, which proves no writer
-// touched the slot during the read.
+// SAFETY: slot data is only written by the one writer whose
+// `claim_event_slot` CAS took the slot, and only read through the
+// seqlock protocol below — a drain accepts a slot's bytes only when
+// `seq` reads the same even publication value before and after the
+// copy, and since `seq` only grows, that proves no writer touched the
+// slot during the read.
 unsafe impl Sync for FlightRecorder {}
+
+/// Claims a flight-recorder slot for ticket `t`: moves its `seq` to the
+/// odd in-flight mark `2t + 1` from whatever even value an older ticket
+/// (or no ticket) published. `false` means the event must be dropped:
+/// the slot holds an odd mark (another write is in flight), or a newer
+/// ticket has already published there, or another writer won the CAS.
+/// A dropped claim leaves `seq` as it found it, so the next writer to
+/// the slot claims it as usual, and since every claim moves `seq` up,
+/// `seq` never repeats a value a drain has already checked. Extracted
+/// so the model-check suite drives the same claim `record` runs.
+pub(crate) fn claim_event_slot(seq: &AtomicU64, t: u64) -> bool {
+    // relaxed: a speculative read; the CAS below re-validates it.
+    let cur = seq.load(Ordering::Relaxed);
+    if cur % 2 == 1 || cur > 2 * t {
+        return false;
+    }
+    // Acquire on success: `cur` is an older ticket's Release publication,
+    // so that ticket's data write happens before this thread's.
+    // relaxed: on failure the event is dropped and nothing is read.
+    seq.compare_exchange(cur, 2 * t + 1, Ordering::Acquire, Ordering::Relaxed)
+        .is_ok()
+}
 
 impl FlightRecorder {
     pub(crate) fn new() -> Self {
@@ -346,28 +373,29 @@ impl FlightRecorder {
     }
 
     /// Records `event`, overwriting the oldest slot when the ring is
-    /// full. Lock-free and allocation-free.
+    /// full, or drops it when the slot cannot be claimed
+    /// ([`claim_event_slot`]). Lock-free and allocation-free.
     pub(crate) fn record(&self, event: ServeEvent) {
-        // relaxed: the ticket claim only needs atomicity — publication
+        // relaxed: the ticket only needs atomicity — publication
         // ordering is carried entirely by the slot's seq protocol.
         let t = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(t as usize) & (self.slots.len() - 1)];
-        // relaxed: the odd (write-in-flight) mark is ordered before the
-        // data write by the Release fence below.
-        slot.seq.store(2 * t + 1, Ordering::Relaxed);
+        let slot = self.slot(t);
+        if !claim_event_slot(&slot.seq, t) {
+            return;
+        }
+        // The odd mark the claim stored is ordered before the data write.
         fence(Ordering::Release);
-        // SAFETY: the slot is exclusively ours between the odd seq store
-        // and the even publication below as far as readers are concerned
-        // (they reject odd or mismatched seq). A lapped concurrent writer
-        // could race the bytes, but readers double-check seq and discard.
+        // SAFETY: the claim above made this thread the slot's one writer
+        // until the publication below; a drain racing the bytes re-checks
+        // `seq` and discards them.
         unsafe {
-            (*self.data_ptr(slot)).write(event);
+            (*slot.data.get()).write(event);
         }
         slot.seq.store(2 * (t + 1), Ordering::Release);
     }
 
-    fn data_ptr(&self, slot: &EventSlot) -> *mut MaybeUninit<ServeEvent> {
-        slot.data.get()
+    fn slot(&self, t: u64) -> &EventSlot {
+        &self.slots[(t as usize) & (self.slots.len() - 1)]
     }
 
     /// Drains every event recorded since the last drain (bounded by ring
@@ -381,7 +409,7 @@ impl FlightRecorder {
             .max(head.saturating_sub(self.slots.len() as u64));
         let mut out = Vec::with_capacity((head - start) as usize);
         for t in start..head {
-            let slot = &self.slots[(t as usize) & (self.slots.len() - 1)];
+            let slot = self.slot(t);
             let want = 2 * (t + 1);
             if slot.seq.load(Ordering::Acquire) != want {
                 continue;
@@ -390,7 +418,7 @@ impl FlightRecorder {
             // slot was fully published for t. The volatile copy plus the
             // seq re-check below detects any writer that lapped us
             // mid-copy; only unraced bytes are kept.
-            let ev = unsafe { std::ptr::read_volatile(self.data_ptr(slot)) };
+            let ev = unsafe { std::ptr::read_volatile(slot.data.get()) };
             fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Acquire) != want {
                 continue;
@@ -452,6 +480,30 @@ mod tests {
         let second = r.drain();
         assert_eq!(second.len(), 2);
         assert_eq!(second[0].at_us, 1);
+    }
+
+    #[test]
+    fn a_dropped_claim_does_not_strand_its_slot() {
+        // Capacity 2: tickets 0, 2 and 4 share slot 0. Ticket 0's writer
+        // holds its claim mid-write while tickets 1 and 2 record.
+        let r = FlightRecorder::with_capacity(2);
+        let t0 = r.head.fetch_add(1, Ordering::Relaxed);
+        let slot0 = r.slot(t0);
+        assert!(claim_event_slot(&slot0.seq, t0));
+        r.record(ev(1));
+        r.record(ev(2));
+        assert_eq!(
+            slot0.seq.load(Ordering::Relaxed),
+            2 * t0 + 1,
+            "ticket 2 must drop its event, not take a slot mid-write"
+        );
+        // Ticket 0 publishes; ticket 2's dropped claim left slot 0 there,
+        // two laps behind ticket 4, and ticket 4 must still claim it.
+        slot0.seq.store(2 * (t0 + 1), Ordering::Release);
+        r.record(ev(3));
+        r.record(ev(4));
+        let got: Vec<u64> = r.drain().iter().map(|e| e.at_us).collect();
+        assert_eq!(got, [3, 4]);
     }
 
     #[test]

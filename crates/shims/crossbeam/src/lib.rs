@@ -1,16 +1,17 @@
-//! Vendored API-subset shim of [crossbeam](https://crates.io/crates/crossbeam).
+//! Vendored shim of [crossbeam](https://crates.io/crates/crossbeam)'s
+//! `queue::ArrayQueue`, plus the one channel the serving runtime's
+//! admission lanes run on.
 //!
-//! Provides `crossbeam::channel::{bounded, Sender, Receiver}` with
-//! clonable ends, plus `queue::ArrayQueue` — the surfaces used by the
-//! serving runtime's sharded admission lanes.
-//!
-//! One channel flavor: [`channel::bounded`], a lock-free bounded MPMC
-//! ring ([`queue::ArrayQueue`], Vyukov's algorithm) with condvar-assisted
-//! parking for blocking receives. Producers never take a lock on the
-//! fast path (they only touch the condvar mutex when a receiver has
-//! registered itself as sleeping), so N submitter threads scale without
-//! serializing on admission. The ring is preallocated at construction —
-//! sends never allocate, preserving zero-alloc steady-state serving.
+//! [`channel::bounded`] returns one [`channel::Channel`] handle over a
+//! lock-free bounded MPMC ring ([`queue::ArrayQueue`], Vyukov's
+//! algorithm) with condvar-assisted parking for blocking receives.
+//! Producers never take a lock on the fast path (they only touch the
+//! condvar mutex when a receiver has registered itself as sleeping), so
+//! N submitter threads scale without serializing on admission. The ring
+//! is preallocated at construction — sends never allocate, preserving
+//! zero-alloc steady-state serving. The channel keeps no count of its
+//! senders or receivers and never disconnects: its one caller stops each
+//! consumer with a final message behind a gate of its own.
 
 #![deny(missing_docs)]
 
@@ -234,11 +235,13 @@ pub mod queue {
     }
 }
 
-/// Multi-producer multi-consumer channels, mirroring `crossbeam::channel`.
+/// A bounded multi-producer multi-consumer channel with blocking
+/// receives. Unlike `crossbeam::channel` it has no disconnect protocol:
+/// one [`channel::Channel`] handle both sends and receives, and the
+/// caller ends a consumer with a message of its own.
 pub mod channel {
     use crate::sync::atomic::{fence, AtomicUsize, Ordering};
-    use crate::sync::{Arc, Condvar, Mutex};
-    use std::fmt;
+    use crate::sync::{Condvar, Mutex};
     // Wall-clock deadlines are inherently non-deterministic, so
     // `recv_timeout` is not model-exercised (model suites use `recv` /
     // `try_recv`, which never read the clock); under `kron_loom` the timed
@@ -247,11 +250,14 @@ pub mod channel {
 
     use crate::queue::ArrayQueue;
 
-    /// State shared by every end of one channel.
-    struct Shared<T> {
+    /// A bounded lock-free MPMC channel: an [`ArrayQueue`] ring plus a
+    /// sleeper handshake that lets receivers park on a condvar once they
+    /// see the ring empty. Producers take the condvar mutex only when a
+    /// receiver has registered itself as sleeping. Share it by reference
+    /// (or behind an `Arc`): every sender and receiver uses the one
+    /// handle.
+    pub struct Channel<T> {
         ring: ArrayQueue<T>,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
         /// Number of receivers parked (or about to park) on `ready`.
         /// Producers only touch the condvar mutex when this is non-zero.
         sleepers: AtomicUsize,
@@ -259,7 +265,82 @@ pub mod channel {
         ready: Condvar,
     }
 
-    impl<T> Shared<T> {
+    /// Creates a channel holding at least `capacity` messages (rounded up
+    /// to a power of two). `send` spins (with yields) while the ring is
+    /// full, providing backpressure without a lock; `recv` parks on a
+    /// condvar only after the ring is observed empty.
+    pub fn bounded<T>(capacity: usize) -> Channel<T> {
+        Channel {
+            ring: ArrayQueue::new(capacity),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            ready: Condvar::new(),
+        }
+    }
+
+    impl<T> Channel<T> {
+        /// Enqueues a message, spin-yielding while the ring is full
+        /// (backpressure) until a receiver makes room.
+        pub fn send(&self, mut value: T) {
+            let mut spins = 0u32;
+            loop {
+                match self.ring.push(value) {
+                    Ok(()) => {
+                        self.notify();
+                        return;
+                    }
+                    Err(v) => value = v,
+                }
+                // Full ring: back off briefly while a receiver drains it.
+                spins += 1;
+                if spins < 64 {
+                    crate::sync::hint::spin_loop();
+                } else {
+                    crate::sync::thread::yield_now();
+                }
+            }
+        }
+
+        /// Blocks until a message arrives.
+        pub fn recv(&self) -> T {
+            loop {
+                if let Some(v) = self.ring.pop() {
+                    return v;
+                }
+                self.park(None);
+            }
+        }
+
+        /// Blocks up to `timeout` for a message — a timed [`Self::recv`]
+        /// (parks on the condvar; no spinning). `None` on timeout.
+        pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+            let deadline = Instant::now() + timeout;
+            loop {
+                if let Some(v) = self.ring.pop() {
+                    return Some(v);
+                }
+                let left = deadline
+                    .checked_duration_since(Instant::now())
+                    .filter(|left| !left.is_zero())?;
+                self.park(Some(left));
+            }
+        }
+
+        /// Dequeues a message if one is ready.
+        pub fn try_recv(&self) -> Option<T> {
+            self.ring.pop()
+        }
+
+        /// Approximate number of queued messages (racy snapshot).
+        pub fn len(&self) -> usize {
+            self.ring.len()
+        }
+
+        /// Whether the channel currently looks empty (racy snapshot).
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
         /// Wakes parked receivers if any are registered. Pairs a SeqCst
         /// fence after the producer's push with one after the consumer's
         /// sleeper registration so a wakeup can never be missed.
@@ -273,327 +354,96 @@ pub mod channel {
             }
         }
 
-        /// The one blocking receive behind [`Receiver::recv`] and
-        /// [`Receiver::recv_timeout`]: pops a message, or parks on the
-        /// condvar until a send, the last sender's drop, or `deadline`
-        /// (`None`: no deadline, and the clock is never read).
-        fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
-            loop {
-                if let Some(v) = self.ring.pop() {
-                    return Ok(v);
-                }
-                if self.senders.load(Ordering::Acquire) == 0 {
-                    // Catch a send racing the disconnect check.
-                    return self.ring.pop().ok_or(RecvTimeoutError::Disconnected);
-                }
-                let wait = match deadline {
-                    Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
-                        Some(left) if !left.is_zero() => Some(left),
-                        _ => return Err(RecvTimeoutError::Timeout),
-                    },
-                    None => None,
-                };
-                let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-                self.sleepers.fetch_add(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                // Re-check after registering: a producer that missed our
-                // registration must have pushed before it.
-                if !self.ring.is_empty() || self.senders.load(Ordering::Acquire) == 0 {
-                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                    drop(guard);
-                    // The racing producer may have claimed its slot but
-                    // not yet published the value; give it the CPU rather
-                    // than re-polling a torn ring.
-                    crate::sync::thread::yield_now();
-                    continue;
-                }
-                let guard = match wait {
-                    Some(left) => {
-                        let woke = self.ready.wait_timeout(guard, left);
-                        woke.unwrap_or_else(|e| e.into_inner()).0
-                    }
-                    None => self.ready.wait(guard).unwrap_or_else(|e| e.into_inner()),
-                };
-                drop(guard);
+        /// The receive side of the sleeper handshake, behind both
+        /// [`Self::recv`] and [`Self::recv_timeout`]: registers as a
+        /// sleeper, re-checks the ring, and parks until a send wakes it
+        /// or `wait` passes (`None`: no deadline). The caller pops again
+        /// on return.
+        fn park(&self, wait: Option<Duration>) {
+            let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            // Re-check after registering: a producer that missed our
+            // registration must have pushed before it.
+            if !self.ring.is_empty() {
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
+                drop(guard);
+                // The racing producer may have claimed its slot but not
+                // yet published the value; give it the CPU rather than
+                // re-polling a torn ring.
+                crate::sync::thread::yield_now();
+                return;
             }
-        }
-    }
-
-    /// Sending half of a channel.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Receiving half of a channel.
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when every receiver is gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message is currently queued.
-        Empty,
-        /// The channel is empty and every sender is gone.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived within the timeout.
-        Timeout,
-        /// The channel is empty and every sender is gone.
-        Disconnected,
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty, disconnected channel")
-        }
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("channel is empty"),
-                TryRecvError::Disconnected => f.write_str("channel is disconnected"),
-            }
-        }
-    }
-
-    /// Creates a bounded lock-free MPMC channel holding at least `capacity`
-    /// messages (rounded up to a power of two). Both ends are clonable —
-    /// cloned receivers make the channel work-stealable. `send` spins (with
-    /// yields) while the ring is full, providing backpressure without a
-    /// lock; `recv` parks on a condvar only after the ring is observed
-    /// empty.
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            ring: ArrayQueue::new(capacity),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-            sleepers: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues a message, spin-yielding while the ring is full
-        /// (backpressure). Fails only when every receiver is gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let shared = &self.shared;
-            let mut value = value;
-            let mut spins = 0u32;
-            loop {
-                if shared.receivers.load(Ordering::Acquire) == 0 {
-                    return Err(SendError(value));
+            let guard = match wait {
+                Some(left) => {
+                    let woke = self.ready.wait_timeout(guard, left);
+                    woke.unwrap_or_else(|e| e.into_inner()).0
                 }
-                match shared.ring.push(value) {
-                    Ok(()) => {
-                        shared.notify();
-                        return Ok(());
-                    }
-                    Err(v) => value = v,
-                }
-                // Full ring: a consumer exists (checked above) and is
-                // draining, so back off briefly and retry.
-                spins += 1;
-                if spins < 64 {
-                    crate::sync::hint::spin_loop();
-                } else {
-                    crate::sync::thread::yield_now();
-                }
-            }
-        }
-
-        /// Approximate number of queued messages (racy snapshot).
-        pub fn len(&self) -> usize {
-            self.shared.ring.len()
-        }
-
-        /// Whether the channel currently looks empty (racy snapshot).
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            // relaxed: publishes nothing (as in `Arc::clone`); this live
-            // sender keeps the count nonzero, so no one sees it hit zero.
-            self.shared.senders.fetch_add(1, Ordering::Relaxed);
-            Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last sender: wake parked receivers so they can observe
-                // the disconnect.
-                let _guard = self.shared.lock.lock().unwrap_or_else(|e| e.into_inner());
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or every sender is dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.shared.recv_until(None).map_err(|_| RecvError)
-        }
-
-        /// Blocks up to `timeout` for a message — a timed [`Self::recv`]
-        /// (parks on the condvar; no spinning).
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.shared.recv_until(Some(Instant::now() + timeout))
-        }
-
-        /// Dequeues a message if one is ready.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let shared = &self.shared;
-            match shared.ring.pop() {
-                Some(v) => Ok(v),
-                None if shared.senders.load(Ordering::Acquire) == 0 => {
-                    shared.ring.pop().ok_or(TryRecvError::Disconnected)
-                }
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Approximate number of queued messages (racy snapshot).
-        pub fn len(&self) -> usize {
-            self.shared.ring.len()
-        }
-
-        /// Whether the channel currently looks empty (racy snapshot).
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            // relaxed: publishes nothing (as in `Arc::clone`); this live
-            // receiver keeps the count nonzero, so no send sees it at zero.
-            self.shared.receivers.fetch_add(1, Ordering::Relaxed);
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
+                None => self.ready.wait(guard).unwrap_or_else(|e| e.into_inner()),
+            };
+            drop(guard);
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, RecvTimeoutError, TryRecvError};
+    use super::channel::bounded;
     use super::queue::ArrayQueue;
 
     #[test]
     fn send_recv_fifo() {
-        let (s, r) = bounded(2);
-        s.send(1).unwrap();
-        s.send(2).unwrap();
-        assert_eq!(r.recv().unwrap(), 1);
-        assert_eq!(r.try_recv().unwrap(), 2);
-        assert_eq!(r.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn disconnect_after_last_sender_drops() {
-        let (s, r) = bounded::<u8>(1);
-        let s2 = s.clone();
-        drop(s);
-        s2.send(9).unwrap();
-        drop(s2);
-        assert_eq!(r.recv().unwrap(), 9);
-        assert!(r.recv().is_err());
-        assert_eq!(r.try_recv(), Err(TryRecvError::Disconnected));
+        let ch = bounded(2);
+        ch.send(1);
+        ch.send(2);
+        assert_eq!(ch.recv(), 1);
+        assert_eq!(ch.try_recv(), Some(2));
+        assert_eq!(ch.try_recv(), None);
     }
 
     #[test]
     fn recv_timeout_times_out_then_delivers() {
         use std::time::Duration;
-        let (s, r) = bounded::<u8>(1);
-        assert_eq!(
-            r.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        s.send(7).unwrap();
-        assert_eq!(r.recv_timeout(Duration::from_millis(5)), Ok(7));
-        drop(s);
-        assert_eq!(
-            r.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        let ch = bounded::<u8>(1);
+        assert_eq!(ch.recv_timeout(Duration::from_millis(5)), None);
+        ch.send(7);
+        assert_eq!(ch.recv_timeout(Duration::from_millis(5)), Some(7));
     }
 
     #[test]
     fn cross_thread_handoff() {
-        let (s, r) = bounded(100);
-        let t = std::thread::spawn(move || {
-            for i in 0..100 {
-                s.send(i).unwrap();
+        let ch = bounded(100);
+        let mut sum = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..100 {
+                    ch.send(i);
+                }
+            });
+            for _ in 0..100 {
+                sum += ch.recv();
             }
         });
-        let mut sum = 0;
-        for _ in 0..100 {
-            sum += r.recv().unwrap();
-        }
-        t.join().unwrap();
         assert_eq!(sum, (0..100).sum::<i32>());
     }
 
     #[test]
     fn recv_timeout_parked_before_a_send_wakes_on_it() {
         use std::time::{Duration, Instant};
-        let (s, r) = bounded::<u32>(2);
-        // The test keeps `s` alive, so only the send itself (not a
-        // disconnect) can wake the parked receiver.
-        let s2 = s.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            s2.send(5).unwrap();
+        let ch = bounded::<u32>(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                ch.send(5);
+            });
+            let start = Instant::now();
+            assert_eq!(ch.recv_timeout(Duration::from_secs(10)), Some(5));
+            // A lost wakeup would sit out the timeout and still pop the
+            // value.
+            let waited = start.elapsed();
+            assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
         });
-        let start = Instant::now();
-        assert_eq!(r.recv_timeout(Duration::from_secs(10)), Ok(5));
-        // A lost wakeup would sit out the timeout and still pop the value.
-        let waited = start.elapsed();
-        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
-        t.join().unwrap();
-        drop(s);
     }
 
     #[test]
@@ -617,23 +467,17 @@ mod tests {
     }
 
     #[test]
-    fn bounded_fifo_timeout_and_disconnect() {
+    fn bounded_fifo_and_timeout() {
         use std::time::Duration;
-        let (s, r) = bounded::<u32>(8);
-        s.send(1).unwrap();
-        s.send(2).unwrap();
-        assert_eq!(r.recv().unwrap(), 1);
-        assert_eq!(r.try_recv().unwrap(), 2);
-        assert_eq!(r.try_recv(), Err(TryRecvError::Empty));
-        assert_eq!(
-            r.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        s.send(3).unwrap();
-        assert_eq!(r.recv_timeout(Duration::from_millis(5)), Ok(3));
-        drop(s);
-        assert!(r.recv().is_err());
-        assert_eq!(r.try_recv(), Err(TryRecvError::Disconnected));
+        let ch = bounded::<u32>(8);
+        ch.send(1);
+        ch.send(2);
+        assert_eq!(ch.recv(), 1);
+        assert_eq!(ch.try_recv(), Some(2));
+        assert_eq!(ch.try_recv(), None);
+        assert_eq!(ch.recv_timeout(Duration::from_millis(5)), None);
+        ch.send(3);
+        assert_eq!(ch.recv_timeout(Duration::from_millis(5)), Some(3));
     }
 
     #[test]
@@ -642,58 +486,62 @@ mod tests {
         const PRODUCERS: usize = 4;
         const CONSUMERS: usize = 3;
         const PER: u64 = 2000;
-        let (s, r) = bounded::<u64>(64);
+        // Each consumer stops at one sentinel, as a runtime lane stops at
+        // its final `Shutdown`.
+        const SENTINEL: u64 = u64::MAX;
+        let ch = bounded::<u64>(64);
         let sum = AtomicU64::new(0);
         let count = AtomicU64::new(0);
         std::thread::scope(|scope| {
-            for p in 0..PRODUCERS {
-                let s = s.clone();
-                scope.spawn(move || {
-                    for i in 0..PER {
-                        s.send(p as u64 * PER + i).unwrap();
-                    }
-                });
-            }
-            drop(s);
-            for _ in 0..CONSUMERS {
-                let r = r.clone();
-                let (sum, count) = (&sum, &count);
-                scope.spawn(move || {
-                    while let Ok(v) = r.recv() {
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let v = ch.recv();
+                        if v == SENTINEL {
+                            break;
+                        }
                         sum.fetch_add(v, Ordering::Relaxed);
                         count.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+                    })
+                })
+                .collect();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let ch = &ch;
+                    scope.spawn(move || {
+                        for i in 0..PER {
+                            ch.send(p as u64 * PER + i);
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            for _ in 0..CONSUMERS {
+                ch.send(SENTINEL);
+            }
+            for c in consumers {
+                c.join().unwrap();
             }
         });
         let total = PRODUCERS as u64 * PER;
         assert_eq!(count.load(Ordering::Relaxed), total);
         assert_eq!(sum.load(Ordering::Relaxed), (0..total).sum::<u64>());
+        assert!(ch.is_empty());
     }
 
     #[test]
     fn bounded_backpressure_send_blocks_until_drained() {
-        let (s, r) = bounded::<u32>(2);
-        s.send(0).unwrap();
-        s.send(1).unwrap();
-        let t = std::thread::spawn(move || {
-            s.send(2).unwrap(); // Spins until the consumer pops.
+        let ch = bounded::<u32>(2);
+        ch.send(0);
+        ch.send(1);
+        std::thread::scope(|scope| {
+            scope.spawn(|| ch.send(2)); // Spins until the consumer pops.
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            assert_eq!(ch.recv(), 0);
+            assert_eq!(ch.recv(), 1);
+            assert_eq!(ch.recv(), 2);
         });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(r.recv().unwrap(), 0);
-        assert_eq!(r.recv().unwrap(), 1);
-        assert_eq!(r.recv().unwrap(), 2);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn bounded_send_fails_when_all_receivers_dropped() {
-        let (s, r) = bounded::<u32>(2);
-        s.send(0).unwrap();
-        s.send(1).unwrap();
-        drop(r);
-        // Ring is full and no consumer will ever drain it: send must fail
-        // rather than spin forever.
-        assert!(s.send(2).is_err());
     }
 }

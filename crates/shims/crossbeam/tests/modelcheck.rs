@@ -167,14 +167,10 @@ fn ring_channel_no_lost_wakeup() {
     // forever, which the explorer reports as a deadlock — so this test
     // passing means no schedule loses the wakeup.
     check_pass("no-lost-wakeup", || {
-        let (s, r) = bounded::<u32>(2);
-        let producer = thread::spawn(move || {
-            s.send(7).unwrap();
-        });
-        assert_eq!(r.recv(), Ok(7));
-        // The sender dropped at the end of the producer thread; the
-        // disconnect wakeup must also never be lost.
-        assert!(r.recv().is_err());
+        let ch = Arc::new(bounded::<u32>(2));
+        let ch2 = Arc::clone(&ch);
+        let producer = thread::spawn(move || ch2.send(7));
+        assert_eq!(ch.recv(), 7);
         producer.join().unwrap();
     });
 }
@@ -182,13 +178,14 @@ fn ring_channel_no_lost_wakeup() {
 #[test]
 fn ring_channel_two_messages_fifo() {
     check_pass("ring-fifo", || {
-        let (s, r) = bounded::<u32>(2);
+        let ch = Arc::new(bounded::<u32>(2));
+        let ch2 = Arc::clone(&ch);
         let producer = thread::spawn(move || {
-            s.send(1).unwrap();
-            s.send(2).unwrap();
+            ch2.send(1);
+            ch2.send(2);
         });
-        assert_eq!(r.recv(), Ok(1));
-        assert_eq!(r.recv(), Ok(2));
+        assert_eq!(ch.recv(), 1);
+        assert_eq!(ch.recv(), 2);
         producer.join().unwrap();
     });
 }
@@ -197,10 +194,9 @@ fn ring_channel_two_messages_fifo() {
 
 /// `#[cfg(test)]`-only mutant replica of the channel's sleeper
 /// handshake, with the producer-side `SeqCst` fence made optional. The
-/// code shape deliberately mirrors `channel::Shared::notify` and the
-/// parking section of `Shared::recv_until` (the one blocking receive
-/// behind `recv` and `recv_timeout`, here without a deadline) line for
-/// line.
+/// code shape deliberately mirrors `Channel::send`'s notify and
+/// `Channel::recv` with its `park` (the handshake behind `recv` and
+/// `recv_timeout`, here without a deadline) line for line.
 struct SleeperHandshake {
     ring: ArrayQueue<u32>,
     sleepers: AtomicUsize,

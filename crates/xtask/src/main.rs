@@ -11,8 +11,10 @@
 //!    or fn must carry a `// SAFETY:` comment (or a `# Safety` doc
 //!    section) within the preceding few lines.
 //! 2. **No panics on the hot path**: `unwrap`/`expect`/`panic!` and
-//!    friends are banned in the scheduler/submit modules outside
-//!    `#[cfg(test)]` regions — a panicking submit path poisons lanes.
+//!    friends are banned in the scheduler/submit modules, the ring
+//!    channel and the flight recorder that both paths record into,
+//!    outside `#[cfg(test)]` regions — a panicking submit path poisons
+//!    lanes.
 //! 3. **No allocation in zero-alloc functions**: the functions the
 //!    counting-allocator gates protect (`FlightRecorder::record`, the
 //!    metrics plane's per-reply recorders, the slot reply protocol, the
@@ -26,9 +28,8 @@
 //!    its tasks) must not call allocating std constructors.
 //! 4. **Annotated `Relaxed`**: an `Ordering::Relaxed` in a statement
 //!    touching a protocol atomic (gate state, bypass claim, seqlock seq,
-//!    ring head/tail, sleeper count, channel sender/receiver counts) must
-//!    carry a `// relaxed:` justification inside that statement or up to
-//!    two lines above it. The rule reads the whole statement, not the
+//!    ring head/tail, sleeper count) must carry a `// relaxed:`
+//!    justification inside that statement or up to two lines above it. The rule reads the whole statement, not the
 //!    line, because rustfmt splits long chains and argument lists.
 //!
 //! Exceptions live in `crates/xtask/analyze-allowlist.txt` as
@@ -53,6 +54,7 @@ use scan::FileScan;
 const HOT_PATH_FILES: &[&str] = &[
     "crates/kron-runtime/src/runtime.rs",
     "crates/kron-runtime/src/scheduler.rs",
+    "crates/kron-runtime/src/trace.rs",
     "crates/shims/crossbeam/src/lib.rs",
 ];
 
@@ -129,7 +131,7 @@ const ZERO_ALLOC_FNS: &[(&str, &[&str])] = &[
             "try_recv",
             "recv",
             "recv_timeout",
-            "recv_until",
+            "park",
         ],
     ),
 ];
@@ -159,7 +161,7 @@ const RELAXED_PROTOCOL_ATOMICS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/shims/crossbeam/src/lib.rs",
-        &["head", "tail", "seq", "sleepers", "senders", "receivers"],
+        &["head", "tail", "seq", "sleepers"],
     ),
 ];
 
